@@ -12,10 +12,23 @@ ties them together.  Iteration k:
 followed by the short-sale guard on lambda and, on its cadence, one
 penalty update.  The primal residual is z - x and the dual residual is
 -rho*(z - z_prev); both enter the relative stopping test below.
+
+One finiteness check per iteration, on y_new, stands for checks on all
+three new vectors.  The start and every accepted iterate are finite and rho
+is positive, so a NaN in x_new or z_new stays NaN in z_new - x_new, an
+infinity in x_new passes through the shrinkage into z_new and inf - inf is
+NaN, and an infinity in z_new alone stays infinite in the difference.  Each
+reaches y_new = y + rho*(z_new - x_new), where an overflow of its own is
+caught too.  So y_new is finite exactly when all three are.
+
+Vector norms are written as sqrt(v.dot(v)), which is the formula
+numpy.linalg.norm uses for a 1-D float vector, without its argument
+handling; the values are bitwise the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -117,8 +130,10 @@ def y_update(y: np.ndarray, rho: float, x_new: np.ndarray,
 
 
 def residual_norms(z_prev: np.ndarray, state: IterateState) -> ResidualNorms:
-    r_norm = float(np.linalg.norm(state.z - state.x))
-    d_norm = state.rho * float(np.linalg.norm(state.z - z_prev))
+    primal = state.z - state.x
+    step = state.z - z_prev
+    r_norm = math.sqrt(primal.dot(primal))
+    d_norm = state.rho * math.sqrt(step.dot(step))
     return ResidualNorms(r_norm=r_norm, d_norm=d_norm)
 
 
@@ -129,8 +144,8 @@ def stopping_check(r_norm: float, d_norm: float, x: np.ndarray, z: np.ndarray,
     The dual comparator is floored at 1 so a dual vector near zero (e.g.
     the all-cash start) cannot demand an absolute-zero residual.
     """
-    r_ok = r_norm <= tol * max(float(np.linalg.norm(x)), float(np.linalg.norm(z)))
-    d_ok = d_norm <= tol * max(float(np.linalg.norm(y)), 1.0)
+    r_ok = r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z)))
+    d_ok = d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0)
     return r_ok and d_ok
 
 
@@ -171,8 +186,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         x_new = solve_x_update(factorization, z, y, rho, b)
         z_new = z_update(x_new, y, rho, lam)
         y_new = y_update(y, rho, x_new, z_new)
-        if not (np.isfinite(x_new).all() and np.isfinite(z_new).all()
-                and np.isfinite(y_new).all()):
+        if not np.isfinite(y_new).all():
             termination = TERMINATION_NUMERICAL
             iterations = k
             break
@@ -194,7 +208,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
             history.d_norm.append(d_norm)
             history.rho.append(rho)
             history.lam.append(lam)
-            history.objective.append(objective_value(problem.C, z, lam))
+            history.objective.append(objective_value(problem.C, x, lam))
             history.feasibility.append(float(np.abs(problem.D @ x - b).max()))
         if callback is not None:
             callback(state)

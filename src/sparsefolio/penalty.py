@@ -85,8 +85,6 @@ class SpectralMemory:
     y_prev: np.ndarray
     x_prev: np.ndarray
     z_prev: np.ndarray
-    tau: float
-    last_rho: float
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,8 @@ def compute_ybar(y_prev: np.ndarray, rho_prev: float, x_new: np.ndarray,
 
 def bb_scalars(d_dual: np.ndarray, d_grad: np.ndarray) -> BbScalars:
     """Two-point curvature scalars and the correlation that gates their use."""
-    dual_norm = float(np.linalg.norm(d_dual))
-    grad_norm = float(np.linalg.norm(d_grad))
+    dual_norm = math.sqrt(d_dual.dot(d_dual))
+    grad_norm = math.sqrt(d_grad.dot(d_grad))
     if dual_norm == 0.0 or grad_norm == 0.0:
         raise ValueError("curvature scalars need nonzero difference vectors")
     inner = float(d_dual @ d_grad)
@@ -170,16 +168,18 @@ def _hybrid_scalar(scalars: BbScalars) -> float:
     return 1.0 / step
 
 
-def _side_scalar(kind: str, d_dual: np.ndarray, d_grad: np.ndarray,
-                 eps_corr: float, tau: float) -> Optional[float]:
+def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray, eps_corr: float,
+                 tau: Optional[float]) -> Optional[float]:
     # Returns the curvature scalar for one side, or None when that side is
     # unreliable (degenerate differences or correlation at/below the gate).
-    if float(np.linalg.norm(d_dual)) == 0.0 or float(np.linalg.norm(d_grad)) == 0.0:
+    # tau is rbb's regularization weight; None selects bb's hybrid step.
+    try:
+        scalars = bb_scalars(d_dual, d_grad)
+    except ValueError:  # a zero difference vector
         return None
-    scalars = bb_scalars(d_dual, d_grad)
     if not (scalars.corr > eps_corr):
         return None
-    if kind == "rbb":
+    if tau is not None:
         return rbb_scalar(d_dual, d_grad, tau)
     return _hybrid_scalar(scalars)
 
@@ -200,14 +200,14 @@ def spectral_rho(mem: SpectralMemory, snapshot: SpectralSnapshot,
     d_y = snapshot.y - mem.y_prev
     d_psi = snapshot.x - mem.x_prev
     d_phi = mem.z_prev - snapshot.z
-    tau = mem.tau
     if cfg.kind == "rbb":
         tau = tau_update(snapshot.r_norm, snapshot.d_norm, cfg.q, cfg.tau_max)
         alpha_dual = d_ybar if cfg.rbb_alpha_uses_ybar else d_y
     else:
+        tau = None
         alpha_dual = d_ybar
-    alpha = _side_scalar(cfg.kind, alpha_dual, d_psi, cfg.eps_corr, tau)
-    beta = _side_scalar(cfg.kind, d_y, d_phi, cfg.eps_corr, tau)
+    alpha = _side_scalar(alpha_dual, d_psi, cfg.eps_corr, tau)
+    beta = _side_scalar(d_y, d_phi, cfg.eps_corr, tau)
     if alpha is not None and beta is not None:
         rho_new = 1.0 / math.sqrt(alpha * beta)
     elif alpha is not None:
@@ -218,8 +218,7 @@ def spectral_rho(mem: SpectralMemory, snapshot: SpectralSnapshot,
         rho_new = snapshot.rho
     rho_new = min(max(rho_new, cfg.rho_min), cfg.rho_max)
     mem_new = SpectralMemory(ybar_prev=snapshot.ybar, y_prev=snapshot.y,
-                             x_prev=snapshot.x, z_prev=snapshot.z,
-                             tau=tau, last_rho=rho_new)
+                             x_prev=snapshot.x, z_prev=snapshot.z)
     return rho_new, mem_new
 
 
@@ -243,8 +242,7 @@ class PenaltyState:
         if self.mem is None:
             # First spectral visit: nothing to difference against yet.
             self.mem = SpectralMemory(ybar_prev=snapshot.ybar, y_prev=snapshot.y,
-                                      x_prev=snapshot.x, z_prev=snapshot.z,
-                                      tau=0.0, last_rho=snapshot.rho)
+                                      x_prev=snapshot.x, z_prev=snapshot.z)
             return snapshot.rho
         rho_new, self.mem = spectral_rho(self.mem, snapshot, cfg)
         return rho_new

@@ -143,8 +143,7 @@ def test_4_spectral_rho_scale_invariant():
             def emitted(s):
                 mem = SpectralMemory(
                     ybar_prev=s * vectors[0], y_prev=s * vectors[1],
-                    x_prev=s * vectors[2], z_prev=s * vectors[3],
-                    tau=0.5, last_rho=1.3)
+                    x_prev=s * vectors[2], z_prev=s * vectors[3])
                 snap = SpectralSnapshot(
                     x=s * vectors[4], z=s * vectors[5], y=s * vectors[6],
                     ybar=s * vectors[7], r_norm=s * r_norm, d_norm=s * d_norm,

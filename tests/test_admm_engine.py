@@ -260,6 +260,12 @@ class TestHistories:
         assert h.d_norm[-1] == result.d_norm
         assert all(np.isfinite(v) for v in h.objective)
 
+    def test_objective_history_is_taken_at_x(self):
+        problem = factor_problem(n=6, seed=10)
+        result = solve(problem, solver_config(problem, kind="rb", lam=0.001,
+                                              record_history=True))
+        assert result.history.objective[-1] == result.objective
+
     def test_rho_moves_only_on_cadence_iterations(self):
         problem = factor_problem(n=6, seed=10)
         nbar, freeze = 2, 40

@@ -23,10 +23,10 @@ from sparsefolio.penalty import (
 V = np.array
 
 
-def empty_memory(rho=1.0, dim=2):
+def empty_memory(dim=2):
     zero = np.zeros(dim)
     return SpectralMemory(ybar_prev=zero, y_prev=zero, x_prev=zero,
-                          z_prev=zero, tau=0.0, last_rho=rho)
+                          z_prev=zero)
 
 
 def snapshot_from_deltas(d_ybar, d_y, d_psi, d_phi, r_norm=1.0, d_norm=1.0,
@@ -281,12 +281,11 @@ class TestSpectralRho:
         cfg = PenaltyConfig(kind="bb")
         snap = snapshot_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
                                     d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
-        rho, mem = spectral_rho(empty_memory(), snap, cfg)
+        _, mem = spectral_rho(empty_memory(), snap, cfg)
         np.testing.assert_array_equal(mem.ybar_prev, snap.ybar)
         np.testing.assert_array_equal(mem.y_prev, snap.y)
         np.testing.assert_array_equal(mem.x_prev, snap.x)
         np.testing.assert_array_equal(mem.z_prev, snap.z)
-        assert mem.last_rho == rho
 
     def test_wrong_kind_rejected(self):
         cfg = PenaltyConfig(kind="rb")
@@ -300,8 +299,7 @@ class TestSpectralRho:
         snap = snapshot_from_deltas(d_ybar=[1.0, 1.0], d_y=[1.0, 1.0],
                                     d_psi=[2.0, 0.0], d_phi=[2.0, 0.0],
                                     r_norm=4.0, d_norm=1.0)
-        rho, mem = spectral_rho(empty_memory(), snap, cfg)
-        assert mem.tau == pytest.approx(4.0)
+        rho, _ = spectral_rho(empty_memory(), snap, cfg)
         # both sides are (1,1) vs (2,0): rbb with tau=4 gives (2+16)/(2+8)
         assert rho == pytest.approx(1.0 / 1.8)
 
@@ -353,7 +351,6 @@ class TestPenaltyState:
         assert state.mem is None
         assert state.update(snap) == 1.0
         assert state.mem is not None
-        assert state.mem.tau == 0.0
 
     def test_spectral_second_visit_updates(self):
         state = PenaltyState(PenaltyConfig(kind="bb"))
