@@ -52,16 +52,12 @@ class SolverConfig:
     lambda_schedule: LambdaSchedule = field(
         default_factory=lambda: LambdaSchedule.fixed(0.0))
     record_history: bool = False
-    shorts_from_z: bool = False
-    zero_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.zero_tol <= 0:
-            raise ValueError("zero_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,6 @@ class SolveHistory:
     rho: list = field(default_factory=list)
     lam: list = field(default_factory=list)
     objective: list = field(default_factory=list)
-    feasibility: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -196,9 +191,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
 
         lambda_moved = False
         if schedule.mode == "adaptive":
-            basis = z if cfg.shorts_from_z else x
-            shorts = count_short_positions(Portfolio(basis, cfg.zero_tol))
-            adjusted = maybe_adjust(schedule, shorts)
+            adjusted = maybe_adjust(schedule, count_short_positions(x))
             lambda_moved = adjusted.lambda_current != schedule.lambda_current
             schedule = adjusted
             lam = schedule.lambda_current
@@ -209,7 +202,6 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
             history.rho.append(rho)
             history.lam.append(lam)
             history.objective.append(objective_value(problem.C, x, lam))
-            history.feasibility.append(float(np.abs(problem.D @ x - b).max()))
         if callback is not None:
             callback(state)
 
@@ -227,13 +219,12 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
                 rho = rho_new
                 factorization = factorize(problem, rho)
 
-    weights = Portfolio(weights=x, zero_tol=cfg.zero_tol)
     return SolveResult(
-        weights=weights,
+        weights=Portfolio(x),
         objective=objective_value(problem.C, x, lam),
         iterations=iterations,
         termination=termination,
-        short_count=count_short_positions(weights),
+        short_count=count_short_positions(x),
         final_state=state,
         r_norm=float(r_norm),
         d_norm=float(d_norm),

@@ -21,7 +21,7 @@ from .lambda_controller import LambdaSchedule, initial_lambda
 from .market_data import (ReturnsFormatError, estimate_stats,
                           generate_synthetic_returns, load_returns_csv,
                           returns_to_csv)
-from .model import build_problem, count_short_positions
+from .model import ZERO_TOL, build_problem, count_short_positions
 from .penalty import PENALTY_KINDS, PenaltyConfig
 from .suites import SUITES, make_suite_instances
 
@@ -177,8 +177,6 @@ def _make_schedule(args, periods: int, assets: int) -> LambdaSchedule:
         if lam0 == 0:
             raise ValueError("--adaptive-lambda needs a positive --lambda")
         return LambdaSchedule.adaptive(lam0, sn=args.sn)
-    if args.lam == "auto":
-        return LambdaSchedule.auto(periods, assets)
     return LambdaSchedule.fixed(lam0)
 
 
@@ -260,14 +258,13 @@ def cmd_frontier(args) -> int:
     for target in targets:
         problem = build_problem(stats, float(target), allow_out_of_range=True)
         result = solve(problem, cfg)
-        weights = result.weights
-        w = weights.weights
+        w = result.weights.weights
         writer.writerow([
             _float_repr(target),
             _float_repr(w @ problem.C @ w),
             _float_repr(np.abs(w).sum()),
-            int(np.sum(np.abs(w) > weights.zero_tol)),
-            count_short_positions(weights),
+            int(np.sum(np.abs(w) > ZERO_TOL)),
+            count_short_positions(w),
             result.iterations,
             result.termination,
         ])

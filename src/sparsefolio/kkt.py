@@ -51,29 +51,18 @@ class KktFactorization:
 def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
     """Assemble and factor the block matrix for a given penalty value.
 
+    The matrix is nonsingular: C is positive definite and PortfolioProblem
+    guarantees that D has rank 2.
+
     Parameters
     ----------
     problem : PortfolioProblem
     rho : float
         Positive penalty parameter; appears only on the diagonal block.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If the block matrix is singular, which with a positive definite C
-        only happens when the constraint rows are linearly dependent.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     n = problem.n
-    # With C positive definite the block matrix is singular exactly when D
-    # loses rank, so test D directly instead of guessing from LU pivots
-    # (pivot magnitudes are a poor singularity proxy at extreme rho).
-    spectrum = np.linalg.svd(problem.D, compute_uv=False)
-    if spectrum[1] <= 1e-12 * spectrum[0]:
-        raise np.linalg.LinAlgError(
-            "singular x-step system: constraint rows are linearly dependent"
-        )
     K = np.zeros((n + 2, n + 2))
     K[:n, :n] = problem.C + rho * np.eye(n)
     K[:n, n:] = problem.D.T

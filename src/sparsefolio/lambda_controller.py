@@ -8,9 +8,10 @@ investor allows, which monotonically drives the solution long-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-LAMBDA_MODES = ("fixed", "auto-initial", "adaptive")
+LAMBDA_MODES = ("fixed", "adaptive")
 DEFAULT_MAX_ADJUSTMENTS = 50
 
 
@@ -26,12 +27,11 @@ class LambdaSchedule:
     def __post_init__(self):
         if self.mode not in LAMBDA_MODES:
             raise ValueError(f"mode must be one of {LAMBDA_MODES}, got {self.mode!r}")
-        if self.lambda0 < 0 or self.lambda_current < 0:
-            raise ValueError("lambda weights must be nonnegative")
-        if self.mode != "fixed" and self.lambda0 == 0:
-            # A zero weight can never escalate multiplicatively and "auto"
-            # always yields 1/(m*n) > 0, so only fixed mode may carry 0.
-            raise ValueError(f"lambda must be positive in {self.mode} mode")
+        if not (0 <= self.lambda0 < math.inf and 0 <= self.lambda_current < math.inf):
+            raise ValueError("lambda weights must be nonnegative and finite")
+        if self.mode == "adaptive" and self.lambda0 == 0:
+            # A zero weight can never escalate multiplicatively.
+            raise ValueError("lambda must be positive in adaptive mode")
         if self.lambda_current < self.lambda0:
             raise ValueError("lambda_current may never fall below lambda0")
         if self.sn < 0:
@@ -42,11 +42,6 @@ class LambdaSchedule:
     @classmethod
     def fixed(cls, value: float) -> "LambdaSchedule":
         return cls(lambda0=float(value), lambda_current=float(value), mode="fixed")
-
-    @classmethod
-    def auto(cls, m: int, n: int) -> "LambdaSchedule":
-        value = initial_lambda(m, n)
-        return cls(lambda0=value, lambda_current=value, mode="auto-initial")
 
     @classmethod
     def adaptive(cls, lambda0: float, sn: int = 0,

@@ -8,48 +8,56 @@ constraint matrix so downstream solvers see one system Dx = b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .market_data import AssetStats
 
-DEFAULT_ZERO_TOL = 1e-9
+# A weight at or above -ZERO_TOL is not a short position.
+ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class PortfolioProblem:
+    """The model's inputs; the constraint system D x = b is derived from them."""
+
     C: np.ndarray
     mu: np.ndarray
     e: float
-    D: np.ndarray
-    b: np.ndarray
-    n: int
+    D: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("C", "mu", "D", "b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.n
-        if self.mu.shape != (n,) or self.C.shape != (n, n):
+        C = np.asarray(self.C, dtype=float)
+        mu = np.asarray(self.mu, dtype=float)
+        n = mu.size
+        if mu.shape != (n,) or C.shape != (n, n):
             raise ValueError("mean/covariance shapes do not match asset count")
-        if self.D.shape != (2, n) or self.b.shape != (2,):
-            raise ValueError("constraint system must be 2 x n with a length-2 rhs")
-        if not (np.array_equal(self.D[0], self.mu) and np.array_equal(self.D[1], np.ones(n))):
-            raise ValueError("constraint rows must be the mean vector and all-ones")
-        if not (self.b[0] == self.e and self.b[1] == 1.0):
-            raise ValueError("constraint rhs must be (target return, 1)")
+        D = np.vstack([mu, np.ones(n)])
+        # With C positive definite the x-step system is singular exactly when
+        # D has rank below 2: fewer than two assets, or all means equal.
+        spectrum = np.linalg.svd(D, compute_uv=False)
+        if spectrum.size < 2 or spectrum[1] <= 1e-12 * spectrum[0]:
+            raise ValueError(
+                "the return constraint duplicates the budget constraint "
+                "(all asset means are equal); the problem is degenerate"
+            )
         try:
-            np.linalg.cholesky(self.C)
+            np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
             raise ValueError("covariance is not positive definite") from None
+        for name, value in (("C", C), ("mu", mu), ("D", D),
+                            ("b", np.array([self.e, 1.0])), ("n", n)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class Portfolio:
-    """A weight vector plus the tolerance that defines a 'real' position."""
+    """A finite weight vector."""
 
     weights: np.ndarray
-    zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -58,8 +66,6 @@ class Portfolio:
             raise ValueError("weights must be a vector")
         if not np.isfinite(weights).all():
             raise ValueError("weights contain non-finite entries")
-        if self.zero_tol <= 0:
-            raise ValueError("zero_tol must be positive")
 
     @property
     def n(self) -> int:
@@ -68,28 +74,18 @@ class Portfolio:
 
 def build_problem(stats: AssetStats, e: float,
                   allow_out_of_range: bool = False) -> PortfolioProblem:
-    """Stack the return and budget constraints around the estimated moments.
+    """The problem for the estimated moments and the target return e.
 
     The target e must lie between the smallest and largest asset mean unless
-    allow_out_of_range is set.  All-equal means are rejected outright: the
-    two constraint rows would be parallel and every x-step singular.
+    allow_out_of_range is set.  PortfolioProblem rejects all-equal means.
     """
     mu = stats.mu
-    n = mu.shape[0]
-    spread = float(mu.max() - mu.min())
-    if spread <= 1e-12 * max(1.0, float(np.abs(mu).max())):
-        raise ValueError(
-            "all asset means are equal; the return constraint duplicates the "
-            "budget constraint and the problem is degenerate"
-        )
     if not allow_out_of_range and not (mu.min() <= e <= mu.max()):
         raise ValueError(
             f"target return {e} outside the attainable mean range "
             f"[{mu.min()}, {mu.max()}] (pass allow_out_of_range to override)"
         )
-    D = np.vstack([mu, np.ones(n)])
-    b = np.array([e, 1.0])
-    return PortfolioProblem(C=stats.C, mu=mu, e=float(e), D=D, b=b, n=n)
+    return PortfolioProblem(C=stats.C, mu=mu, e=float(e))
 
 
 def objective_value(C: np.ndarray, weights: np.ndarray, lam: float) -> float:
@@ -114,6 +110,6 @@ def constraint_violation(problem: PortfolioProblem,
     return (abs(float(w @ problem.mu) - problem.e), abs(float(w.sum()) - 1.0))
 
 
-def count_short_positions(portfolio: Portfolio) -> int:
-    """Number of weights strictly below -zero_tol."""
-    return int(np.sum(portfolio.weights < -portfolio.zero_tol))
+def count_short_positions(weights: np.ndarray) -> int:
+    """Number of entries of a weight vector strictly below -ZERO_TOL."""
+    return int(np.count_nonzero(weights < -ZERO_TOL))

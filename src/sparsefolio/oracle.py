@@ -81,13 +81,7 @@ def _solve_unpenalized(problem: PortfolioProblem, kkt_tol: float) -> OracleResul
     K[:n, :n] = problem.C
     K[:n, n:] = problem.D.T
     K[n:, :n] = problem.D
-    try:
-        solution = np.linalg.solve(K, np.concatenate([np.zeros(n), problem.b]))
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleTargetError(
-            "equality constraints are degenerate; the target return may be "
-            "unattainable"
-        ) from exc
+    solution = np.linalg.solve(K, np.concatenate([np.zeros(n), problem.b]))
     x, nu = solution[:n], solution[n:]
     g = np.zeros(n)
     if check_kkt(problem, 0.0, x, nu, g) > kkt_tol:

@@ -41,11 +41,14 @@ class PenaltyConfig:
     rho_max: float = 1e8
     freeze_after: int = 1000
     tau_max: float = TAU_MAX_DEFAULT
-    rbb_alpha_uses_ybar: bool = True
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
+        for name in ("rho0", "eta", "mu_rb", "eps_corr", "q", "rho_min", "rho_max",
+                     "tau_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.rho_min < self.rho0 < self.rho_max):
             raise ValueError("need 0 < rho_min < rho0 < rho_max")
         if self.eta <= 1:
@@ -200,13 +203,9 @@ def spectral_rho(mem: SpectralMemory, snapshot: SpectralSnapshot,
     d_y = snapshot.y - mem.y_prev
     d_psi = snapshot.x - mem.x_prev
     d_phi = mem.z_prev - snapshot.z
-    if cfg.kind == "rbb":
-        tau = tau_update(snapshot.r_norm, snapshot.d_norm, cfg.q, cfg.tau_max)
-        alpha_dual = d_ybar if cfg.rbb_alpha_uses_ybar else d_y
-    else:
-        tau = None
-        alpha_dual = d_ybar
-    alpha = _side_scalar(alpha_dual, d_psi, cfg.eps_corr, tau)
+    tau = (tau_update(snapshot.r_norm, snapshot.d_norm, cfg.q, cfg.tau_max)
+           if cfg.kind == "rbb" else None)
+    alpha = _side_scalar(d_ybar, d_psi, cfg.eps_corr, tau)
     beta = _side_scalar(d_y, d_phi, cfg.eps_corr, tau)
     if alpha is not None and beta is not None:
         rho_new = 1.0 / math.sqrt(alpha * beta)

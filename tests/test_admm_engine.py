@@ -149,7 +149,7 @@ class TestFeasibleStart:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"tol": 0.0}, {"max_iter": 0}, {"zero_tol": 0.0},
+        {"tol": 0.0}, {"max_iter": 0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -253,8 +253,7 @@ class TestHistories:
         result = solve(problem, solver_config(problem, kind="rb", lam=0.001,
                                               record_history=True))
         h = result.history
-        for series in (h.r_norm, h.d_norm, h.rho, h.lam, h.objective,
-                       h.feasibility):
+        for series in (h.r_norm, h.d_norm, h.rho, h.lam, h.objective):
             assert len(series) == result.iterations
         assert h.r_norm[-1] == result.r_norm
         assert h.d_norm[-1] == result.d_norm
@@ -311,36 +310,26 @@ class TestHistories:
 
 
 class TestShortCountSource:
-    def _run(self, shorts_from_z, monkeypatch):
+    def test_guard_counts_on_x_by_default(self, monkeypatch):
         problem = factor_problem(n=6, m=60, seed=30)
         recorded = []
         real = engine.count_short_positions
 
-        def recording(portfolio):
-            recorded.append(portfolio.weights)
-            return real(portfolio)
+        def recording(weights):
+            recorded.append(weights)
+            return real(weights)
 
         monkeypatch.setattr(engine, "count_short_positions", recording)
         states = []
         cfg = SolverConfig(
             tol=1e-8, max_iter=40,
             penalty=PenaltyConfig(kind="fixed", rho0=mean_diag_rho(problem)),
-            lambda_schedule=LambdaSchedule.adaptive(initial_lambda(60, 6), sn=0),
-            shorts_from_z=shorts_from_z)
+            lambda_schedule=LambdaSchedule.adaptive(initial_lambda(60, 6), sn=0))
         result = solve(problem, cfg, callback=states.append)
         # one guard call per iteration, plus the final short_count call
         assert len(recorded) == result.iterations + 1
-        return recorded[:-1], states
-
-    def test_guard_counts_on_x_by_default(self, monkeypatch):
-        recorded, states = self._run(False, monkeypatch)
         for rec, state in zip(recorded, states):
             np.testing.assert_array_equal(rec, state.x)
-
-    def test_guard_counts_on_z_when_asked(self, monkeypatch):
-        recorded, states = self._run(True, monkeypatch)
-        for rec, state in zip(recorded, states):
-            np.testing.assert_array_equal(rec, state.z)
 
 
 class TestTextbookEquivalence:

@@ -141,6 +141,12 @@ class TestSolve:
             == EXIT_INPUT
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol", "--q"])
+    def test_non_finite_setting_exits_2(self, returns_csv, capsys, flag, value):
+        assert main(["solve", "--input", returns_csv, flag, value]) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
+
     def test_unreachable_target_exits_2(self, returns_csv, capsys):
         assert main(["solve", "--input", returns_csv,
                      "--target-return", "99"]) == EXIT_INPUT

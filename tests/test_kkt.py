@@ -10,9 +10,7 @@ def random_problem(n, rng, scale=1.0):
     A = rng.standard_normal((n, n))
     C = scale * (A @ A.T + n * np.eye(n))
     mu = rng.uniform(0.01, 0.05, size=n)
-    e = 0.5 * (mu.min() + mu.max())
-    D = np.vstack([mu, np.ones(n)])
-    return PortfolioProblem(C=C, mu=mu, e=e, D=D, b=np.array([e, 1.0]), n=n)
+    return PortfolioProblem(C=C, mu=mu, e=0.5 * (mu.min() + mu.max()))
 
 
 def kkt_residuals(problem, rho, z, y, x, nu):
@@ -35,14 +33,11 @@ class TestFactorize:
             factorize(problem, 0.0)
 
     def test_equal_constraint_rows_singular(self):
-        # mu identical to the budget row makes D rank 1
+        # mu identical to the budget row makes D rank 1; the problem is
+        # refused when built, so factorize never sees a singular system
         n = 3
-        mu = np.ones(n)
-        problem = PortfolioProblem(C=np.eye(n), mu=mu, e=1.0,
-                                   D=np.vstack([mu, np.ones(n)]),
-                                   b=np.array([1.0, 1.0]), n=n)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            factorize(problem, 1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            factorize(PortfolioProblem(C=np.eye(n), mu=np.ones(n), e=1.0), 1.0)
 
     def test_repeat_factorization_identical_solves(self, rng):
         problem = random_problem(6, rng)

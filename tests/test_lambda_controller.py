@@ -38,11 +38,6 @@ class TestLambdaSchedule:
     def test_fixed_allows_zero(self):
         assert LambdaSchedule.fixed(0.0).lambda_current == 0.0
 
-    def test_auto_constructor(self):
-        s = LambdaSchedule.auto(200, 10)
-        assert s.mode == "auto-initial"
-        assert s.lambda_current == 5e-4
-
     def test_adaptive_constructor(self):
         s = LambdaSchedule.adaptive(0.001, sn=2, max_adjustments=7)
         assert s.mode == "adaptive"

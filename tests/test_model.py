@@ -4,6 +4,7 @@ import pytest
 from conftest import factor_problem, identity_problem
 from sparsefolio.market_data import AssetStats
 from sparsefolio.model import (
+    ZERO_TOL,
     Portfolio,
     PortfolioProblem,
     build_problem,
@@ -50,25 +51,15 @@ class TestBuildProblem:
 
 class TestPortfolioProblemValidation:
     def _parts(self):
-        mu = np.array([0.1, 0.2])
-        return dict(C=np.eye(2), mu=mu, e=0.15,
-                    D=np.vstack([mu, np.ones(2)]),
-                    b=np.array([0.15, 1.0]), n=2)
+        return dict(C=np.eye(2), mu=np.array([0.1, 0.2]), e=0.15)
 
     def test_valid_roundtrip(self):
         PortfolioProblem(**self._parts())
 
-    def test_constraint_rows_must_match(self):
-        parts = self._parts()
-        parts["D"] = np.vstack([parts["mu"] + 0.01, np.ones(2)])
-        with pytest.raises(ValueError, match="constraint rows"):
-            PortfolioProblem(**parts)
-
-    def test_rhs_must_match(self):
-        parts = self._parts()
-        parts["b"] = np.array([0.15, 2.0])
-        with pytest.raises(ValueError, match="rhs"):
-            PortfolioProblem(**parts)
+    def test_equal_constraint_rows_degenerate(self):
+        # mu identical to the budget row makes D rank 1
+        with pytest.raises(ValueError, match="degenerate"):
+            PortfolioProblem(np.eye(3), np.ones(3), 1.0)
 
     def test_covariance_must_be_pd(self):
         parts = self._parts()
@@ -119,30 +110,24 @@ class TestConstraintViolation:
 
 class TestCountShortPositions:
     def test_single_short(self):
-        assert count_short_positions(Portfolio(np.array([0.6, -0.1, 0.5]))) == 1
+        assert count_short_positions(np.array([0.6, -0.1, 0.5])) == 1
 
     def test_all_long(self):
-        assert count_short_positions(Portfolio(np.array([0.4, 0.6]))) == 0
+        assert count_short_positions(np.array([0.4, 0.6])) == 0
 
     def test_below_tolerance_negative_ignored(self):
-        w = Portfolio(np.array([-1e-12, 1 + 1e-12]), zero_tol=1e-9)
-        assert count_short_positions(w) == 0
+        assert count_short_positions(np.array([-1e-12, 1 + 1e-12])) == 0
 
     def test_boundary_is_strict(self):
-        w = Portfolio(np.array([-1e-9, 1.0]), zero_tol=1e-9)
-        assert count_short_positions(w) == 0
-        w = Portfolio(np.array([-1.0000001e-9, 1.0]), zero_tol=1e-9)
-        assert count_short_positions(w) == 1
+        assert ZERO_TOL == 1e-9
+        assert count_short_positions(np.array([-1e-9, 1.0])) == 0
+        assert count_short_positions(np.array([-1.0000001e-9, 1.0])) == 1
 
 
 class TestPortfolio:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Portfolio(np.array([np.inf, 0.0]))
-
-    def test_nonpositive_zero_tol_rejected(self):
-        with pytest.raises(ValueError, match="zero_tol"):
-            Portfolio(np.array([0.5, 0.5]), zero_tol=0.0)
 
     def test_matrix_weights_rejected(self):
         with pytest.raises(ValueError, match="vector"):

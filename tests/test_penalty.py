@@ -303,19 +303,6 @@ class TestSpectralRho:
         # both sides are (1,1) vs (2,0): rbb with tau=4 gives (2+16)/(2+8)
         assert rho == pytest.approx(1.0 / 1.8)
 
-    def test_rbb_alpha_source_switch(self):
-        snap = snapshot_from_deltas(d_ybar=[1.0, 1.0], d_y=[1.0, 3.0],
-                                    d_psi=[2.0, 0.0], d_phi=[2.0, 0.0],
-                                    r_norm=4.0, d_norm=1.0)
-        with_ybar, _ = spectral_rho(empty_memory(), snap,
-                                    PenaltyConfig(kind="rbb"))
-        with_y, _ = spectral_rho(empty_memory(), snap,
-                                 PenaltyConfig(kind="rbb",
-                                               rbb_alpha_uses_ybar=False))
-        # alpha from (1,1): 1.8; beta from (1,3): (2+16)/(10+8) = 1
-        assert with_ybar == pytest.approx(1.0 / math.sqrt(1.8))
-        assert with_y == pytest.approx(1.0)
-
     def test_scale_invariance(self, rng):
         cfg = PenaltyConfig(kind="rbb")
         base = snapshot_from_deltas(d_ybar=rng.standard_normal(5),
