@@ -15,7 +15,7 @@ from .model import (Portfolio, PortfolioProblem, build_problem,
                     constraint_violation, count_short_positions,
                     evaluate_objective)
 from .oracle import InfeasibleTargetError, OracleResult, check_kkt, enumerate_solve
-from .penalty import PenaltyConfig, SpectralMemory, rb_update, spectral_rho
+from .penalty import PenaltyConfig, rb_update, spectral_rho
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "SolveHistory",
     "SolveResult",
     "SolverConfig",
-    "SpectralMemory",
     "build_problem",
     "check_kkt",
     "constraint_violation",

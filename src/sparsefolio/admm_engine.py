@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .kkt import factorize, solve_x_update
 from .lambda_controller import LambdaSchedule, maybe_adjust
 from .model import Portfolio, PortfolioProblem, count_short_positions, objective_value
-from .penalty import PenaltyConfig, PenaltyState, SpectralSnapshot, compute_ybar
+from .penalty import PenaltyConfig, PenaltyState, compute_ybar
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -62,7 +62,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterateState:
-    """One committed ADMM iterate; k = -1 denotes the initialization."""
+    """One committed ADMM iterate; k = -1 denotes the initialization.
+
+    rho and lam are the values iteration k ran with.  r_norm and d_norm are
+    its primal and dual residual norms (inf at k = -1).  ybar, the dual
+    estimate between the x-step and the z-step, is set only on iterations
+    due a spectral rho update (bb, rbb) and is None otherwise.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -70,6 +76,9 @@ class IterateState:
     rho: float
     lam: float
     k: int
+    r_norm: float = math.inf
+    d_norm: float = math.inf
+    ybar: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -101,11 +110,6 @@ class SolveResult:
     history: Optional[SolveHistory]
 
 
-class ResidualNorms(NamedTuple):
-    r_norm: float
-    d_norm: float
-
-
 def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
     """Shrink toward zero by kappa; magnitudes at or below kappa map to 0.0."""
     if kappa < 0:
@@ -124,12 +128,12 @@ def y_update(y: np.ndarray, rho: float, x_new: np.ndarray,
     return y + rho * (z_new - x_new)
 
 
-def residual_norms(z_prev: np.ndarray, state: IterateState) -> ResidualNorms:
-    primal = state.z - state.x
-    step = state.z - z_prev
-    r_norm = math.sqrt(primal.dot(primal))
-    d_norm = state.rho * math.sqrt(step.dot(step))
-    return ResidualNorms(r_norm=r_norm, d_norm=d_norm)
+def residual_norms(z_prev: np.ndarray, x: np.ndarray, z: np.ndarray,
+                   rho: float) -> tuple[float, float]:
+    """Primal and dual residual norms, ||z - x|| and rho*||z - z_prev||."""
+    primal = z - x
+    step = z - z_prev
+    return math.sqrt(primal.dot(primal)), rho * math.sqrt(step.dot(step))
 
 
 def stopping_check(r_norm: float, d_norm: float, x: np.ndarray, z: np.ndarray,
@@ -163,31 +167,32 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     schedule = cfg.lambda_schedule
     lam = schedule.lambda_current
     rho = pen_cfg.rho0
-    b = problem.b
     x = feasible_start(problem)
     z = x.copy()
     y = np.zeros(problem.n)
     factorization = factorize(problem, rho)
     pen_state = PenaltyState(pen_cfg)
     spectral = pen_cfg.kind in ("bb", "rbb")
+    phase = 1 % pen_cfg.nbar
     history = SolveHistory() if cfg.record_history else None
     state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=-1)
-    r_norm, d_norm = np.inf, np.inf
     termination = TERMINATION_MAX_ITER
     iterations = cfg.max_iter
 
     for k in range(cfg.max_iter):
-        z_old, y_old = z, y
-        x_new = solve_x_update(factorization, z, y, rho, b)
+        x_new = solve_x_update(factorization, z, y)
         z_new = z_update(x_new, y, rho, lam)
         y_new = y_update(y, rho, x_new, z_new)
         if not np.isfinite(y_new).all():
             termination = TERMINATION_NUMERICAL
             iterations = k
             break
+        r_norm, d_norm = residual_norms(z, x_new, z_new, rho)
+        update_due = k % pen_cfg.nbar == phase and k <= pen_cfg.freeze_after
+        ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
         x, z, y = x_new, z_new, y_new
-        state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=k)
-        r_norm, d_norm = residual_norms(z_old, state)
+        state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=k,
+                             r_norm=r_norm, d_norm=d_norm, ybar=ybar)
 
         lambda_moved = False
         if schedule.mode == "adaptive":
@@ -210,11 +215,8 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
             iterations = k + 1
             break
 
-        if k % pen_cfg.nbar == 1 % pen_cfg.nbar and k <= pen_cfg.freeze_after:
-            ybar = compute_ybar(y_old, rho, x, z_old) if spectral else None
-            snapshot = SpectralSnapshot(x=x, z=z, y=y, ybar=ybar,
-                                        r_norm=r_norm, d_norm=d_norm, rho=rho)
-            rho_new = pen_state.update(snapshot)
+        if update_due:
+            rho_new = pen_state.update(state)
             if rho_new != rho:
                 rho = rho_new
                 factorization = factorize(problem, rho)
@@ -226,8 +228,8 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         termination=termination,
         short_count=count_short_positions(x),
         final_state=state,
-        r_norm=float(r_norm),
-        d_norm=float(d_norm),
+        r_norm=state.r_norm,
+        d_norm=state.d_norm,
         lambda_initial=cfg.lambda_schedule.lambda_current,
         lambda_final=lam,
         lambda_adjustments=schedule.adjustments_made,

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -244,6 +245,9 @@ def cmd_frontier(args) -> int:
         raise ValueError("--points must be at least 1")
     e_min = float(stats.mu.min()) if args.e_min is None else args.e_min
     e_max = float(stats.mu.max()) if args.e_max is None else args.e_max
+    for flag, value in (("--e-min", e_min), ("--e-max", e_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if e_min > e_max:
         raise ValueError(f"--e-min {e_min} exceeds --e-max {e_max}")
     targets = np.linspace(e_min, e_max, args.points)

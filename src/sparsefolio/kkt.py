@@ -38,11 +38,13 @@ from .model import PortfolioProblem
 class KktFactorization:
     """LU factors of the block system and the LAPACK getrs that solves with them.
 
-    Valid only for the rho they were built at.
+    Also holds the rho the block was built at and the right-hand side b of
+    the equality rows, so every solve uses the rho and b it was factored for.
     """
 
     rho: float
     n: int
+    b: np.ndarray = field(repr=False)
     lu: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     getrs: Callable = field(repr=False)
@@ -71,22 +73,19 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(K)
     getrs, = get_lapack_funcs(("getrs",), (lu,))
-    return KktFactorization(rho=float(rho), n=n, lu=lu, piv=piv, getrs=getrs)
+    return KktFactorization(rho=float(rho), n=n, b=problem.b, lu=lu, piv=piv,
+                            getrs=getrs)
 
 
 def solve_with_multiplier(factorization: KktFactorization, z: np.ndarray,
-                          y: np.ndarray, rho: float,
-                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the block system, returning both x and the constraint multiplier.
+                          y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the block system against (rho*z + y, b), returning x and the multiplier.
 
-    The multiplier is diagnostic only; the ADMM loop consumes just x.
+    rho and b are the factorization's own.  The multiplier is diagnostic
+    only; the ADMM loop consumes just x.
     """
-    if rho != factorization.rho:
-        raise ValueError(
-            f"factorization was built for rho={factorization.rho}, got rho={rho}"
-        )
     n = factorization.n
-    rhs = np.concatenate([rho * z + y, b])
+    rhs = np.concatenate([factorization.rho * z + y, factorization.b])
     solution, info = factorization.getrs(factorization.lu, factorization.piv,
                                          rhs, overwrite_b=True)
     if info != 0:
@@ -94,8 +93,8 @@ def solve_with_multiplier(factorization: KktFactorization, z: np.ndarray,
     return solution[:n], solution[n:]
 
 
-def solve_x_update(factorization: KktFactorization, z: np.ndarray, y: np.ndarray,
-                   rho: float, b: np.ndarray) -> np.ndarray:
+def solve_x_update(factorization: KktFactorization, z: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
     """The x-step: exactly feasible (Dx = b) minimizer for the current (z, y)."""
-    x, _ = solve_with_multiplier(factorization, z, y, rho, b)
+    x, _ = solve_with_multiplier(factorization, z, y)
     return x

@@ -8,6 +8,7 @@ constraint matrix so downstream solvers see one system Dx = b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ class PortfolioProblem:
         n = mu.size
         if mu.shape != (n,) or C.shape != (n, n):
             raise ValueError("mean/covariance shapes do not match asset count")
+        if not math.isfinite(self.e):
+            raise ValueError(f"target return e must be finite, got {self.e}")
         D = np.vstack([mu, np.ones(n)])
         # With C positive definite the x-step system is singular exactly when
         # D has rank below 2: fewer than two assets, or all means equal.

@@ -11,18 +11,22 @@ Four interchangeable policies drive the ADMM penalty rho:
 - ``rbb``: like ``bb`` but interpolates between the two curvature scalars
   with a regularization weight tau driven by the residual ratio.
 
-Both spectral rules measure curvature between the current iterate and the
-iterate at the previous spectral update, so the engine hands them a small
-memory record that is rolled forward on every update.
+Every policy reads the engine's ``IterateState`` by attribute: rho and the
+residual norms, and for the spectral rules also x, z, y and ybar.  Both
+spectral rules measure curvature between the current iterate and the
+iterate of the previous spectral update, which ``PenaltyState`` keeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # admm_engine imports this module
+    from .admm_engine import IterateState
 
 PENALTY_KINDS = ("fixed", "rb", "bb", "rbb")
 TAU_MAX_DEFAULT = 1e12
@@ -78,29 +82,6 @@ class BbScalars(NamedTuple):
     bb1: float
     bb2: float
     corr: float
-
-
-@dataclass(frozen=True)
-class SpectralMemory:
-    """Iterate snapshot taken at the most recent spectral update."""
-
-    ybar_prev: np.ndarray
-    y_prev: np.ndarray
-    x_prev: np.ndarray
-    z_prev: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralSnapshot:
-    """What a penalty update gets to see after an ADMM iteration."""
-
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    ybar: Optional[np.ndarray]
-    r_norm: float
-    d_norm: float
-    rho: float
 
 
 def rb_update(rho: float, r_norm: float, d_norm: float,
@@ -187,23 +168,25 @@ def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray, eps_corr: float,
     return _hybrid_scalar(scalars)
 
 
-def spectral_rho(mem: SpectralMemory, snapshot: SpectralSnapshot,
-                 cfg: PenaltyConfig) -> tuple[float, SpectralMemory]:
-    """One safeguarded spectral penalty update.
+def spectral_rho(prev: IterateState, state: IterateState,
+                 cfg: PenaltyConfig) -> float:
+    """One safeguarded spectral penalty update; returns the new rho.
 
-    The x-side scalar alpha and z-side scalar beta are each accepted only
-    if their correlation clears eps_corr; the new rho is 1/sqrt(alpha*beta)
-    when both pass, 1/alpha or 1/beta when one does, and the old rho when
-    neither does.  Every degeneracy (zero differences, nonpositive
-    curvature) lands in the "unchanged" branch rather than raising.
+    prev is the iterate of the previous spectral update and state the
+    current one; both carry ybar.  The x-side scalar alpha and z-side
+    scalar beta are each accepted only if their correlation clears
+    eps_corr; the new rho is 1/sqrt(alpha*beta) when both pass, 1/alpha or
+    1/beta when one does, and the old rho when neither does.  Every
+    degeneracy (zero differences, nonpositive curvature) lands in the
+    "unchanged" branch rather than raising.
     """
     if cfg.kind not in ("bb", "rbb"):
         raise ValueError(f"spectral update called with kind={cfg.kind!r}")
-    d_ybar = snapshot.ybar - mem.ybar_prev
-    d_y = snapshot.y - mem.y_prev
-    d_psi = snapshot.x - mem.x_prev
-    d_phi = mem.z_prev - snapshot.z
-    tau = (tau_update(snapshot.r_norm, snapshot.d_norm, cfg.q, cfg.tau_max)
+    d_ybar = state.ybar - prev.ybar
+    d_y = state.y - prev.y
+    d_psi = state.x - prev.x
+    d_phi = prev.z - state.z
+    tau = (tau_update(state.r_norm, state.d_norm, cfg.q, cfg.tau_max)
            if cfg.kind == "rbb" else None)
     alpha = _side_scalar(d_ybar, d_psi, cfg.eps_corr, tau)
     beta = _side_scalar(d_y, d_phi, cfg.eps_corr, tau)
@@ -214,11 +197,8 @@ def spectral_rho(mem: SpectralMemory, snapshot: SpectralSnapshot,
     elif beta is not None:
         rho_new = 1.0 / beta
     else:
-        rho_new = snapshot.rho
-    rho_new = min(max(rho_new, cfg.rho_min), cfg.rho_max)
-    mem_new = SpectralMemory(ybar_prev=snapshot.ybar, y_prev=snapshot.y,
-                             x_prev=snapshot.x, z_prev=snapshot.z)
-    return rho_new, mem_new
+        rho_new = state.rho
+    return min(max(rho_new, cfg.rho_min), cfg.rho_max)
 
 
 class PenaltyState:
@@ -226,22 +206,21 @@ class PenaltyState:
 
     The engine decides *when* an update is due (the nbar cadence and the
     freeze horizon); this object only knows *how* to produce the next rho.
+    For the spectral rules ``prev`` is the last iterate an update saw.
     """
 
     def __init__(self, cfg: PenaltyConfig):
         self.cfg = cfg
-        self.mem: Optional[SpectralMemory] = None
+        self.prev: Optional[IterateState] = None
 
-    def update(self, snapshot: SpectralSnapshot) -> float:
+    def update(self, state: IterateState) -> float:
         cfg = self.cfg
         if cfg.kind == "fixed":
-            return snapshot.rho
+            return state.rho
         if cfg.kind == "rb":
-            return rb_update(snapshot.rho, snapshot.r_norm, snapshot.d_norm, cfg)
-        if self.mem is None:
+            return rb_update(state.rho, state.r_norm, state.d_norm, cfg)
+        prev, self.prev = self.prev, state
+        if prev is None:
             # First spectral visit: nothing to difference against yet.
-            self.mem = SpectralMemory(ybar_prev=snapshot.ybar, y_prev=snapshot.y,
-                                      x_prev=snapshot.x, z_prev=snapshot.z)
-            return snapshot.rho
-        rho_new, self.mem = spectral_rho(self.mem, snapshot, cfg)
-        return rho_new
+            return state.rho
+        return spectral_rho(prev, state, cfg)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import factor_problem, mean_diag_rho
 from sparsefolio.admm_engine import (
+    IterateState,
     SolverConfig,
     feasible_start,
     solve,
@@ -26,8 +27,6 @@ from sparsefolio.oracle import enumerate_solve
 from sparsefolio.penalty import (
     PENALTY_KINDS,
     PenaltyConfig,
-    SpectralMemory,
-    SpectralSnapshot,
     bb_scalars,
     rbb_scalar,
     spectral_rho,
@@ -141,14 +140,14 @@ def test_4_spectral_rho_scale_invariant():
             r_norm, d_norm = rng.uniform(0.1, 2.0, size=2)
 
             def emitted(s):
-                mem = SpectralMemory(
-                    ybar_prev=s * vectors[0], y_prev=s * vectors[1],
-                    x_prev=s * vectors[2], z_prev=s * vectors[3])
-                snap = SpectralSnapshot(
+                prev = IterateState(
+                    ybar=s * vectors[0], y=s * vectors[1],
+                    x=s * vectors[2], z=s * vectors[3], rho=1.3, lam=0.0, k=1)
+                state = IterateState(
                     x=s * vectors[4], z=s * vectors[5], y=s * vectors[6],
                     ybar=s * vectors[7], r_norm=s * r_norm, d_norm=s * d_norm,
-                    rho=1.3)
-                return spectral_rho(mem, snap, cfg)[0]
+                    rho=1.3, lam=0.0, k=3)
+                return spectral_rho(prev, state, cfg)
 
             base = emitted(1.0)
             for s in (1e-3, 1e3):

@@ -91,29 +91,24 @@ class TestYUpdate:
 
 class TestResidualNorms:
     def test_primal_is_consensus_gap(self):
-        state = engine.IterateState(x=np.array([1.0, 0.0]), z=np.zeros(2),
-                                    y=np.zeros(2), rho=1.0, lam=0.0, k=0)
-        norms = residual_norms(np.zeros(2), state)
-        assert norms.r_norm == 1.0
-        assert norms.d_norm == 0.0
+        r_norm, d_norm = residual_norms(np.zeros(2), np.array([1.0, 0.0]),
+                                        np.zeros(2), 1.0)
+        assert r_norm == 1.0
+        assert d_norm == 0.0
 
     def test_dual_scales_with_rho(self, rng):
         z_prev = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        state = engine.IterateState(x=np.zeros(3), z=z, y=np.zeros(3),
-                                    rho=4.0, lam=0.0, k=0)
-        norms = residual_norms(z_prev, state)
-        assert norms.d_norm == pytest.approx(4.0 * np.linalg.norm(z - z_prev))
+        _, d_norm = residual_norms(z_prev, np.zeros(3), z, 4.0)
+        assert d_norm == pytest.approx(4.0 * np.linalg.norm(z - z_prev))
 
     def test_homogeneous_in_scale(self, rng):
         x, z, z_prev = rng.standard_normal((3, 5))
         for s in (1e-3, 1e3):
-            base = residual_norms(z_prev, engine.IterateState(
-                x=x, z=z, y=np.zeros(5), rho=2.0, lam=0.0, k=0))
-            scaled = residual_norms(s * z_prev, engine.IterateState(
-                x=s * x, z=s * z, y=np.zeros(5), rho=2.0, lam=0.0, k=0))
-            assert scaled.r_norm == pytest.approx(s * base.r_norm, rel=1e-12)
-            assert scaled.d_norm == pytest.approx(s * base.d_norm, rel=1e-12)
+            r_base, d_base = residual_norms(z_prev, x, z, 2.0)
+            r_scaled, d_scaled = residual_norms(s * z_prev, s * x, s * z, 2.0)
+            assert r_scaled == pytest.approx(s * r_base, rel=1e-12)
+            assert d_scaled == pytest.approx(s * d_base, rel=1e-12)
 
 
 class TestStoppingCheck:
@@ -227,11 +222,11 @@ class TestSolveContracts:
         calls = {"count": 0}
         real = solve_x_update
 
-        def sabotaged(fact, z, y, rho, b):
+        def sabotaged(fact, z, y):
             calls["count"] += 1
             if calls["count"] == 3:
                 return np.full(problem.n, np.nan)
-            return real(fact, z, y, rho, b)
+            return real(fact, z, y)
 
         monkeypatch.setattr(engine, "solve_x_update", sabotaged)
         result = solve(problem, solver_config(problem, kind="fixed", lam=0.001))
@@ -245,6 +240,28 @@ class TestSolveContracts:
         result = solve(problem, solver_config(problem, lam=0.001),
                        callback=lambda s: seen.append(s.k))
         assert seen == list(range(result.iterations))
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_state_carries_residuals_and_ybar(self, kind):
+        problem = factor_problem(n=5, seed=3)
+        pen = PenaltyConfig(kind=kind, rho0=mean_diag_rho(problem),
+                            freeze_after=20)
+        cfg = SolverConfig(tol=1e-8, max_iter=60, penalty=pen,
+                           lambda_schedule=LambdaSchedule.fixed(0.001),
+                           record_history=True)
+        seen = []
+        result = solve(problem, cfg, callback=seen.append)
+        h = result.history
+        assert len(seen) == result.iterations > pen.freeze_after + pen.nbar
+        for state in seen:
+            assert state.r_norm == h.r_norm[state.k]
+            assert state.d_norm == h.d_norm[state.k]
+            due = state.k % pen.nbar == 1 % pen.nbar \
+                and state.k <= pen.freeze_after
+            assert (state.ybar is not None) == (due and kind in ("bb", "rbb"))
+        assert (seen[-1].r_norm, seen[-1].d_norm) \
+            == (result.r_norm, result.d_norm)
+        assert result.final_state is seen[-1]
 
 
 class TestHistories:

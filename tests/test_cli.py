@@ -220,6 +220,13 @@ class TestFrontier:
                      "--e-max", "0.01"]) == EXIT_INPUT
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--e-min", "nan"),
+                                             ("--e-max", "inf")])
+    def test_non_finite_target_exits_2(self, returns_csv, capsys, flag, value):
+        assert main(["frontier", "--input", returns_csv, "--points", "2",
+                     flag, value]) == EXIT_INPUT
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
 
 class TestBench:
     def run(self, tmp_path, *extra):

@@ -26,6 +26,7 @@ class TestFactorize:
         fact = factorize(problem, 1.0)
         assert fact.rho == 1.0
         assert fact.n == 2
+        np.testing.assert_array_equal(fact.b, problem.b)
 
     def test_nonpositive_rho_rejected(self):
         problem = two_asset_problem()
@@ -43,8 +44,8 @@ class TestFactorize:
         problem = random_problem(6, rng)
         z = rng.standard_normal(6)
         y = rng.standard_normal(6)
-        x1 = solve_x_update(factorize(problem, 2.0), z, y, 2.0, problem.b)
-        x2 = solve_x_update(factorize(problem, 2.0), z, y, 2.0, problem.b)
+        x1 = solve_x_update(factorize(problem, 2.0), z, y)
+        x2 = solve_x_update(factorize(problem, 2.0), z, y)
         np.testing.assert_array_equal(x1, x2)
 
 
@@ -56,14 +57,13 @@ class TestSolveWithMultiplier:
             for _ in range(3):
                 z = rng.standard_normal(2)
                 y = rng.standard_normal(2)
-                x, _ = solve_with_multiplier(fact, z, y, rho, problem.b)
+                x, _ = solve_with_multiplier(fact, z, y)
                 np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-12)
 
     def test_symmetric_three_asset_case(self):
         problem = identity_problem(mu=(0.1, 0.2, 0.3), e=0.2)
         fact = factorize(problem, 1.0)
-        x, _ = solve_with_multiplier(fact, np.zeros(3), np.zeros(3), 1.0,
-                                     problem.b)
+        x, _ = solve_with_multiplier(fact, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(x, np.ones(3) / 3, atol=1e-14)
 
     def test_block_equations_hold(self, rng):
@@ -72,7 +72,7 @@ class TestSolveWithMultiplier:
             fact = factorize(problem, rho)
             z = rng.standard_normal(8)
             y = rng.standard_normal(8)
-            x, nu = solve_with_multiplier(fact, z, y, rho, problem.b)
+            x, nu = solve_with_multiplier(fact, z, y)
             stationarity, feasibility = kkt_residuals(problem, rho, z, y, x, nu)
             assert stationarity <= 1e-10
             assert feasibility <= 1e-10
@@ -85,15 +85,8 @@ class TestSolveWithMultiplier:
             fact = factorize(problem, rho)
             z = rng.standard_normal(6)
             y = rng.standard_normal(6)
-            x, _ = solve_with_multiplier(fact, z, y, rho, problem.b)
+            x, _ = solve_with_multiplier(fact, z, y)
             assert np.abs(problem.D @ x - problem.b).max() <= 1e-10
-
-    def test_rho_mismatch_rejected(self, rng):
-        problem = random_problem(4, rng)
-        fact = factorize(problem, 1.0)
-        with pytest.raises(ValueError, match="rho"):
-            solve_with_multiplier(fact, np.zeros(4), np.zeros(4), 2.0,
-                                  problem.b)
 
     def test_matches_dense_solver_large_n(self, rng):
         problem = random_problem(50, rng)
@@ -101,7 +94,7 @@ class TestSolveWithMultiplier:
         fact = factorize(problem, rho)
         z = rng.standard_normal(50)
         y = rng.standard_normal(50)
-        x, nu = solve_with_multiplier(fact, z, y, rho, problem.b)
+        x, nu = solve_with_multiplier(fact, z, y)
         K = np.zeros((52, 52))
         K[:50, :50] = problem.C + rho * np.eye(50)
         K[:50, 50:] = problem.D.T
@@ -115,5 +108,5 @@ class TestSolveXUpdate:
     def test_returns_weights_only(self, rng):
         problem = random_problem(5, rng)
         fact = factorize(problem, 1.0)
-        x = solve_x_update(fact, np.zeros(5), np.zeros(5), 1.0, problem.b)
+        x = solve_x_update(fact, np.zeros(5), np.zeros(5))
         assert x.shape == (5,)

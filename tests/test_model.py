@@ -61,6 +61,10 @@ class TestPortfolioProblemValidation:
         with pytest.raises(ValueError, match="degenerate"):
             PortfolioProblem(np.eye(3), np.ones(3), 1.0)
 
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PortfolioProblem(np.eye(2), np.array([0.1, 0.2]), np.nan)
+
     def test_covariance_must_be_pd(self):
         parts = self._parts()
         parts["C"] = np.array([[1.0, 2.0], [2.0, 1.0]])

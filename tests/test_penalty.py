@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from sparsefolio.admm_engine import IterateState
 from sparsefolio.penalty import (
     PENALTY_KINDS,
     TAU_MAX_DEFAULT,
     BbScalars,
     PenaltyConfig,
     PenaltyState,
-    SpectralMemory,
-    SpectralSnapshot,
     _hybrid_scalar,
     bb_scalars,
     compute_ybar,
@@ -23,20 +22,20 @@ from sparsefolio.penalty import (
 V = np.array
 
 
-def empty_memory(dim=2):
+def zero_state(dim=2):
     zero = np.zeros(dim)
-    return SpectralMemory(ybar_prev=zero, y_prev=zero, x_prev=zero,
-                          z_prev=zero)
+    return IterateState(x=zero, z=zero, y=zero, rho=1.0, lam=0.0, k=1,
+                        ybar=zero)
 
 
-def snapshot_from_deltas(d_ybar, d_y, d_psi, d_phi, r_norm=1.0, d_norm=1.0,
-                         rho=1.0):
-    """Against an all-zero memory the snapshot fields ARE the differences."""
-    return SpectralSnapshot(x=V(d_psi, dtype=float),
-                            z=-V(d_phi, dtype=float),
-                            y=V(d_y, dtype=float),
-                            ybar=V(d_ybar, dtype=float),
-                            r_norm=r_norm, d_norm=d_norm, rho=rho)
+def state_from_deltas(d_ybar, d_y, d_psi, d_phi, r_norm=1.0, d_norm=1.0,
+                      rho=1.0):
+    """Against an all-zero previous state the state fields ARE the differences."""
+    return IterateState(x=V(d_psi, dtype=float),
+                        z=-V(d_phi, dtype=float),
+                        y=V(d_y, dtype=float),
+                        ybar=V(d_ybar, dtype=float),
+                        r_norm=r_norm, d_norm=d_norm, rho=rho, lam=0.0, k=3)
 
 
 class TestPenaltyConfig:
@@ -235,113 +234,112 @@ class TestSpectralRho:
     def test_beta_only_branch(self):
         # alpha side orthogonal (corr 0), beta side collinear with scalar 4
         cfg = PenaltyConfig(kind="bb")
-        snap = snapshot_from_deltas(d_ybar=[0.0, 1.0], d_y=[1.0, 0.0],
-                                    d_psi=[4.0, 0.0], d_phi=[4.0, 0.0])
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[0.0, 1.0], d_y=[1.0, 0.0],
+                                 d_psi=[4.0, 0.0], d_phi=[4.0, 0.0])
+        rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == pytest.approx(0.25)
 
     def test_alpha_only_branch(self):
         cfg = PenaltyConfig(kind="bb")
-        snap = snapshot_from_deltas(d_ybar=[1.0, 0.0], d_y=[0.0, 1.0],
-                                    d_psi=[4.0, 0.0], d_phi=[4.0, 0.0])
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[0.0, 1.0],
+                                 d_psi=[4.0, 0.0], d_phi=[4.0, 0.0])
+        rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == pytest.approx(0.25)
 
     def test_both_sides_branch(self):
         cfg = PenaltyConfig(kind="bb")
-        snap = snapshot_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
-                                    d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
+                                 d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
+        rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == pytest.approx(0.25)
 
     def test_neither_side_keeps_rho(self):
         cfg = PenaltyConfig(kind="bb")
-        snap = snapshot_from_deltas(d_ybar=[0.0, 1.0], d_y=[0.0, 1.0],
-                                    d_psi=[4.0, 0.0], d_phi=[4.0, 0.0],
-                                    rho=0.7)
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[0.0, 1.0], d_y=[0.0, 1.0],
+                                 d_psi=[4.0, 0.0], d_phi=[4.0, 0.0],
+                                 rho=0.7)
+        rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == 0.7
 
     def test_zero_differences_keep_rho(self):
         cfg = PenaltyConfig(kind="bb")
-        snap = snapshot_from_deltas(d_ybar=[0.0, 0.0], d_y=[0.0, 0.0],
-                                    d_psi=[0.0, 0.0], d_phi=[0.0, 0.0],
-                                    rho=1.3)
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[0.0, 0.0], d_y=[0.0, 0.0],
+                                 d_psi=[0.0, 0.0], d_phi=[0.0, 0.0],
+                                 rho=1.3)
+        rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == 1.3
 
     def test_result_clipped(self):
         cfg = PenaltyConfig(kind="bb", rho0=1.0, rho_min=0.3, rho_max=3.0)
-        snap = snapshot_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
-                                    d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
+                                 d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
+        rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == 0.3
 
     def test_memory_rolls_forward(self):
-        cfg = PenaltyConfig(kind="bb")
-        snap = snapshot_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
-                                    d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
-        _, mem = spectral_rho(empty_memory(), snap, cfg)
-        np.testing.assert_array_equal(mem.ybar_prev, snap.ybar)
-        np.testing.assert_array_equal(mem.y_prev, snap.y)
-        np.testing.assert_array_equal(mem.x_prev, snap.x)
-        np.testing.assert_array_equal(mem.z_prev, snap.z)
+        pen = PenaltyState(PenaltyConfig(kind="bb"))
+        pen.update(zero_state())
+        snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
+                                 d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
+        assert pen.update(snap) == pytest.approx(0.25)
+        assert pen.prev is snap
 
     def test_wrong_kind_rejected(self):
         cfg = PenaltyConfig(kind="rb")
-        snap = snapshot_from_deltas(d_ybar=[1.0, 0.0], d_y=[1.0, 0.0],
-                                    d_psi=[1.0, 0.0], d_phi=[1.0, 0.0])
+        snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[1.0, 0.0],
+                                 d_psi=[1.0, 0.0], d_phi=[1.0, 0.0])
         with pytest.raises(ValueError, match="kind"):
-            spectral_rho(empty_memory(), snap, cfg)
+            spectral_rho(zero_state(), snap, cfg)
 
     def test_rbb_uses_residual_ratio_tau(self):
         cfg = PenaltyConfig(kind="rbb")
-        snap = snapshot_from_deltas(d_ybar=[1.0, 1.0], d_y=[1.0, 1.0],
-                                    d_psi=[2.0, 0.0], d_phi=[2.0, 0.0],
-                                    r_norm=4.0, d_norm=1.0)
-        rho, _ = spectral_rho(empty_memory(), snap, cfg)
+        snap = state_from_deltas(d_ybar=[1.0, 1.0], d_y=[1.0, 1.0],
+                                 d_psi=[2.0, 0.0], d_phi=[2.0, 0.0],
+                                 r_norm=4.0, d_norm=1.0)
+        rho = spectral_rho(zero_state(), snap, cfg)
         # both sides are (1,1) vs (2,0): rbb with tau=4 gives (2+16)/(2+8)
         assert rho == pytest.approx(1.0 / 1.8)
 
     def test_scale_invariance(self, rng):
         cfg = PenaltyConfig(kind="rbb")
-        base = snapshot_from_deltas(d_ybar=rng.standard_normal(5),
-                                    d_y=rng.standard_normal(5),
-                                    d_psi=rng.standard_normal(5),
-                                    d_phi=rng.standard_normal(5),
-                                    r_norm=0.9, d_norm=0.4)
-        rho_base, _ = spectral_rho(empty_memory(dim=5), base, cfg)
+        base = state_from_deltas(d_ybar=rng.standard_normal(5),
+                                 d_y=rng.standard_normal(5),
+                                 d_psi=rng.standard_normal(5),
+                                 d_phi=rng.standard_normal(5),
+                                 r_norm=0.9, d_norm=0.4)
+        rho_base = spectral_rho(zero_state(dim=5), base, cfg)
         for s in (1e-3, 1e3):
-            scaled = SpectralSnapshot(x=s * base.x, z=s * base.z,
-                                      y=s * base.y, ybar=s * base.ybar,
-                                      r_norm=s * base.r_norm,
-                                      d_norm=s * base.d_norm, rho=base.rho)
-            rho_scaled, _ = spectral_rho(empty_memory(dim=5), scaled, cfg)
+            scaled = IterateState(x=s * base.x, z=s * base.z,
+                                  y=s * base.y, ybar=s * base.ybar,
+                                  r_norm=s * base.r_norm,
+                                  d_norm=s * base.d_norm, rho=base.rho,
+                                  lam=0.0, k=base.k)
+            rho_scaled = spectral_rho(zero_state(dim=5), scaled, cfg)
             assert abs(rho_scaled - rho_base) <= 1e-12 * abs(rho_base)
 
 
 class TestPenaltyState:
     def test_fixed_returns_current_rho(self):
         state = PenaltyState(PenaltyConfig(kind="fixed"))
-        snap = snapshot_from_deltas([1, 0], [1, 0], [1, 0], [1, 0], rho=2.5)
+        snap = state_from_deltas([1, 0], [1, 0], [1, 0], [1, 0], rho=2.5)
         assert state.update(snap) == 2.5
 
     def test_rb_delegates(self):
         state = PenaltyState(PenaltyConfig(kind="rb"))
-        snap = snapshot_from_deltas([1, 0], [1, 0], [1, 0], [1, 0],
-                                    r_norm=5.0, d_norm=0.4, rho=1.0)
+        snap = state_from_deltas([1, 0], [1, 0], [1, 0], [1, 0],
+                                 r_norm=5.0, d_norm=0.4, rho=1.0)
         assert state.update(snap) == 2.0
 
     def test_spectral_first_visit_seeds_memory(self):
         state = PenaltyState(PenaltyConfig(kind="bb"))
-        snap = snapshot_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=1.0)
-        assert state.mem is None
+        snap = state_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=1.0)
+        assert state.prev is None
         assert state.update(snap) == 1.0
-        assert state.mem is not None
+        assert state.prev is snap
 
     def test_spectral_second_visit_updates(self):
         state = PenaltyState(PenaltyConfig(kind="bb"))
-        zero = snapshot_from_deltas([0, 0], [0, 0], [0, 0], [0, 0], rho=1.0)
+        zero = state_from_deltas([0, 0], [0, 0], [0, 0], [0, 0], rho=1.0)
         state.update(zero)
-        snap = snapshot_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=1.0)
+        snap = state_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=1.0)
         assert state.update(snap) == pytest.approx(0.25)
