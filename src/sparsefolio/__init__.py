@@ -5,15 +5,13 @@ and summing to one, with adaptive penalty-parameter strategies and an
 optional short-sale controller that escalates the L1 weight.
 """
 
-from .admm_engine import (IterateState, SolveHistory, SolveResult,
-                          SolverConfig, soft_threshold, solve)
+from .admm_engine import IterateState, SolveResult, SolverConfig, soft_threshold, solve
 from .lambda_controller import LambdaSchedule, initial_lambda, maybe_adjust
 from .market_data import (AssetStats, ReturnsFormatError, ReturnsMatrix,
                           estimate_stats, generate_synthetic_returns,
                           load_returns_csv, returns_to_csv, write_returns_csv)
-from .model import (Portfolio, PortfolioProblem, build_problem,
-                    constraint_violation, count_short_positions,
-                    evaluate_objective)
+from .model import (PortfolioProblem, build_problem, constraint_violation,
+                    count_short_positions)
 from .oracle import InfeasibleTargetError, OracleResult, check_kkt, enumerate_solve
 from .penalty import PenaltyConfig, rb_update, spectral_rho
 
@@ -26,11 +24,9 @@ __all__ = [
     "LambdaSchedule",
     "OracleResult",
     "PenaltyConfig",
-    "Portfolio",
     "PortfolioProblem",
     "ReturnsFormatError",
     "ReturnsMatrix",
-    "SolveHistory",
     "SolveResult",
     "SolverConfig",
     "build_problem",
@@ -39,7 +35,6 @@ __all__ = [
     "count_short_positions",
     "enumerate_solve",
     "estimate_stats",
-    "evaluate_objective",
     "generate_synthetic_returns",
     "initial_lambda",
     "load_returns_csv",

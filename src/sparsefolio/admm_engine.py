@@ -36,8 +36,8 @@ import numpy as np
 
 from .kkt import factorize, solve_x_update
 from .lambda_controller import LambdaSchedule, maybe_adjust
-from .model import Portfolio, PortfolioProblem, count_short_positions, objective_value
-from .penalty import PenaltyConfig, PenaltyState, compute_ybar
+from .model import PortfolioProblem, count_short_positions, objective_value
+from .penalty import FREEZE_AFTER, PenaltyConfig, PenaltyState, compute_ybar
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -51,7 +51,6 @@ class SolverConfig:
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     lambda_schedule: LambdaSchedule = field(
         default_factory=lambda: LambdaSchedule.fixed(0.0))
-    record_history: bool = False
 
     def __post_init__(self):
         if not (0 < self.tol < math.inf):
@@ -81,20 +80,9 @@ class IterateState:
     ybar: Optional[np.ndarray] = None
 
 
-@dataclass
-class SolveHistory:
-    """Per-iteration diagnostics; every list has one entry per iteration."""
-
-    r_norm: list = field(default_factory=list)
-    d_norm: list = field(default_factory=list)
-    rho: list = field(default_factory=list)
-    lam: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class SolveResult:
-    weights: Portfolio
+    weights: np.ndarray
     objective: float
     iterations: int
     termination: str
@@ -107,7 +95,6 @@ class SolveResult:
     lambda_adjustments: int
     rho_final: float
     consensus_gap: float
-    history: Optional[SolveHistory]
 
 
 def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
@@ -158,10 +145,11 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
           callback: Optional[Callable[[IterateState], None]] = None) -> SolveResult:
     """Run ADMM to the residual tolerance, the iteration cap, or a breakdown.
 
-    Hitting max_iter is reported in the result, not raised.  In adaptive
-    lambda mode, convergence is not declared on an iteration whose guard
-    just moved lambda: the optimality target shifted, so the loop continues
-    against the new weight.
+    callback, if given, receives each iteration's IterateState; it is the
+    only per-iteration output.  Hitting max_iter is reported in the result,
+    not raised.  In adaptive lambda mode, convergence is not declared on an
+    iteration whose guard just moved lambda: the optimality target shifted,
+    so the loop continues against the new weight.
     """
     pen_cfg = cfg.penalty
     schedule = cfg.lambda_schedule
@@ -174,7 +162,6 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     pen_state = PenaltyState(pen_cfg)
     spectral = pen_cfg.kind in ("bb", "rbb")
     phase = 1 % pen_cfg.nbar
-    history = SolveHistory() if cfg.record_history else None
     state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=-1)
     termination = TERMINATION_MAX_ITER
     iterations = cfg.max_iter
@@ -188,7 +175,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
             iterations = k
             break
         r_norm, d_norm = residual_norms(z, x_new, z_new, rho)
-        update_due = k % pen_cfg.nbar == phase and k <= pen_cfg.freeze_after
+        update_due = k % pen_cfg.nbar == phase and k <= FREEZE_AFTER
         ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
         x, z, y = x_new, z_new, y_new
         state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=k,
@@ -201,12 +188,6 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
             schedule = adjusted
             lam = schedule.lambda_current
 
-        if history is not None:
-            history.r_norm.append(r_norm)
-            history.d_norm.append(d_norm)
-            history.rho.append(rho)
-            history.lam.append(lam)
-            history.objective.append(objective_value(problem.C, x, lam))
         if callback is not None:
             callback(state)
 
@@ -222,7 +203,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
                 factorization = factorize(problem, rho)
 
     return SolveResult(
-        weights=Portfolio(x),
+        weights=x,
         objective=objective_value(problem.C, x, lam),
         iterations=iterations,
         termination=termination,
@@ -235,5 +216,4 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         lambda_adjustments=schedule.adjustments_made,
         rho_final=rho,
         consensus_gap=float(np.abs(x - z).max()),
-        history=history,
     )

@@ -31,7 +31,9 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 # Shape of the JSON document emitted by `solve`; the history block appears
-# only when --history is passed.  Kept importable so tests can validate.
+# only when --history is passed, and its k-th entries are the residual norms
+# of iteration k and the rho and lambda it ran with.  Kept importable so
+# tests can validate.
 RESULT_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -159,15 +161,16 @@ def _float_repr(value: float) -> str:
     return repr(float(value))
 
 
-def _make_config(args, schedule: LambdaSchedule,
-                 record_history: bool = False) -> SolverConfig:
+def _make_config(args, schedule: LambdaSchedule) -> SolverConfig:
     penalty = PenaltyConfig(kind=args.strategy, rho0=args.rho0, q=args.q,
                             nbar=args.nbar)
     return SolverConfig(tol=args.tol, max_iter=args.max_iter, penalty=penalty,
-                        lambda_schedule=schedule, record_history=record_history)
+                        lambda_schedule=schedule)
 
 
 def _make_schedule(args, periods: int, assets: int) -> LambdaSchedule:
+    if args.sn < 0:
+        raise ValueError(f"--sn must be nonnegative, got {args.sn}")
     if args.lam == "auto":
         lam0 = initial_lambda(periods, assets)
     else:
@@ -199,11 +202,19 @@ def cmd_solve(args) -> int:
     target = _resolve_target(args, stats.mu)
     problem = build_problem(stats, target)
     schedule = _make_schedule(args, returns.periods, returns.assets)
-    cfg = _make_config(args, schedule, record_history=args.history)
-    result = solve(problem, cfg)
+    cfg = _make_config(args, schedule)
+    history = {"r_norm": [], "d_norm": [], "rho": [], "lambda": []}
+
+    def record(state) -> None:
+        history["r_norm"].append(state.r_norm)
+        history["d_norm"].append(state.d_norm)
+        history["rho"].append(state.rho)
+        history["lambda"].append(state.lam)
+
+    result = solve(problem, cfg, callback=record if args.history else None)
 
     payload = {
-        "weights": [float(w) for w in result.weights.weights],
+        "weights": [float(w) for w in result.weights],
         "objective": result.objective,
         "iterations": result.iterations,
         "termination": result.termination,
@@ -227,13 +238,7 @@ def cmd_solve(args) -> int:
         },
     }
     if args.history:
-        history = result.history
-        payload["history"] = {
-            "r_norm": list(history.r_norm),
-            "d_norm": list(history.d_norm),
-            "rho": list(history.rho),
-            "lambda": list(history.lam),
-        }
+        payload["history"] = history
     _write_text(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if result.termination == "converged" else EXIT_NO_CONVERGENCE
 
@@ -250,6 +255,9 @@ def cmd_frontier(args) -> int:
             raise ValueError(f"{flag} must be finite, got {value}")
     if e_min > e_max:
         raise ValueError(f"--e-min {e_min} exceeds --e-max {e_max}")
+    if not math.isfinite(e_max - e_min):
+        raise ValueError(f"--e-max {e_max} minus --e-min {e_min} overflows; "
+                         f"narrow the range")
     targets = np.linspace(e_min, e_max, args.points)
     schedule = _make_schedule(args, returns.periods, returns.assets)
     cfg = _make_config(args, schedule)
@@ -262,7 +270,7 @@ def cmd_frontier(args) -> int:
     for target in targets:
         problem = build_problem(stats, float(target), allow_out_of_range=True)
         result = solve(problem, cfg)
-        w = result.weights.weights
+        w = result.weights
         writer.writerow([
             _float_repr(target),
             _float_repr(w @ problem.C @ w),

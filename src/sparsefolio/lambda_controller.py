@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, replace
 
 LAMBDA_MODES = ("fixed", "adaptive")
-DEFAULT_MAX_ADJUSTMENTS = 50
+# Budget of lambda moves per solve, so lambda cannot diverge when the
+# target is unattainable long-only.
+MAX_ADJUSTMENTS = 50
 
 
 @dataclass(frozen=True)
@@ -21,7 +23,6 @@ class LambdaSchedule:
     lambda_current: float
     sn: int = 0
     adjustments_made: int = 0
-    max_adjustments: int = DEFAULT_MAX_ADJUSTMENTS
     mode: str = "fixed"
 
     def __post_init__(self):
@@ -36,7 +37,7 @@ class LambdaSchedule:
             raise ValueError("lambda_current may never fall below lambda0")
         if self.sn < 0:
             raise ValueError("sn must be nonnegative")
-        if not (0 <= self.adjustments_made <= self.max_adjustments):
+        if not (0 <= self.adjustments_made <= MAX_ADJUSTMENTS):
             raise ValueError("adjustments_made out of range")
 
     @classmethod
@@ -44,10 +45,9 @@ class LambdaSchedule:
         return cls(lambda0=float(value), lambda_current=float(value), mode="fixed")
 
     @classmethod
-    def adaptive(cls, lambda0: float, sn: int = 0,
-                 max_adjustments: int = DEFAULT_MAX_ADJUSTMENTS) -> "LambdaSchedule":
+    def adaptive(cls, lambda0: float, sn: int = 0) -> "LambdaSchedule":
         return cls(lambda0=float(lambda0), lambda_current=float(lambda0),
-                   sn=sn, max_adjustments=max_adjustments, mode="adaptive")
+                   sn=sn, mode="adaptive")
 
 
 def initial_lambda(m: int, n: int) -> float:
@@ -62,13 +62,12 @@ def maybe_adjust(schedule: LambdaSchedule, sm: int) -> LambdaSchedule:
 
     The multiplier is sm/sn with a zero sn clamped to 1 in the denominator.
     Only multipliers above 1 count as adjustments (sm = 1 with sn = 0 would
-    multiply by exactly 1); the budget max_adjustments bounds the total
-    number so lambda cannot diverge when the target is unattainable
-    long-only.  Lambda never decreases.
+    multiply by exactly 1); the budget MAX_ADJUSTMENTS bounds their total
+    number.  Lambda never decreases.
     """
     if schedule.mode != "adaptive":
         raise ValueError(f"maybe_adjust requires adaptive mode, got {schedule.mode!r}")
-    if sm > schedule.sn and schedule.adjustments_made < schedule.max_adjustments:
+    if sm > schedule.sn and schedule.adjustments_made < MAX_ADJUSTMENTS:
         factor = sm / max(schedule.sn, 1)
         if factor > 1.0:
             return replace(schedule,

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_JITTER_FLOOR = 1e-10
+# estimate_stats lifts the smallest covariance eigenvalue to 2*JITTER_FLOOR
+# when it does not clear JITTER_FLOOR.
+JITTER_FLOOR = 1e-10
 
 
 class ReturnsFormatError(ValueError):
@@ -57,7 +59,10 @@ class ReturnsMatrix:
 
 @dataclass(frozen=True)
 class AssetStats:
-    """Sample mean vector and (conditioned) covariance of a returns matrix."""
+    """Sample mean vector and (conditioned) covariance of a returns matrix.
+
+    PortfolioProblem validates the covariance; this only checks the shapes.
+    """
 
     mu: np.ndarray
     C: np.ndarray
@@ -73,12 +78,6 @@ class AssetStats:
             raise ValueError(f"covariance shape {C.shape} does not match {n} assets")
         if self.jitter_applied < 0:
             raise ValueError("jitter_applied must be nonnegative")
-        if np.abs(C - C.T).max() > 1e-12:
-            raise ValueError("covariance is not symmetric")
-        try:
-            np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance is not positive definite") from None
 
 
 def load_returns_csv(path) -> ReturnsMatrix:
@@ -139,25 +138,21 @@ def write_returns_csv(returns: ReturnsMatrix, path) -> None:
         handle.write(returns_to_csv(returns))
 
 
-def estimate_stats(returns: ReturnsMatrix,
-                   jitter_floor: float = DEFAULT_JITTER_FLOOR) -> AssetStats:
+def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
     """Column means and the unbiased (1/(m-1)) sample covariance.
 
-    If the smallest covariance eigenvalue does not clear ``jitter_floor``,
-    a diagonal shift of (2*jitter_floor - lambda_min) is added so the
-    result is safely positive definite; the shift is reported in
-    ``jitter_applied``.
+    If the smallest covariance eigenvalue does not clear JITTER_FLOOR, a
+    diagonal shift of (2*JITTER_FLOOR - lambda_min) is added so the result
+    is safely positive definite; the shift is reported in ``jitter_applied``.
     """
-    if jitter_floor < 0:
-        raise ValueError("jitter_floor must be nonnegative")
     values = returns.values
     mu = values.mean(axis=0)
     C = np.cov(values, rowvar=False, ddof=1)
     C = 0.5 * (C + C.T)
     smallest = float(np.linalg.eigvalsh(C)[0])
     jitter = 0.0
-    if smallest <= jitter_floor:
-        jitter = jitter_floor - smallest + jitter_floor
+    if smallest <= JITTER_FLOOR:
+        jitter = JITTER_FLOOR - smallest + JITTER_FLOOR
         C = C + jitter * np.eye(returns.assets)
     return AssetStats(mu=mu, C=C, jitter_applied=jitter)
 

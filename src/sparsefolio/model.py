@@ -21,7 +21,11 @@ ZERO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PortfolioProblem:
-    """The model's inputs; the constraint system D x = b is derived from them."""
+    """The model's inputs; the constraint system D x = b is derived from them.
+
+    Every solve, factorization and oracle call takes one, so this is the one
+    place the covariance is checked: finite, symmetric, positive definite.
+    """
 
     C: np.ndarray
     mu: np.ndarray
@@ -47,6 +51,12 @@ class PortfolioProblem:
                 "the return constraint duplicates the budget constraint "
                 "(all asset means are equal); the problem is degenerate"
             )
+        # Cholesky reads one triangle only and lets NaN through, so
+        # finiteness and symmetry are checked first.
+        if not np.isfinite(C).all():
+            raise ValueError("covariance has non-finite entries")
+        if np.abs(C - C.T).max() > 1e-12:
+            raise ValueError("covariance is not symmetric")
         try:
             np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
@@ -54,25 +64,6 @@ class PortfolioProblem:
         for name, value in (("C", C), ("mu", mu), ("D", D),
                             ("b", np.array([self.e, 1.0])), ("n", n)):
             object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class Portfolio:
-    """A finite weight vector."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", weights)
-        if weights.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights contain non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
 
 
 def build_problem(stats: AssetStats, e: float,
@@ -95,21 +86,9 @@ def objective_value(C: np.ndarray, weights: np.ndarray, lam: float) -> float:
     return 0.5 * float(weights @ C @ weights) + lam * float(np.abs(weights).sum())
 
 
-def evaluate_objective(problem: PortfolioProblem, portfolio: Portfolio,
-                       lam: float) -> float:
-    if portfolio.n != problem.n:
-        raise ValueError(f"portfolio has {portfolio.n} weights, problem has {problem.n}")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    return objective_value(problem.C, portfolio.weights, lam)
-
-
 def constraint_violation(problem: PortfolioProblem,
-                         portfolio: Portfolio) -> tuple[float, float]:
+                         w: np.ndarray) -> tuple[float, float]:
     """Absolute miss of the return target and of the budget, as a pair."""
-    if portfolio.n != problem.n:
-        raise ValueError(f"portfolio has {portfolio.n} weights, problem has {problem.n}")
-    w = portfolio.weights
     return (abs(float(w @ problem.mu) - problem.e), abs(float(w.sum()) - 1.0))
 
 

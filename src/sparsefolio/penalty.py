@@ -3,8 +3,8 @@
 Four interchangeable policies drive the ADMM penalty rho:
 
 - ``fixed``: rho never moves.
-- ``rb``: residual balancing; multiply or divide by eta when the dual and
-  primal residual norms drift more than a factor mu_rb apart.
+- ``rb``: residual balancing; multiply or divide by ETA when the dual and
+  primal residual norms drift more than a factor MU_RB apart.
 - ``bb``: safeguarded spectral estimate from two-point (Barzilai-Borwein)
   curvature scalars of the dual trajectory, with an alternating
   short/long step choice.
@@ -29,46 +29,36 @@ if TYPE_CHECKING:  # admm_engine imports this module
     from .admm_engine import IterateState
 
 PENALTY_KINDS = ("fixed", "rb", "bb", "rbb")
-TAU_MAX_DEFAULT = 1e12
+
+# The method's fixed safeguards.
+ETA = 2.0             # rb: factor rho is multiplied or divided by
+MU_RB = 10.0          # rb: residual ratio that triggers a move
+EPS_CORR = 0.2        # bb/rbb: correlation a curvature side must exceed
+RHO_MIN = 1e-8        # every update is clipped to [RHO_MIN, RHO_MAX]
+RHO_MAX = 1e8
+FREEZE_AFTER = 1000   # no update is due after this iteration
+TAU_MAX = 1e12        # rbb: cap on the regularization weight tau
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
     kind: str = "fixed"
     rho0: float = 1.0
-    eta: float = 2.0
-    mu_rb: float = 10.0
-    eps_corr: float = 0.2
     q: float = 1.0
     nbar: int = 2
-    rho_min: float = 1e-8
-    rho_max: float = 1e8
-    freeze_after: int = 1000
-    tau_max: float = TAU_MAX_DEFAULT
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
-        for name in ("rho0", "eta", "mu_rb", "eps_corr", "q", "rho_min", "rho_max",
-                     "tau_max"):
+        for name in ("rho0", "q"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not (0 < self.rho_min < self.rho0 < self.rho_max):
-            raise ValueError("need 0 < rho_min < rho0 < rho_max")
-        if self.eta <= 1:
-            raise ValueError("eta must exceed 1")
-        if self.mu_rb <= 1:
-            raise ValueError("mu_rb must exceed 1")
-        if not (0 < self.eps_corr < 1):
-            raise ValueError("eps_corr must lie in (0, 1)")
+        if not (RHO_MIN < self.rho0 < RHO_MAX):
+            raise ValueError(f"need {RHO_MIN} < rho0 < {RHO_MAX}")
         if self.q <= 0:
             raise ValueError("q must be positive")
         if self.nbar < 1:
             raise ValueError("nbar must be at least 1")
-        if self.freeze_after < 0:
-            raise ValueError("freeze_after must be nonnegative")
-        if self.tau_max <= 0:
-            raise ValueError("tau_max must be positive")
 
 
 class BbScalars(NamedTuple):
@@ -84,19 +74,18 @@ class BbScalars(NamedTuple):
     corr: float
 
 
-def rb_update(rho: float, r_norm: float, d_norm: float,
-              cfg: PenaltyConfig) -> float:
+def rb_update(rho: float, r_norm: float, d_norm: float) -> float:
     """Residual balancing: nudge rho toward equal primal/dual residuals.
 
     Raising rho tightens the consensus penalty and shrinks the primal
     residual at the cost of the dual one, so the rule raises rho when the
     primal residual dominates and lowers it when the dual dominates.
     """
-    if r_norm > cfg.mu_rb * d_norm:
-        rho = rho * cfg.eta
-    elif d_norm > cfg.mu_rb * r_norm:
-        rho = rho / cfg.eta
-    return min(max(rho, cfg.rho_min), cfg.rho_max)
+    if r_norm > MU_RB * d_norm:
+        rho = rho * ETA
+    elif d_norm > MU_RB * r_norm:
+        rho = rho / ETA
+    return min(max(rho, RHO_MIN), RHO_MAX)
 
 
 def compute_ybar(y_prev: np.ndarray, rho_prev: float, x_new: np.ndarray,
@@ -118,12 +107,11 @@ def bb_scalars(d_dual: np.ndarray, d_grad: np.ndarray) -> BbScalars:
     return BbScalars(bb1=bb1, bb2=bb2, corr=corr)
 
 
-def tau_update(r_norm: float, d_norm: float, q: float,
-               tau_max: float = TAU_MAX_DEFAULT) -> float:
-    """Regularization weight (r/d)^q, capped at tau_max (also used when d = 0)."""
+def tau_update(r_norm: float, d_norm: float, q: float) -> float:
+    """Regularization weight (r/d)^q, capped at TAU_MAX (also used when d = 0)."""
     if d_norm == 0.0:
-        return tau_max
-    return min((r_norm / d_norm) ** q, tau_max)
+        return TAU_MAX
+    return min((r_norm / d_norm) ** q, TAU_MAX)
 
 
 def rbb_scalar(d_dual: np.ndarray, d_grad: np.ndarray, tau: float) -> float:
@@ -152,7 +140,7 @@ def _hybrid_scalar(scalars: BbScalars) -> float:
     return 1.0 / step
 
 
-def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray, eps_corr: float,
+def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray,
                  tau: Optional[float]) -> Optional[float]:
     # Returns the curvature scalar for one side, or None when that side is
     # unreliable (degenerate differences or correlation at/below the gate).
@@ -161,7 +149,7 @@ def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray, eps_corr: float,
         scalars = bb_scalars(d_dual, d_grad)
     except ValueError:  # a zero difference vector
         return None
-    if not (scalars.corr > eps_corr):
+    if not (scalars.corr > EPS_CORR):
         return None
     if tau is not None:
         return rbb_scalar(d_dual, d_grad, tau)
@@ -175,7 +163,7 @@ def spectral_rho(prev: IterateState, state: IterateState,
     prev is the iterate of the previous spectral update and state the
     current one; both carry ybar.  The x-side scalar alpha and z-side
     scalar beta are each accepted only if their correlation clears
-    eps_corr; the new rho is 1/sqrt(alpha*beta) when both pass, 1/alpha or
+    EPS_CORR; the new rho is 1/sqrt(alpha*beta) when both pass, 1/alpha or
     1/beta when one does, and the old rho when neither does.  Every
     degeneracy (zero differences, nonpositive curvature) lands in the
     "unchanged" branch rather than raising.
@@ -186,10 +174,9 @@ def spectral_rho(prev: IterateState, state: IterateState,
     d_y = state.y - prev.y
     d_psi = state.x - prev.x
     d_phi = prev.z - state.z
-    tau = (tau_update(state.r_norm, state.d_norm, cfg.q, cfg.tau_max)
-           if cfg.kind == "rbb" else None)
-    alpha = _side_scalar(d_ybar, d_psi, cfg.eps_corr, tau)
-    beta = _side_scalar(d_y, d_phi, cfg.eps_corr, tau)
+    tau = tau_update(state.r_norm, state.d_norm, cfg.q) if cfg.kind == "rbb" else None
+    alpha = _side_scalar(d_ybar, d_psi, tau)
+    beta = _side_scalar(d_y, d_phi, tau)
     if alpha is not None and beta is not None:
         rho_new = 1.0 / math.sqrt(alpha * beta)
     elif alpha is not None:
@@ -198,7 +185,7 @@ def spectral_rho(prev: IterateState, state: IterateState,
         rho_new = 1.0 / beta
     else:
         rho_new = state.rho
-    return min(max(rho_new, cfg.rho_min), cfg.rho_max)
+    return min(max(rho_new, RHO_MIN), RHO_MAX)
 
 
 class PenaltyState:
@@ -218,7 +205,7 @@ class PenaltyState:
         if cfg.kind == "fixed":
             return state.rho
         if cfg.kind == "rb":
-            return rb_update(state.rho, state.r_norm, state.d_norm, cfg)
+            return rb_update(state.rho, state.r_norm, state.d_norm)
         prev, self.prev = self.prev, state
         if prev is None:
             # First spectral visit: nothing to difference against yet.

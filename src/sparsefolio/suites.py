@@ -25,15 +25,16 @@ def _midpoint(mu: np.ndarray) -> float:
     return 0.5 * (float(mu.min()) + float(mu.max()))
 
 
-def _random_instance(seed: int, n: int, m: int) -> SuiteInstance:
-    returns = generate_synthetic_returns(n, m, seed)
+def _random_instance(seed: int) -> SuiteInstance:
+    returns = generate_synthetic_returns(SUITE_ASSETS, SUITE_PERIODS, seed)
     stats = estimate_stats(returns)
     problem = build_problem(stats, _midpoint(stats.mu))
-    return SuiteInstance(problem, initial_lambda(m, n))
+    return SuiteInstance(problem, initial_lambda(SUITE_PERIODS, SUITE_ASSETS))
 
 
-def _illcond_instance(seed: int, n: int, m: int) -> SuiteInstance:
+def _illcond_instance(seed: int) -> SuiteInstance:
     # Spectrum spans exactly ILLCOND_CONDITION; basis is a random rotation.
+    n = SUITE_ASSETS
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     top = 0.1
@@ -44,17 +45,17 @@ def _illcond_instance(seed: int, n: int, m: int) -> SuiteInstance:
     mu = rng.uniform(0.005, 0.02, size=n)
     stats = AssetStats(mu=mu, C=C, jitter_applied=0.0)
     problem = build_problem(stats, _midpoint(mu))
-    return SuiteInstance(problem, initial_lambda(m, n))
+    return SuiteInstance(problem, initial_lambda(SUITE_PERIODS, n))
 
 
-def _shorts_instance(seed: int, n: int, m: int) -> SuiteInstance:
+def _shorts_instance(seed: int) -> SuiteInstance:
     # Target near the top of the attainable range forces leveraged optima.
-    returns = generate_synthetic_returns(n, m, seed)
+    returns = generate_synthetic_returns(SUITE_ASSETS, SUITE_PERIODS, seed)
     stats = estimate_stats(returns)
     mu = stats.mu
     e = float(mu.min()) + 0.9 * (float(mu.max()) - float(mu.min()))
     problem = build_problem(stats, e)
-    return SuiteInstance(problem, 10.0 * initial_lambda(m, n))
+    return SuiteInstance(problem, 10.0 * initial_lambda(SUITE_PERIODS, SUITE_ASSETS))
 
 
 _BUILDERS = {
@@ -64,12 +65,10 @@ _BUILDERS = {
 }
 
 
-def make_suite_instances(suite: str, trials: int, seed: int,
-                         n: int = SUITE_ASSETS,
-                         m: int = SUITE_PERIODS) -> list[SuiteInstance]:
+def make_suite_instances(suite: str, trials: int, seed: int) -> list[SuiteInstance]:
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     builder = _BUILDERS[suite]
-    return [builder(seed + trial, n, m) for trial in range(trials)]
+    return [builder(seed + trial) for trial in range(trials)]

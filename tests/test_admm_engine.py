@@ -14,10 +14,10 @@ from sparsefolio.admm_engine import (
     z_update,
 )
 from sparsefolio.kkt import factorize, solve_x_update
-from sparsefolio.lambda_controller import LambdaSchedule, initial_lambda
+from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
 from sparsefolio.model import constraint_violation, objective_value
 from sparsefolio.oracle import enumerate_solve
-from sparsefolio.penalty import PENALTY_KINDS, PenaltyConfig
+from sparsefolio.penalty import FREEZE_AFTER, PENALTY_KINDS, PenaltyConfig, PenaltyState
 
 
 def solver_config(problem, kind="rbb", lam=0.0, tol=1e-8, max_iter=100000,
@@ -159,14 +159,14 @@ class TestSolveSmallCases:
         result = solve(problem, solver_config(problem, kind=kind, lam=lam,
                                               max_iter=50))
         assert result.termination == "converged"
-        np.testing.assert_allclose(result.weights.weights, [0.5, 0.5],
+        np.testing.assert_allclose(result.weights, [0.5, 0.5],
                                    atol=1e-8)
 
     @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0])
     def test_symmetric_three_assets(self, lam):
         problem = identity_problem(mu=(0.1, 0.2, 0.3), e=0.2)
         result = solve(problem, solver_config(problem, lam=lam))
-        np.testing.assert_allclose(result.weights.weights, np.ones(3) / 3,
+        np.testing.assert_allclose(result.weights, np.ones(3) / 3,
                                    atol=1e-7)
         oracle = enumerate_solve(problem, lam)
         np.testing.assert_allclose(oracle.weights, np.ones(3) / 3, atol=1e-10)
@@ -202,7 +202,7 @@ class TestSolveContracts:
     def test_objective_evaluated_at_final_weights(self):
         problem = factor_problem(n=5, seed=8)
         result = solve(problem, solver_config(problem, lam=0.003))
-        expected = objective_value(problem.C, result.weights.weights, 0.003)
+        expected = objective_value(problem.C, result.weights, 0.003)
         assert result.objective == pytest.approx(expected, abs=1e-15)
 
     def test_consensus_gap_small_at_convergence(self):
@@ -232,7 +232,7 @@ class TestSolveContracts:
         result = solve(problem, solver_config(problem, kind="fixed", lam=0.001))
         assert result.termination == "numerical_failure"
         assert result.iterations == 2
-        assert np.isfinite(result.weights.weights).all()
+        assert np.isfinite(result.weights).all()
 
     def test_callback_sees_every_iteration(self):
         problem = factor_problem(n=5, seed=3)
@@ -243,21 +243,20 @@ class TestSolveContracts:
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_state_carries_residuals_and_ybar(self, kind):
-        problem = factor_problem(n=5, seed=3)
-        pen = PenaltyConfig(kind=kind, rho0=mean_diag_rho(problem),
-                            freeze_after=20)
-        cfg = SolverConfig(tol=1e-8, max_iter=60, penalty=pen,
-                           lambda_schedule=LambdaSchedule.fixed(0.001),
-                           record_history=True)
+        # tol=1e-16 keeps every kind running past the freeze horizon
+        problem = factor_problem(n=5, seed=11)
+        pen = PenaltyConfig(kind=kind, rho0=mean_diag_rho(problem))
+        cfg = SolverConfig(tol=1e-16, max_iter=FREEZE_AFTER + 10, penalty=pen,
+                           lambda_schedule=LambdaSchedule.fixed(0.001))
         seen = []
         result = solve(problem, cfg, callback=seen.append)
-        h = result.history
-        assert len(seen) == result.iterations > pen.freeze_after + pen.nbar
+        assert len(seen) == result.iterations > FREEZE_AFTER + pen.nbar
+        for prev, state in zip(seen, seen[1:]):
+            assert (state.r_norm, state.d_norm) \
+                == residual_norms(prev.z, state.x, state.z, state.rho)
         for state in seen:
-            assert state.r_norm == h.r_norm[state.k]
-            assert state.d_norm == h.d_norm[state.k]
             due = state.k % pen.nbar == 1 % pen.nbar \
-                and state.k <= pen.freeze_after
+                and state.k <= FREEZE_AFTER
             assert (state.ybar is not None) == (due and kind in ("bb", "rbb"))
         assert (seen[-1].r_norm, seen[-1].d_norm) \
             == (result.r_norm, result.d_norm)
@@ -265,65 +264,70 @@ class TestSolveContracts:
 
 
 class TestHistories:
+    """Per-iteration series, as a caller collects them through the callback."""
+
     def test_lengths_match_iterations(self):
         problem = factor_problem(n=6, seed=10)
-        result = solve(problem, solver_config(problem, kind="rb", lam=0.001,
-                                              record_history=True))
-        h = result.history
-        for series in (h.r_norm, h.d_norm, h.rho, h.lam, h.objective):
-            assert len(series) == result.iterations
-        assert h.r_norm[-1] == result.r_norm
-        assert h.d_norm[-1] == result.d_norm
-        assert all(np.isfinite(v) for v in h.objective)
-
-    def test_objective_history_is_taken_at_x(self):
-        problem = factor_problem(n=6, seed=10)
-        result = solve(problem, solver_config(problem, kind="rb", lam=0.001,
-                                              record_history=True))
-        assert result.history.objective[-1] == result.objective
+        seen = []
+        result = solve(problem, solver_config(problem, kind="rb", lam=0.001),
+                       callback=seen.append)
+        assert len(seen) == result.iterations
+        assert (seen[-1].r_norm, seen[-1].d_norm) == (result.r_norm, result.d_norm)
+        assert all(np.isfinite([s.r_norm, s.d_norm, s.rho, s.lam]).all()
+                   for s in seen)
 
     def test_rho_moves_only_on_cadence_iterations(self):
         problem = factor_problem(n=6, seed=10)
-        nbar, freeze = 2, 40
+        nbar = 2
         cfg = SolverConfig(
             tol=1e-10, max_iter=300,
-            penalty=PenaltyConfig(kind="rb", rho0=1.0, nbar=nbar,
-                                  freeze_after=freeze),
-            lambda_schedule=LambdaSchedule.fixed(0.001),
-            record_history=True)
-        result = solve(problem, cfg)
-        rho = result.history.rho
+            penalty=PenaltyConfig(kind="rb", rho0=1.0, nbar=nbar),
+            lambda_schedule=LambdaSchedule.fixed(0.001))
+        seen = []
+        solve(problem, cfg, callback=seen.append)
+        rho = [s.rho for s in seen]
         changes = [k for k in range(1, len(rho)) if rho[k] != rho[k - 1]]
         assert changes, "expected rb to move rho on this instance"
         for k in changes:
-            # history records the rho in force during iteration k, so a
+            # a state carries the rho in force during iteration k, so a
             # change at position k was decided at iteration k-1
             assert (k - 1) % nbar == 1 % nbar
-            assert (k - 1) <= freeze
 
-    def test_rho_frozen_after_horizon(self):
-        problem = factor_problem(n=6, seed=10)
+    def test_rho_frozen_after_horizon(self, monkeypatch):
+        problem = factor_problem(n=5, seed=11)
+        asked = []
+        real = PenaltyState.update
+
+        def spy(self, state):
+            asked.append(state.k)
+            return real(self, state)
+
+        monkeypatch.setattr(PenaltyState, "update", spy)
         cfg = SolverConfig(
-            tol=1e-12, max_iter=100,
-            penalty=PenaltyConfig(kind="rb", rho0=1.0, freeze_after=5),
-            lambda_schedule=LambdaSchedule.fixed(0.001),
-            record_history=True)
-        result = solve(problem, cfg)
-        rho = result.history.rho
-        assert len(set(rho[7:])) == 1
+            tol=1e-16, max_iter=FREEZE_AFTER + 100,
+            penalty=PenaltyConfig(kind="rb", rho0=mean_diag_rho(problem)),
+            lambda_schedule=LambdaSchedule.fixed(0.001))
+        seen = []
+        result = solve(problem, cfg, callback=seen.append)
+        assert result.iterations == FREEZE_AFTER + 100
+        # every cadence iteration up to the horizon asks, none after it
+        assert asked == list(range(1, FREEZE_AFTER + 1, 2))
+        # the last update, at iteration FREEZE_AFTER - 1, takes effect at
+        # FREEZE_AFTER; from there on rho stays put
+        assert len({s.rho for s in seen[FREEZE_AFTER:]}) == 1
 
     def test_adaptive_lambda_history_is_nondecreasing(self):
         problem = factor_problem(n=8, m=60, seed=30)
         cfg = SolverConfig(
             tol=1e-8, max_iter=30000,
             penalty=PenaltyConfig(kind="rbb", rho0=mean_diag_rho(problem)),
-            lambda_schedule=LambdaSchedule.adaptive(initial_lambda(60, 8), sn=0),
-            record_history=True)
-        result = solve(problem, cfg)
-        lam = result.history.lam
+            lambda_schedule=LambdaSchedule.adaptive(initial_lambda(60, 8), sn=0))
+        seen = []
+        result = solve(problem, cfg, callback=seen.append)
+        lam = [s.lam for s in seen]
         assert all(a <= b for a, b in zip(lam, lam[1:]))
         assert result.lambda_final >= result.lambda_initial
-        assert result.lambda_adjustments <= 50
+        assert result.lambda_adjustments <= MAX_ADJUSTMENTS
 
 
 class TestShortCountSource:

@@ -4,6 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import sparsefolio.cli as cli
 from sparsefolio.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -115,6 +116,26 @@ class TestSolve:
         for key in ("r_norm", "d_norm", "rho", "lambda"):
             assert len(history[key]) == payload["iterations"]
 
+    def test_history_lambda_is_the_value_each_iteration_ran_with(
+            self, returns_csv, tmp_path, monkeypatch):
+        states = []
+        real = cli.solve
+
+        def recording_solve(problem, cfg, callback=None):
+            def both(state):
+                states.append(state)
+                if callback is not None:
+                    callback(state)
+            return real(problem, cfg, callback=both)
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        _, payload = run_solve(returns_csv, tmp_path, "--adaptive-lambda",
+                               "--sn", "0", "--max-iter", "300", "--history")
+        history = payload["history"]
+        assert len({s.lam for s in states}) > 1, "expected the guard to move lambda"
+        assert history["lambda"] == [s.lam for s in states]
+        assert history["rho"] == [s.rho for s in states]
+
     def test_config_echo_reflects_flags(self, returns_csv, tmp_path):
         _, payload = run_solve(returns_csv, tmp_path, "--strategy", "rb",
                                "--tol", "1e-7", "--rho0", "2.5")
@@ -157,6 +178,13 @@ class TestSolve:
                                   "--sn", "0", "--max-iter", "30000")
         assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
         assert payload["lambda_final"] >= payload["lambda_initial"]
+
+    @pytest.mark.parametrize("mode", [[], ["--adaptive-lambda"]],
+                             ids=["fixed", "adaptive"])
+    def test_negative_short_budget_exits_2(self, returns_csv, capsys, mode):
+        assert main(["solve", "--input", returns_csv, "--sn", "-1", *mode]) \
+            == EXIT_INPUT
+        assert "--sn must be nonnegative" in capsys.readouterr().err
 
     def test_adaptive_with_zero_lambda_exits_2(self, returns_csv, capsys):
         assert main(["solve", "--input", returns_csv, "--adaptive-lambda",
@@ -220,12 +248,16 @@ class TestFrontier:
                      "--e-max", "0.01"]) == EXIT_INPUT
         assert "exceeds" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--e-min", "nan"),
-                                             ("--e-max", "inf")])
-    def test_non_finite_target_exits_2(self, returns_csv, capsys, flag, value):
+    @pytest.mark.parametrize("flags, message", [
+        (["--e-min", "nan"], "--e-min must be finite"),
+        (["--e-max", "inf"], "--e-max must be finite"),
+        (["--e-min=-1e308", "--e-max=1e308"],
+         "--e-max 1e+308 minus --e-min -1e+308 overflows"),
+    ], ids=["--e-min-nan", "--e-max-inf", "range-overflows"])
+    def test_non_finite_target_exits_2(self, returns_csv, capsys, flags, message):
         assert main(["frontier", "--input", returns_csv, "--points", "2",
-                     flag, value]) == EXIT_INPUT
-        assert f"{flag} must be finite" in capsys.readouterr().err
+                     *flags]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
 
 
 class TestBench:

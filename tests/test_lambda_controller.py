@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsefolio.lambda_controller import (
-    DEFAULT_MAX_ADJUSTMENTS,
+    MAX_ADJUSTMENTS,
     LambdaSchedule,
     initial_lambda,
     maybe_adjust,
@@ -39,10 +39,9 @@ class TestLambdaSchedule:
         assert LambdaSchedule.fixed(0.0).lambda_current == 0.0
 
     def test_adaptive_constructor(self):
-        s = LambdaSchedule.adaptive(0.001, sn=2, max_adjustments=7)
+        s = LambdaSchedule.adaptive(0.001, sn=2)
         assert s.mode == "adaptive"
         assert s.sn == 2
-        assert s.max_adjustments == 7
         assert s.adjustments_made == 0
 
     def test_adaptive_requires_positive_lambda(self):
@@ -64,7 +63,7 @@ class TestLambdaSchedule:
     def test_adjustment_budget_validated(self):
         with pytest.raises(ValueError, match="adjustments_made"):
             LambdaSchedule(lambda0=0.01, lambda_current=0.01, mode="adaptive",
-                           adjustments_made=51)
+                           adjustments_made=MAX_ADJUSTMENTS + 1)
 
 
 class TestMaybeAdjust:
@@ -92,11 +91,12 @@ class TestMaybeAdjust:
         assert out.adjustments_made == 0
 
     def test_budget_exhaustion_freezes_lambda(self):
-        s = LambdaSchedule.adaptive(0.001, sn=1, max_adjustments=3)
-        for _ in range(5):
-            s = maybe_adjust(s, 4)
-        assert s.adjustments_made == 3
-        assert s.lambda_current == pytest.approx(0.001 * 4**3)
+        assert MAX_ADJUSTMENTS == 50
+        s = LambdaSchedule.adaptive(0.001, sn=1)
+        for _ in range(MAX_ADJUSTMENTS + 5):
+            s = maybe_adjust(s, 2)
+        assert s.adjustments_made == MAX_ADJUSTMENTS
+        assert s.lambda_current == 0.001 * 2.0**MAX_ADJUSTMENTS
 
     def test_non_adaptive_mode_rejected(self):
         with pytest.raises(ValueError, match="adaptive"):
@@ -110,4 +110,4 @@ class TestMaybeAdjust:
             s = maybe_adjust(s, int(rng.integers(0, 6)))
             assert s.lambda_current >= previous
             previous = s.lambda_current
-        assert s.adjustments_made <= DEFAULT_MAX_ADJUSTMENTS
+        assert s.adjustments_made <= MAX_ADJUSTMENTS

@@ -11,6 +11,7 @@ from sparsefolio.market_data import (
     returns_to_csv,
     write_returns_csv,
 )
+from sparsefolio.model import build_problem
 
 
 def two_pass_covariance(values):
@@ -162,22 +163,21 @@ class TestEstimateStats:
             stats = estimate_stats(rm)
             np.linalg.cholesky(stats.C)
 
-    def test_negative_jitter_floor_rejected(self):
-        rm = generate_synthetic_returns(3, 10, seed=0)
-        with pytest.raises(ValueError, match="jitter_floor"):
-            estimate_stats(rm, jitter_floor=-1e-10)
-
 
 class TestAssetStats:
+    # AssetStats checks shapes only; the covariance is validated when a
+    # problem is built from it
     def test_asymmetric_covariance_rejected(self):
-        C = np.array([[1.0, 0.5], [0.2, 1.0]])
+        stats = AssetStats(mu=np.array([0.1, 0.2]),
+                           C=np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
-            AssetStats(mu=np.array([0.1, 0.2]), C=C)
+            build_problem(stats, 0.15)
 
     def test_indefinite_covariance_rejected(self):
-        C = np.array([[1.0, 0.0], [0.0, -1.0]])
+        stats = AssetStats(mu=np.array([0.1, 0.2]),
+                           C=np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError, match="positive definite"):
-            AssetStats(mu=np.array([0.1, 0.2]), C=C)
+            build_problem(stats, 0.15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

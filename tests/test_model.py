@@ -5,12 +5,10 @@ from conftest import factor_problem, identity_problem
 from sparsefolio.market_data import AssetStats
 from sparsefolio.model import (
     ZERO_TOL,
-    Portfolio,
     PortfolioProblem,
     build_problem,
     constraint_violation,
     count_short_positions,
-    evaluate_objective,
     objective_value,
 )
 from sparsefolio.oracle import enumerate_solve
@@ -71,6 +69,19 @@ class TestPortfolioProblemValidation:
         with pytest.raises(ValueError, match="positive definite"):
             PortfolioProblem(**parts)
 
+    # Cholesky reads only the lower triangle, which in the asymmetric case
+    # is the positive definite identity, and does not reject a NaN
+    @pytest.mark.parametrize("C, message", [
+        ([[1.0, 5.0], [0.0, 1.0]], "symmetric"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "non-finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "non-finite"),
+    ], ids=["asymmetric", "nan", "inf"])
+    def test_covariance_checked_before_cholesky(self, C, message):
+        parts = self._parts()
+        parts["C"] = np.array(C)
+        with pytest.raises(ValueError, match=message):
+            PortfolioProblem(**parts)
+
 
 class TestObjective:
     def test_identity_hand_value(self):
@@ -86,28 +97,17 @@ class TestObjective:
         mine = objective_value(problem.C, result.weights, 0.002)
         assert mine == pytest.approx(result.objective, abs=1e-14)
 
-    def test_evaluate_objective_checks_dimensions(self):
-        problem = identity_problem()
-        with pytest.raises(ValueError, match="weights"):
-            evaluate_objective(problem, Portfolio(np.array([1.0, 0.0])), 0.0)
-
-    def test_evaluate_objective_rejects_negative_lambda(self):
-        problem = identity_problem()
-        with pytest.raises(ValueError, match="lam"):
-            evaluate_objective(problem, Portfolio(np.ones(3) / 3), -0.1)
-
 
 class TestConstraintViolation:
     def test_feasible_point(self):
         problem = identity_problem()
-        w = Portfolio(np.ones(3) / 3)
-        ret_miss, budget_miss = constraint_violation(problem, w)
+        ret_miss, budget_miss = constraint_violation(problem, np.ones(3) / 3)
         assert ret_miss <= 1e-12
         assert budget_miss <= 1e-12
 
     def test_zero_portfolio(self):
         problem = identity_problem(e=0.2)
-        ret_miss, budget_miss = constraint_violation(problem, Portfolio(np.zeros(3)))
+        ret_miss, budget_miss = constraint_violation(problem, np.zeros(3))
         assert ret_miss == pytest.approx(0.2)
         assert budget_miss == pytest.approx(1.0)
 
@@ -126,13 +126,3 @@ class TestCountShortPositions:
         assert ZERO_TOL == 1e-9
         assert count_short_positions(np.array([-1e-9, 1.0])) == 0
         assert count_short_positions(np.array([-1.0000001e-9, 1.0])) == 1
-
-
-class TestPortfolio:
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            Portfolio(np.array([np.inf, 0.0]))
-
-    def test_matrix_weights_rejected(self):
-        with pytest.raises(ValueError, match="vector"):
-            Portfolio(np.zeros((2, 2)))

@@ -5,8 +5,14 @@ import pytest
 
 from sparsefolio.admm_engine import IterateState
 from sparsefolio.penalty import (
+    EPS_CORR,
+    ETA,
+    FREEZE_AFTER,
+    MU_RB,
     PENALTY_KINDS,
-    TAU_MAX_DEFAULT,
+    RHO_MAX,
+    RHO_MIN,
+    TAU_MAX,
     BbScalars,
     PenaltyConfig,
     PenaltyState,
@@ -43,29 +49,29 @@ class TestPenaltyConfig:
         cfg = PenaltyConfig()
         assert cfg.kind == "fixed"
         assert cfg.rho0 == 1.0
-        assert cfg.eta == 2.0
-        assert cfg.mu_rb == 10.0
-        assert cfg.eps_corr == 0.2
         assert cfg.q == 1.0
         assert cfg.nbar == 2
-        assert cfg.rho_min == 1e-8
-        assert cfg.rho_max == 1e8
-        assert cfg.freeze_after == 1000
-        assert cfg.tau_max == 1e12
+
+    def test_safeguard_constants(self):
+        assert (ETA, MU_RB, EPS_CORR) == (2.0, 10.0, 0.2)
+        assert (RHO_MIN, RHO_MAX) == (1e-8, 1e8)
+        assert FREEZE_AFTER == 1000
+        assert TAU_MAX == 1e12
 
     @pytest.mark.parametrize("kwargs", [
         {"kind": "newton"},
         {"rho0": -1.0},
         {"rho0": 1e-9},
         {"rho0": 1e9},
-        {"eta": 1.0},
-        {"mu_rb": 0.5},
-        {"eps_corr": 0.0},
-        {"eps_corr": 1.0},
+        {"rho0": RHO_MIN},
+        {"rho0": RHO_MAX},
+        {"rho0": math.nan},
+        {"rho0": math.inf},
         {"q": 0.0},
         {"nbar": 0},
-        {"freeze_after": -1},
-        {"tau_max": 0.0},
+        {"q": -1.0},
+        {"q": math.nan},
+        {"q": math.inf},
     ])
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -78,33 +84,29 @@ class TestPenaltyConfig:
 
 class TestRbUpdate:
     def test_primal_dominant_raises_rho(self):
-        cfg = PenaltyConfig(kind="rb")
-        assert rb_update(1.0, 5.0, 0.4, cfg) == 2.0
+        assert rb_update(1.0, 5.0, 0.4) == 2.0
 
     def test_dual_dominant_lowers_rho(self):
-        cfg = PenaltyConfig(kind="rb")
-        assert rb_update(1.0, 0.4, 5.0, cfg) == 0.5
+        assert rb_update(1.0, 0.4, 5.0) == 0.5
 
     def test_balanced_unchanged(self):
-        cfg = PenaltyConfig(kind="rb")
-        assert rb_update(1.0, 1.0, 1.0, cfg) == 1.0
+        assert rb_update(1.0, 1.0, 1.0) == 1.0
 
     def test_threshold_is_strict(self):
-        cfg = PenaltyConfig(kind="rb")
-        assert rb_update(1.0, 10.0, 1.0, cfg) == 1.0
-        assert rb_update(1.0, 1.0, 10.0, cfg) == 1.0
+        assert rb_update(1.0, 10.0, 1.0) == 1.0
+        assert rb_update(1.0, 1.0, 10.0) == 1.0
 
     def test_clipped_to_bounds(self):
-        cfg = PenaltyConfig(kind="rb", rho0=1.0, rho_min=0.5, rho_max=2.0,
-                            eta=4.0)
-        assert rb_update(1.0, 100.0, 1.0, cfg) == 2.0
-        assert rb_update(1.0, 1.0, 100.0, cfg) == 0.5
+        # one step of ETA from inside the range lands beyond each bound
+        assert rb_update(0.75 * RHO_MAX, 100.0, 1.0) == RHO_MAX
+        assert rb_update(1.5 * RHO_MIN, 1.0, 100.0) == RHO_MIN
+        assert rb_update(RHO_MAX, 100.0, 1.0) == RHO_MAX
+        assert rb_update(RHO_MIN, 1.0, 100.0) == RHO_MIN
 
     def test_monotone_in_primal_dual_ratio(self, rng):
         # a larger r/d ratio never produces a smaller rho
-        cfg = PenaltyConfig(kind="rb")
         ratios = np.sort(rng.uniform(0.01, 100.0, size=50))
-        rhos = [rb_update(1.0, r, 1.0, cfg) for r in ratios]
+        rhos = [rb_update(1.0, r, 1.0) for r in ratios]
         assert all(a <= b for a, b in zip(rhos, rhos[1:]))
 
 
@@ -172,11 +174,12 @@ class TestTauUpdate:
             assert tau_update(0.37, 0.37, float(q)) == pytest.approx(1.0)
 
     def test_zero_dual_returns_cap(self):
-        assert tau_update(1.0, 0.0, 1.0) == TAU_MAX_DEFAULT
-        assert tau_update(1.0, 0.0, 1.0, tau_max=7.0) == 7.0
+        assert tau_update(1.0, 0.0, 1.0) == TAU_MAX
 
     def test_capped_at_tau_max(self):
-        assert tau_update(1e20, 1.0, 2.0) == TAU_MAX_DEFAULT
+        # (1e7)^2 = 1e14 exceeds the cap; just below it passes through
+        assert tau_update(1e7, 1.0, 2.0) == TAU_MAX
+        assert tau_update(9.9e5, 1.0, 2.0) == pytest.approx(9.801e11)
 
 
 class TestRbbScalar:
@@ -270,11 +273,15 @@ class TestSpectralRho:
         assert rho == 1.3
 
     def test_result_clipped(self):
-        cfg = PenaltyConfig(kind="bb", rho0=1.0, rho_min=0.3, rho_max=3.0)
-        snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
-                                 d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
-        rho = spectral_rho(zero_state(), snap, cfg)
-        assert rho == 0.3
+        # collinear sides with curvature scalars 1e10 and 1e-10 drive the
+        # unclipped rho to 1e-10 and 1e10, beyond each end of the range
+        cfg = PenaltyConfig(kind="bb")
+        low = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[1.0, 0.0],
+                                d_psi=[1e10, 0.0], d_phi=[1e10, 0.0])
+        assert spectral_rho(zero_state(), low, cfg) == RHO_MIN
+        high = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[1.0, 0.0],
+                                 d_psi=[1e-10, 0.0], d_phi=[1e-10, 0.0])
+        assert spectral_rho(zero_state(), high, cfg) == RHO_MAX
 
     def test_memory_rolls_forward(self):
         pen = PenaltyState(PenaltyConfig(kind="bb"))
