@@ -88,13 +88,10 @@ class SolveResult:
     termination: str
     short_count: int
     final_state: IterateState
-    r_norm: float
-    d_norm: float
     lambda_initial: float
     lambda_final: float
     lambda_adjustments: int
     rho_final: float
-    consensus_gap: float
 
 
 def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
@@ -209,11 +206,8 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         termination=termination,
         short_count=count_short_positions(x),
         final_state=state,
-        r_norm=state.r_norm,
-        d_norm=state.d_norm,
         lambda_initial=cfg.lambda_schedule.lambda_current,
         lambda_final=lam,
         lambda_adjustments=schedule.adjustments_made,
         rho_final=rho,
-        consensus_gap=float(np.abs(x - z).max()),
     )

@@ -305,8 +305,8 @@ def cmd_bench(args) -> int:
             elapsed = time.perf_counter() - started
             counts.append(result.iterations)
             writer.writerow([args.suite, strategy, trial, result.iterations,
-                             _float_repr(result.r_norm),
-                             _float_repr(result.d_norm),
+                             _float_repr(result.final_state.r_norm),
+                             _float_repr(result.final_state.d_norm),
                              f"{elapsed:.6f}"])
         medians.append((strategy, statistics.median(counts)))
     for strategy, median_iter in medians:

@@ -83,12 +83,89 @@ class AssetStats:
 def load_returns_csv(path) -> ReturnsMatrix:
     """Parse a returns CSV with a header of asset names.
 
+    The grammar is that of ``csv.reader`` (excel dialect) plus ``float()``:
+    a header row of names (stripped of surrounding whitespace), then at
+    least two data rows of exactly one number per name.  Quoted fields,
+    CRLF or lone-CR line ends, a missing final newline and anything
+    ``float()`` accepts (surrounding whitespace, ``1_0``, non-ASCII digits)
+    are accepted.  A blank line is a row of zero fields and is rejected, as
+    are non-finite values.
+
+    A file whose data rows are plain numbers and commas, as returns_to_csv
+    writes them, with any of the three line ends, takes one vectorised
+    ``np.loadtxt`` pass.  A file that pass refuses (quoted fields, ``1_0``,
+    non-ASCII digits, a blank line, a row of the wrong width, a bad number)
+    and any input that cannot be re-read, such as a pipe, take the
+    ``csv.reader`` row parser.  Both give bitwise-equal values, so the input
+    alone decides the outcome.
+
     Raises ReturnsFormatError with the offending line (and column, for bad
     numbers) on any layout problem; missing files surface as the usual
     FileNotFoundError.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+        if not handle.seekable():
+            return _load_rows(path, handle)
+        returns = _load_vectorised(handle)
+    if returns is None:
+        with open(path, newline="", encoding="utf-8") as handle:
+            returns = _load_rows(path, handle)
+    return returns
+
+
+# Data lines sent to the row parser without a loadtxt attempt.  np.loadtxt
+# skips a blank line, which the row parser rejects as a row of zero fields,
+# and strips the ASCII separators 0x1c-0x1f around a number, which float()
+# keeps.  A quote would make loadtxt fail, but only on reaching its line.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+_ROW_PARSER_CHARS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _vectorisable(line: str, field_limit: int) -> bool:
+    """False if this data line must go to the row parser.
+
+    Besides the cases above, csv.reader refuses a field longer than
+    csv.field_size_limit(), which np.loadtxt would read.
+    """
+    if line in _BLANK_LINES or any(char in line for char in _ROW_PARSER_CHARS):
+        return False
+    return len(line) <= field_limit or max(
+        map(len, line.rstrip("\r\n").split(","))) <= field_limit
+
+
+def _load_vectorised(handle):
+    """The returns from one np.loadtxt pass, or None if it may differ.
+
+    The result is kept only when every data line is _vectorisable, loadtxt
+    raises nothing, and it returns one row per data line and one column per
+    header name.
+    """
+    try:
+        header = next(csv.reader(iter(handle.readline, "")), None)
+        if header is None or len(header) < 2:
+            return None
+        body = handle.tell()
+        field_limit = csv.field_size_limit()
+        lines = 0
+        for line in handle:
+            if not _vectorisable(line, field_limit):
+                return None
+            lines += 1
+        if lines < 2:
+            return None
+        handle.seek(body)
+        values = np.loadtxt(handle, delimiter=",", comments=None,
+                            quotechar=None, dtype=float, ndmin=2)
+    except (ValueError, csv.Error):
+        return None
+    if values.shape != (lines, len(header)):
+        return None
+    return ReturnsMatrix(values, tuple(name.strip() for name in header))
+
+
+def _load_rows(path, handle):
+    """The returns via csv.reader and float(), naming any bad line."""
+    rows = list(csv.reader(handle))
     if not rows:
         raise ReturnsFormatError(f"{path}: line 1: empty file, expected a header row")
     names = [name.strip() for name in rows[0]]

@@ -189,20 +189,20 @@ def test_6_stopping_inequalities_hold_at_convergence():
             result = solve(problem, fixed_lambda_config(problem, kind, lam,
                                                         tol=tol,
                                                         max_iter=200000))
-            if result.termination != "converged":
-                continue
+            # every run must converge: a skipped run would let the gate pass
+            assert result.termination == "converged", (trial, kind)
             state = result.final_state
             r_check = float(np.linalg.norm(state.z - state.x))
             assert r_check <= tol * max(np.linalg.norm(state.x),
                                         np.linalg.norm(state.z))
-            assert result.d_norm <= tol * max(np.linalg.norm(state.y), 1.0)
-            assert stopping_check(r_check, result.d_norm, state.x, state.z,
+            assert state.d_norm <= tol * max(np.linalg.norm(state.y), 1.0)
+            assert stopping_check(r_check, state.d_norm, state.x, state.z,
                                   state.y, tol)
             checked += 1
-    ok = checked > 0
+    ok = checked == 32
     report(6, "stopping inequalities at convergence", ok,
            f"{checked} converged runs re-verified")
-    assert checked > 0
+    assert checked == 32
 
 
 def test_7_fixed_rho_matches_reference_loop():
@@ -253,7 +253,8 @@ def test_8_adaptive_strategies_handle_ill_conditioning():
             result = solve(problem, cfg)
             counts[kind].append(
                 result.iterations if result.termination == "converged" else None)
-    ok = all(c is not None and c <= 5000
+    # half of max_iter: a bound at the cap itself could never fail
+    ok = all(c is not None and c <= 2500
              for kind in ("rb", "bb", "rbb") for c in counts[kind])
     fixed_note = ",".join("cap" if c is None else str(c)
                           for c in counts["fixed"])
@@ -261,7 +262,7 @@ def test_8_adaptive_strategies_handle_ill_conditioning():
            f"rb {counts['rb']}, bb {counts['bb']}, rbb {counts['rbb']}; "
            f"fixed recorded [{fixed_note}], not asserted")
     for kind in ("rb", "bb", "rbb"):
-        assert all(c is not None and c <= 5000 for c in counts[kind]), kind
+        assert all(c is not None and c <= 2500 for c in counts[kind]), kind
 
 
 def test_9_solve_json_deterministic(tmp_path):

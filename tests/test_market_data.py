@@ -1,6 +1,14 @@
+import csv
+import os
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsefolio import market_data
 from sparsefolio.market_data import (
     AssetStats,
     ReturnsFormatError,
@@ -109,6 +117,185 @@ class TestLoadReturnsCsv:
         path.write_text("A,B\n1,2\n3\n")
         with pytest.raises(ReturnsFormatError, match="weird.csv"):
             load_returns_csv(path)
+
+
+class TestCsvGrammar:
+    """The accepted grammar: csv.reader's excel dialect plus float()."""
+
+    def load_text(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path, load_returns_csv(path)
+
+    def expect_error(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ReturnsFormatError) as excinfo:
+            load_returns_csv(path)
+        return path, str(excinfo.value)
+
+    def test_blank_line_mid_file_rejected(self, tmp_path):
+        path, message = self.expect_error(tmp_path, "A,B\n0.1,0.2\n\n0.3,0.4\n")
+        assert message == f"{path}: line 3: expected 2 fields, got 0"
+
+    def test_blank_line_at_end_rejected(self, tmp_path):
+        path, message = self.expect_error(tmp_path, "A,B\n0.1,0.2\n0.3,0.4\n\n")
+        assert message == f"{path}: line 4: expected 2 fields, got 0"
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        path, message = self.expect_error(tmp_path, "A,B\n0.1,0.2\n  \n0.3,0.4\n")
+        assert message == f"{path}: line 3: expected 2 fields, got 1"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_line_ends(self, tmp_path, end):
+        _, rm = self.load_text(tmp_path, end.join(["A,B", "0.1,0.2", "0.3,0.4", ""]))
+        assert rm.asset_names == ("A", "B")
+        np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_quoted_header_names(self, tmp_path):
+        _, rm = self.load_text(tmp_path, '"Acme, Inc."," B "\n0.1,0.2\n0.3,0.4\n')
+        assert rm.asset_names == ("Acme, Inc.", "B")
+        np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_quoted_numeric_fields(self, tmp_path):
+        _, rm = self.load_text(tmp_path, 'A,B\n"0.1",0.2\n0.3," 0.4 "\n')
+        np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_underscore_digits(self, tmp_path):
+        _, rm = self.load_text(tmp_path, "A,B\n1_0,0.2\n0.3,0.4\n")
+        assert rm.values[0, 0] == 10.0
+
+    def test_no_trailing_newline(self, tmp_path):
+        _, rm = self.load_text(tmp_path, "A,B\n0.1,0.2\n0.3,0.4")
+        np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_bad_token_in_quoted_file_names_location(self, tmp_path):
+        path, message = self.expect_error(tmp_path, 'A,B\n"0.1",0.2\n0.3,x\n')
+        assert message == f"{path}: line 3, column 2 (B): not a number: 'x'"
+
+    def test_field_over_csv_limit_rejected(self, tmp_path):
+        long_number = "0." + "0" * csv.field_size_limit() + "1"
+        path = tmp_path / "r.csv"
+        path.write_text(f"A,B\n{long_number},0.2\n0.3,0.4\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_returns_csv(path)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads a pipe through /dev/fd")
+    def test_pipe_input(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"A,B\n0.1,0.2\n0.3,0.4\n")
+            os.close(write_end)
+            rm = load_returns_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
+
+
+class TestParsePath:
+    """Which files take the vectorised pass and which the row parser."""
+
+    def takes_row_parser(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(market_data, "_load_rows",
+                               wraps=market_data._load_rows) as rows:
+            try:
+                load_returns_csv(path)
+            except ValueError:
+                pass
+        return rows.called
+
+    @pytest.mark.parametrize("text", [
+        "A,B\n0.1,0.2\n0.3,0.4\n",
+        "A,B\r\n0.1,0.2\r\n0.3,0.4\r\n",
+        "A,B\r0.1,0.2\r0.3,0.4\r",
+        "A,B\n0.1,0.2\n0.3,0.4",
+        '"A, Inc.",B\n 0.1 ,-0.2e-3\n+3,4.\n',
+        "A,B\n0.1,0.2\n0.3,inf\n",
+    ], ids=["plain", "crlf", "lone-cr", "no-final-newline", "quoted-header",
+            "non-finite"])
+    def test_vectorised(self, tmp_path, text):
+        assert not self.takes_row_parser(tmp_path, text)
+
+    @pytest.mark.parametrize("text", [
+        'A,B\n"0.1",0.2\n0.3,0.4\n',
+        "A,B\n1_0,0.2\n0.3,0.4\n",
+        "A,B\n１,0.2\n0.3,0.4\n",
+        "A,B\n0.1,0.2\n\n0.3,0.4\n",
+        "A,B\n0.1,0.2\n0.3,0.4\n\n",
+        "A,B\n0.1,0.2\n  \n0.3,0.4\n",
+        "A,B\n\x1c0.1,0.2\n0.3,0.4\n",
+        "A,B\n0.1,0.2\n0.3,0.4,0.5\n",
+        "A,B\n0.1,0.2\n",
+        "A\n0.1\n0.2\n",
+    ], ids=["quoted-field", "underscore", "full-width", "blank-line",
+            "blank-last-line", "whitespace-line", "file-separator",
+            "ragged", "one-row", "one-column"])
+    def test_row_parser(self, tmp_path, text):
+        assert self.takes_row_parser(tmp_path, text)
+
+
+def outcome(path):
+    """What load_returns_csv does with a file, in comparable form."""
+    try:
+        rm = load_returns_csv(path)
+    except (ValueError, csv.Error) as error:
+        return type(error), str(error)
+    return rm.asset_names, rm.values.shape, rm.values.tobytes()
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ODD_TOKENS = ["", " ", "0.5 ", "\t-2", "1_0", "１", "٣.5", "\xa01", "\x1c1",
+               "2\x1f", "x", "0x10", "1e999", "nan", "-inf", "1.", ".", "+.5",
+               "#1", "1d5", "\x001", "\udcff"]
+_DEFECTS = ["token", "quote", "blank", "spaces", "short", "long", "end"]
+
+
+@st.composite
+def returns_files(draw):
+    """Raw bytes of a returns CSV: well formed, or with up to two defects."""
+    n = draw(st.integers(1, 4))
+    header = [draw(st.sampled_from(["A", " B ", '"C, D"', '"E"', "F"]))
+              for _ in range(n)]
+    rows = [[draw(_NUMBER) for _ in range(n)]
+            for _ in range(draw(st.integers(0, 5)))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    ends = [end] * (len(rows) + 1)
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        i = draw(st.integers(0, len(rows)))
+        if defect == "blank" or defect == "spaces":
+            rows.insert(i, [""] if defect == "blank" else ["  "])
+            ends.insert(i + 1, end)
+        elif defect == "end":
+            ends[i] = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        elif i < len(rows) and rows[i]:
+            row, j = rows[i], draw(st.integers(0, len(rows[i]) - 1))
+            if defect == "token":
+                row[j] = draw(st.sampled_from(_ODD_TOKENS))
+            elif defect == "quote":
+                row[j] = f'"{row[j]}"'
+            elif defect == "short":
+                row.pop(j)
+            else:
+                row.insert(j, draw(_NUMBER))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    text = "".join(line + term for line, term in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=returns_files())
+def test_vectorised_pass_matches_row_parser(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(data)
+    with mock.patch.object(market_data, "_load_vectorised",
+                           lambda handle: None):
+        expected = outcome(path)
+    assert outcome(path) == expected
 
 
 class TestRoundTrip:
