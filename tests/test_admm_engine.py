@@ -1,5 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sparsefolio.admm_engine as engine
 from conftest import factor_problem, identity_problem, mean_diag_rho, two_asset_problem
@@ -48,6 +53,24 @@ class TestSoftThreshold:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             soft_threshold(np.zeros(2), -0.1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(u=hnp.arrays(np.float64, st.integers(1, 8)),
+           kappa=st.floats(min_value=0.0), tie=st.integers(0, 8))
+    @example(u=np.array([5e-324, -5e-324, 0.0, -0.0, 2e-308]), kappa=5e-324,
+             tie=8)
+    @example(u=np.array([0.5, -0.5, np.inf, -np.inf, np.nan]), kappa=0.5,
+             tie=8)
+    def test_matches_sign_times_shrunk_magnitude(self, u, kappa, tie):
+        # tie < len(u) sets kappa to |u[tie]|, the edge of the dead zone
+        if tie < len(u) and np.isfinite(u[tie]):
+            kappa = abs(float(u[tie]))
+        with np.errstate(invalid="ignore"):  # inf - inf when kappa is inf
+            out = soft_threshold(u, kappa)
+            ref = np.sign(u) * np.maximum(np.abs(u) - kappa, 0.0)
+        nan = np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        assert (out[~nan] == ref[~nan]).all()
 
 
 class TestZUpdate:
@@ -232,6 +255,32 @@ class TestSolveContracts:
 
         monkeypatch.setattr(engine, "solve_x_update", sabotaged)
         result = solve(problem, solver_config(problem, kind="fixed", lam=0.001))
+        assert result.termination == "numerical_failure"
+        assert result.iterations == 2
+        assert np.isfinite(result.weights).all()
+
+    @pytest.mark.parametrize("bad", [
+        np.full(4, np.inf),
+        np.array([0.25, np.nan, 0.25, 0.5]),
+        np.array([0.25, 0.25, np.inf, 0.5]),
+    ], ids=["all-inf", "one-nan", "one-inf"])
+    def test_numerical_failure_on_any_bad_entry(self, monkeypatch, bad):
+        problem = factor_problem(n=4, seed=6)
+        calls = {"count": 0}
+        real = solve_x_update
+
+        def sabotaged(fact, z, y):
+            calls["count"] += 1
+            if calls["count"] == 3:
+                return bad.copy()
+            return real(fact, z, y)
+
+        monkeypatch.setattr(engine, "solve_x_update", sabotaged)
+        # an infinite x entry passes the shrinkage into z, so z - x is inf - inf
+        expected = pytest.warns(RuntimeWarning, match="invalid value") \
+            if np.isinf(bad).any() else contextlib.nullcontext()
+        with expected:
+            result = solve(problem, solver_config(problem, kind="fixed", lam=0.001))
         assert result.termination == "numerical_failure"
         assert result.iterations == 2
         assert np.isfinite(result.weights).all()
