@@ -13,13 +13,15 @@ followed by the short-sale guard on lambda and, on its cadence, one
 penalty update.  The primal residual is z - x and the dual residual is
 -rho*(z - z_prev); both enter the relative stopping test below.
 
-One finiteness check per iteration, on y_new, stands for checks on all
-three new vectors.  The start and every accepted iterate are finite and rho
-is positive, so a NaN in x_new or z_new stays NaN in z_new - x_new, an
-infinity in x_new passes through the shrinkage into z_new and inf - inf is
-NaN, and an infinity in z_new alone stays infinite in the difference.  Each
-reaches y_new = y + rho*(z_new - x_new), where an overflow of its own is
-caught too.  So y_new is finite exactly when all three are.
+One finiteness test per iteration, on ||z_new - x_new||, stands for tests
+on all three new vectors; z_new - x_new is formed once and also feeds the
+dual step.  The start and every accepted iterate are finite.  A NaN in
+x_new or z_new stays NaN in the difference, an infinity in x_new passes
+the shrinkage into z_new and inf - inf is NaN, and an infinity in z_new
+alone stays infinite.  Conversely, a finite norm bounds each entry of the
+difference by 1.4e154 and rho is at most 1e8, so y_new, starting from
+y = 0, stays finite for 1e146 iterations.  A squared norm that overflows
+although every entry is finite ends the solve as a numerical failure too.
 
 Vector norms are written as sqrt(v.dot(v)), which is the formula
 numpy.linalg.norm uses for a 1-D float vector, without its argument
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +61,7 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class IterateState:
+class IterateState(NamedTuple):
     """One committed ADMM iterate; k = -1 denotes the initialization.
 
     rho and lam are the values iteration k ran with.  r_norm and d_norm are
@@ -95,10 +96,14 @@ class SolveResult:
 
 
 def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
-    """Shrink toward zero by kappa; magnitudes at or below kappa map to 0.0."""
+    """Shrink toward zero by kappa; magnitudes at or below kappa map to 0.0.
+
+    Equal under ==, NaN for NaN, to sign(u) * max(|u| - kappa, 0) in fewer
+    ufuncs; only zero signs differ (negative u in the dead zone gives +0.0).
+    """
     if kappa < 0:
         raise ValueError("threshold must be nonnegative")
-    return np.sign(u) * np.maximum(np.abs(u) - kappa, 0.0)
+    return u - np.minimum(np.maximum(u, -kappa), kappa)
 
 
 def z_update(x_new: np.ndarray, y: np.ndarray, rho: float,
@@ -107,16 +112,14 @@ def z_update(x_new: np.ndarray, y: np.ndarray, rho: float,
     return soft_threshold(x_new - y / rho, lam / rho)
 
 
-def y_update(y: np.ndarray, rho: float, x_new: np.ndarray,
-             z_new: np.ndarray) -> np.ndarray:
-    return y + rho * (z_new - x_new)
+def y_update(y: np.ndarray, rho: float, primal: np.ndarray) -> np.ndarray:
+    """Dual step y + rho*(z_new - x_new), given primal = z_new - x_new."""
+    return y + rho * primal
 
 
-def residual_norms(z_prev: np.ndarray, x: np.ndarray, z: np.ndarray,
+def residual_norms(primal: np.ndarray, step: np.ndarray,
                    rho: float) -> tuple[float, float]:
-    """Primal and dual residual norms, ||z - x|| and rho*||z - z_prev||."""
-    primal = z - x
-    step = z - z_prev
+    """||primal|| and rho*||step||, for primal = z - x and step = z - z_prev."""
     return math.sqrt(primal.dot(primal)), rho * math.sqrt(step.dot(step))
 
 
@@ -127,9 +130,9 @@ def stopping_check(r_norm: float, d_norm: float, x: np.ndarray, z: np.ndarray,
     The dual comparator is floored at 1 so a dual vector near zero (e.g.
     the all-cash start) cannot demand an absolute-zero residual.
     """
-    r_ok = r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z)))
-    d_ok = d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0)
-    return r_ok and d_ok
+    if not r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z))):
+        return False
+    return d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0)
 
 
 def feasible_start(problem: PortfolioProblem) -> np.ndarray:
@@ -158,28 +161,31 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     factorization = factorize(problem, rho)
     pen_state = PenaltyState(pen_cfg)
     spectral = pen_cfg.kind in ("bb", "rbb")
-    phase = 1 % pen_cfg.nbar
-    state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=-1)
+    adaptive = schedule.mode == "adaptive"
+    nbar = pen_cfg.nbar
+    phase = 1 % nbar
+    tol = cfg.tol
+    state = IterateState(x, z, y, rho, lam, -1)
     termination = TERMINATION_MAX_ITER
     iterations = cfg.max_iter
 
     for k in range(cfg.max_iter):
         x_new = solve_x_update(factorization, z, y)
         z_new = z_update(x_new, y, rho, lam)
-        y_new = y_update(y, rho, x_new, z_new)
-        if not np.isfinite(y_new).all():
+        primal = z_new - x_new
+        r_norm, d_norm = residual_norms(primal, z_new - z, rho)
+        if not math.isfinite(r_norm):
             termination = TERMINATION_NUMERICAL
             iterations = k
             break
-        r_norm, d_norm = residual_norms(z, x_new, z_new, rho)
-        update_due = k % pen_cfg.nbar == phase and k <= FREEZE_AFTER
+        y_new = y_update(y, rho, primal)
+        update_due = k % nbar == phase and k <= FREEZE_AFTER
         ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
         x, z, y = x_new, z_new, y_new
-        state = IterateState(x=x, z=z, y=y, rho=rho, lam=lam, k=k,
-                             r_norm=r_norm, d_norm=d_norm, ybar=ybar)
+        state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
 
         lambda_moved = False
-        if schedule.mode == "adaptive":
+        if adaptive:
             adjusted = maybe_adjust(schedule, count_short_positions(x))
             lambda_moved = adjusted.lambda_current != schedule.lambda_current
             schedule = adjusted
@@ -188,7 +194,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         if callback is not None:
             callback(state)
 
-        if not lambda_moved and stopping_check(r_norm, d_norm, x, z, y, cfg.tol):
+        if not lambda_moved and stopping_check(r_norm, d_norm, x, z, y, tol):
             termination = TERMINATION_CONVERGED
             iterations = k + 1
             break

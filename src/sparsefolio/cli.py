@@ -157,10 +157,6 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _float_repr(value: float) -> str:
-    return repr(float(value))
-
-
 def _make_config(args, schedule: LambdaSchedule) -> SolverConfig:
     penalty = PenaltyConfig(kind=args.strategy, rho0=args.rho0, q=args.q,
                             nbar=args.nbar)
@@ -272,9 +268,9 @@ def cmd_frontier(args) -> int:
         result = solve(problem, cfg)
         w = result.weights
         writer.writerow([
-            _float_repr(target),
-            _float_repr(w @ problem.C @ w),
-            _float_repr(np.abs(w).sum()),
+            repr(float(target)),
+            repr(float(w @ problem.C @ w)),
+            repr(float(np.abs(w).sum())),
             int(np.sum(np.abs(w) > ZERO_TOL)),
             count_short_positions(w),
             result.iterations,
@@ -305,13 +301,13 @@ def cmd_bench(args) -> int:
             elapsed = time.perf_counter() - started
             counts.append(result.iterations)
             writer.writerow([args.suite, strategy, trial, result.iterations,
-                             _float_repr(result.final_state.r_norm),
-                             _float_repr(result.final_state.d_norm),
+                             repr(float(result.final_state.r_norm)),
+                             repr(float(result.final_state.d_norm)),
                              f"{elapsed:.6f}"])
         medians.append((strategy, statistics.median(counts)))
     for strategy, median_iter in medians:
         writer.writerow([args.suite, strategy, "median",
-                         _float_repr(median_iter), "", "", ""])
+                         repr(float(median_iter)), "", "", ""])
     _write_text(args.output, buffer.getvalue())
     return EXIT_OK
 

@@ -10,26 +10,26 @@ We factor the full (n+2) x (n+2) block once per rho with partial-pivot LU
 and reuse it for every solve at that rho; a Schur-complement route would
 be marginally cheaper but needlessly splits the accuracy story.
 
-Each solve calls the LAPACK ``getrs`` routine kept with the factors instead
-of ``scipy.linalg.lu_solve``.  At n=10 the back-solve itself takes about
-2 us, while lu_solve's wrapper (batch dispatch, ``asarray_chkfinite``, the
-LAPACK lookup) adds about 20 us to every ADMM iteration (2.0 GHz Xeon,
-OpenBLAS on one thread, scipy 1.17).  Its finiteness check
-guards nothing here: z and y passed the engine's check on the previous
-iteration, so the right-hand side is finite unless rho*z + y overflows, and
-then the engine's check on the next iterate ends the solve as a numerical
-failure.  The arithmetic is the same routine on the same arrays, so the
-solution is bitwise identical to lu_solve's.
+The block is built in Fortran order and factored in place by LAPACK
+``getrf``; each solve calls ``getrs`` on the kept factors.  These are the
+routines ``lu_factor`` and ``lu_solve`` call, on the same arrays, so the
+results are bitwise theirs, without their copies, finiteness scans and
+dispatch, which cost about 20 us of a 24 us x-step at n=10 (2.0 GHz Xeon,
+OpenBLAS on one thread, scipy 1.17).  Their info is not read: the
+arguments are well formed and the block is nonsingular by construction.
+PortfolioProblem has checked C and mu and factorize checks rho; the
+right-hand side is finite unless rho*z + y overflows, and then the
+engine's test on the next iterate ends the solve.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs
 
 from .model import PortfolioProblem
 
@@ -51,28 +51,22 @@ class KktFactorization:
 
 
 def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
-    """Assemble and factor the block matrix for a given penalty value.
+    """Assemble and factor the block matrix for a positive, finite rho.
 
     The matrix is nonsingular: C is positive definite and PortfolioProblem
     guarantees that D has rank 2.
-
-    Parameters
-    ----------
-    problem : PortfolioProblem
-    rho : float
-        Positive penalty parameter; appears only on the diagonal block.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     n = problem.n
-    K = np.zeros((n + 2, n + 2))
-    K[:n, :n] = problem.C + rho * np.eye(n)
+    K = np.zeros((n + 2, n + 2), order="F")
+    # C + 0.0 turns a -0.0 entry into 0.0, as adding rho*I did
+    np.add(problem.C, 0.0, out=K[:n, :n])
+    K.flat[:n * (n + 3):n + 3] += rho  # the diagonal of the C block
     K[:n, n:] = problem.D.T
     K[n:, :n] = problem.D
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(K)
-    getrs, = get_lapack_funcs(("getrs",), (lu,))
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (K,))
+    lu, piv, _ = getrf(K, overwrite_a=True)
     return KktFactorization(rho=float(rho), n=n, b=problem.b, lu=lu, piv=piv,
                             getrs=getrs)
 
@@ -84,17 +78,16 @@ def solve_with_multiplier(factorization: KktFactorization, z: np.ndarray,
     rho and b are the factorization's own.  The multiplier is diagnostic
     only; the ADMM loop consumes just x.
     """
-    n = factorization.n
     rhs = np.concatenate([factorization.rho * z + y, factorization.b])
-    solution, info = factorization.getrs(factorization.lu, factorization.piv,
-                                         rhs, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
-    return solution[:n], solution[n:]
+    solution, _ = factorization.getrs(factorization.lu, factorization.piv,
+                                      rhs, overwrite_b=True)
+    return solution[:factorization.n], solution[factorization.n:]
 
 
 def solve_x_update(factorization: KktFactorization, z: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     """The x-step: exactly feasible (Dx = b) minimizer for the current (z, y)."""
-    x, _ = solve_with_multiplier(factorization, z, y)
-    return x
+    rhs = np.concatenate([factorization.rho * z + y, factorization.b])
+    solution, _ = factorization.getrs(factorization.lu, factorization.piv,
+                                      rhs, overwrite_b=True)
+    return solution[:factorization.n]

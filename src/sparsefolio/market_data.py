@@ -164,21 +164,25 @@ def _load_vectorised(handle):
 
 
 def _load_rows(path, handle):
-    """The returns via csv.reader and float(), naming any bad line."""
-    rows = list(csv.reader(handle))
+    """The returns via csv.reader and float(), naming any bad row's first line."""
+    reader = csv.reader(handle)
+    rows, line = [], 1  # each row with the physical line it starts on
+    for row in reader:
+        rows.append((line, row))
+        line = reader.line_num + 1
     if not rows:
         raise ReturnsFormatError(f"{path}: line 1: empty file, expected a header row")
-    names = [name.strip() for name in rows[0]]
+    names = [name.strip() for name in rows[0][1]]
     n = len(names)
     if n < 2:
         raise ReturnsFormatError(
             f"{path}: line 1: header names {n} asset column(s), need at least 2"
         )
     data = []
-    for offset, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != n:
             raise ReturnsFormatError(
-                f"{path}: line {offset}: expected {n} fields, got {len(row)}"
+                f"{path}: line {line}: expected {n} fields, got {len(row)}"
             )
         parsed = []
         for col, token in enumerate(row):
@@ -186,7 +190,7 @@ def _load_rows(path, handle):
                 parsed.append(float(token))
             except ValueError:
                 raise ReturnsFormatError(
-                    f"{path}: line {offset}, column {col + 1} ({names[col]}): "
+                    f"{path}: line {line}, column {col + 1} ({names[col]}): "
                     f"not a number: {token!r}"
                 ) from None
         data.append(parsed)

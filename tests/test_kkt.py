@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from conftest import factor_problem, identity_problem, two_asset_problem
 from sparsefolio.kkt import factorize, solve_with_multiplier, solve_x_update
@@ -32,6 +33,25 @@ class TestFactorize:
         problem = two_asset_problem()
         with pytest.raises(ValueError, match="rho"):
             factorize(problem, 0.0)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            factorize(two_asset_problem(), rho)
+
+    @pytest.mark.parametrize("n", [10, 60])
+    def test_factors_match_lu_factor_of_block(self, rng, n):
+        problem = random_problem(n, rng)
+        problem.C[0, 1] = problem.C[1, 0] = -0.0
+        for rho in (1e-8, 0.37, 1e8):
+            K = np.zeros((n + 2, n + 2))
+            K[:n, :n] = problem.C + rho * np.eye(n)
+            K[:n, n:] = problem.D.T
+            K[n:, :n] = problem.D
+            lu, piv = lu_factor(K)
+            fact = factorize(problem, rho)
+            assert fact.lu.tobytes(order="F") == lu.tobytes(order="F")
+            np.testing.assert_array_equal(fact.piv, piv)
 
     def test_equal_constraint_rows_singular(self):
         # mu identical to the budget row makes D rank 1; the problem is

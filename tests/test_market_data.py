@@ -173,6 +173,15 @@ class TestCsvGrammar:
         path, message = self.expect_error(tmp_path, 'A,B\n"0.1",0.2\n0.3,x\n')
         assert message == f"{path}: line 3, column 2 (B): not a number: 'x'"
 
+    def test_bad_token_after_multiline_header_names_physical_line(self, tmp_path):
+        path, message = self.expect_error(tmp_path, '"A\nlong",B\n1.0,2.0\n3.0,x\n')
+        assert message == f"{path}: line 4, column 2 (B): not a number: 'x'"
+
+    def test_ragged_row_after_multiline_field_names_physical_line(self, tmp_path):
+        path, message = self.expect_error(
+            tmp_path, 'A,B\n"1.0\n",2.0\n3.0,4.0,5.0\n')
+        assert message == f"{path}: line 4: expected 2 fields, got 3"
+
     def test_field_over_csv_limit_rejected(self, tmp_path):
         long_number = "0." + "0" * csv.field_size_limit() + "1"
         path = tmp_path / "r.csv"
