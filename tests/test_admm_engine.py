@@ -243,29 +243,8 @@ class TestSolveContracts:
         assert result.termination == "max_iter"
         assert result.iterations == 3
 
-    def test_numerical_failure_reported(self, monkeypatch):
-        problem = factor_problem(n=4, seed=6)
-        calls = {"count": 0}
-        real = solve_x_update
-
-        def sabotaged(fact, z, y):
-            calls["count"] += 1
-            if calls["count"] == 3:
-                return np.full(problem.n, np.nan)
-            return real(fact, z, y)
-
-        monkeypatch.setattr(engine, "solve_x_update", sabotaged)
-        result = solve(problem, solver_config(problem, kind="fixed", lam=0.001))
-        assert result.termination == "numerical_failure"
-        assert result.iterations == 2
-        assert np.isfinite(result.weights).all()
-
-    @pytest.mark.parametrize("bad", [
-        np.full(4, np.inf),
-        np.array([0.25, np.nan, 0.25, 0.5]),
-        np.array([0.25, 0.25, np.inf, 0.5]),
-    ], ids=["all-inf", "one-nan", "one-inf"])
-    def test_numerical_failure_on_any_bad_entry(self, monkeypatch, bad):
+    @staticmethod
+    def solve_with_bad_third_xstep(monkeypatch, bad):
         problem = factor_problem(n=4, seed=6)
         calls = {"count": 0}
         real = solve_x_update
@@ -277,11 +256,25 @@ class TestSolveContracts:
             return real(fact, z, y)
 
         monkeypatch.setattr(engine, "solve_x_update", sabotaged)
+        return solve(problem, solver_config(problem, kind="fixed", lam=0.001))
+
+    def test_numerical_failure_reported(self, monkeypatch):
+        result = self.solve_with_bad_third_xstep(monkeypatch, np.full(4, np.nan))
+        assert result.termination == "numerical_failure"
+        assert result.iterations == 2
+        assert np.isfinite(result.weights).all()
+
+    @pytest.mark.parametrize("bad", [
+        np.full(4, np.inf),
+        np.array([0.25, np.nan, 0.25, 0.5]),
+        np.array([0.25, 0.25, np.inf, 0.5]),
+    ], ids=["all-inf", "one-nan", "one-inf"])
+    def test_numerical_failure_on_any_bad_entry(self, monkeypatch, bad):
         # an infinite x entry passes the shrinkage into z, so z - x is inf - inf
         expected = pytest.warns(RuntimeWarning, match="invalid value") \
             if np.isinf(bad).any() else contextlib.nullcontext()
         with expected:
-            result = solve(problem, solver_config(problem, kind="fixed", lam=0.001))
+            result = self.solve_with_bad_third_xstep(monkeypatch, bad)
         assert result.termination == "numerical_failure"
         assert result.iterations == 2
         assert np.isfinite(result.weights).all()
