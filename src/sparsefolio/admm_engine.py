@@ -113,7 +113,6 @@ def z_update(x_new: np.ndarray, y: np.ndarray, rho: float,
 
 
 def y_update(y: np.ndarray, rho: float, primal: np.ndarray) -> np.ndarray:
-    """Dual step y + rho*(z_new - x_new), given primal = z_new - x_new."""
     return y + rho * primal
 
 
@@ -130,9 +129,8 @@ def stopping_check(r_norm: float, d_norm: float, x: np.ndarray, z: np.ndarray,
     The dual comparator is floored at 1 so a dual vector near zero (e.g.
     the all-cash start) cannot demand an absolute-zero residual.
     """
-    if not r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z))):
-        return False
-    return d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0)
+    return (r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z)))
+            and d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0))
 
 
 def feasible_start(problem: PortfolioProblem) -> np.ndarray:

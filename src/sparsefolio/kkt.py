@@ -15,11 +15,10 @@ The block is built in Fortran order and factored in place by LAPACK
 routines ``lu_factor`` and ``lu_solve`` call, on the same arrays, so the
 results are bitwise theirs, without their copies, finiteness scans and
 dispatch, which cost about 20 us of a 24 us x-step at n=10 (2.0 GHz Xeon,
-OpenBLAS on one thread, scipy 1.17).  Their info is not read: the
-arguments are well formed and the block is nonsingular by construction.
-PortfolioProblem has checked C and mu and factorize checks rho; the
-right-hand side is finite unless rho*z + y overflows, and then the
-engine's test on the next iterate ends the solve.
+OpenBLAS on one thread, scipy 1.17).  PortfolioProblem has checked C and
+mu and factorize checks rho; the right-hand side is finite unless
+rho*z + y overflows, and then the engine's test on the next iterate ends
+the solve.
 """
 
 from __future__ import annotations
@@ -60,13 +59,15 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     n = problem.n
     K = np.zeros((n + 2, n + 2), order="F")
-    # C + 0.0 turns a -0.0 entry into 0.0, as adding rho*I did
+    # C + 0.0, not a copy: a -0.0 entry becomes 0.0, as in C + rho*I
     np.add(problem.C, 0.0, out=K[:n, :n])
     K.flat[:n * (n + 3):n + 3] += rho  # the diagonal of the C block
     K[:n, n:] = problem.D.T
     K[n:, :n] = problem.D
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (K,))
-    lu, piv, _ = getrf(K, overwrite_a=True)
+    lu, piv, info = getrf(K, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"getrf rejected argument {-info} of the KKT block")
     return KktFactorization(rho=float(rho), n=n, b=problem.b, lu=lu, piv=piv,
                             getrs=getrs)
 
@@ -79,8 +80,10 @@ def solve_with_multiplier(factorization: KktFactorization, z: np.ndarray,
     only; the ADMM loop consumes just x.
     """
     rhs = np.concatenate([factorization.rho * z + y, factorization.b])
-    solution, _ = factorization.getrs(factorization.lu, factorization.piv,
-                                      rhs, overwrite_b=True)
+    solution, info = factorization.getrs(factorization.lu, factorization.piv,
+                                         rhs, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
     return solution[:factorization.n], solution[factorization.n:]
 
 
@@ -88,6 +91,8 @@ def solve_x_update(factorization: KktFactorization, z: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     """The x-step: exactly feasible (Dx = b) minimizer for the current (z, y)."""
     rhs = np.concatenate([factorization.rho * z + y, factorization.b])
-    solution, _ = factorization.getrs(factorization.lu, factorization.piv,
-                                      rhs, overwrite_b=True)
+    solution, info = factorization.getrs(factorization.lu, factorization.piv,
+                                         rhs, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
     return solution[:factorization.n]

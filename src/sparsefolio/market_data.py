@@ -166,10 +166,7 @@ def _load_vectorised(handle):
 def _load_rows(path, handle):
     """The returns via csv.reader and float(), naming any bad row's first line."""
     reader = csv.reader(handle)
-    rows, line = [], 1  # each row with the physical line it starts on
-    for row in reader:
-        rows.append((line, row))
-        line = reader.line_num + 1
+    rows = [(reader.line_num, row) for row in reader]  # (last line, fields)
     if not rows:
         raise ReturnsFormatError(f"{path}: line 1: empty file, expected a header row")
     names = [name.strip() for name in rows[0][1]]
@@ -179,7 +176,8 @@ def _load_rows(path, handle):
             f"{path}: line 1: header names {n} asset column(s), need at least 2"
         )
     data = []
-    for line, row in rows[1:]:
+    for (above, _), (_, row) in zip(rows, rows[1:]):
+        line = above + 1  # a row starts on the line after the one above ends
         if len(row) != n:
             raise ReturnsFormatError(
                 f"{path}: line {line}: expected {n} fields, got {len(row)}"
