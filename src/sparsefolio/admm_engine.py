@@ -9,19 +9,25 @@ ties them together.  Iteration k:
     z  <-  soft_threshold(x - y/rho, lam/rho)
     y  <-  y + rho*(z - x)
 
-followed by the short-sale guard on lambda and, on its cadence, one
-penalty update.  The primal residual is z - x and the dual residual is
--rho*(z - z_prev); both enter the relative stopping test below.
+followed, on its cadence, by one penalty update.  The primal residual is
+z - x and the dual residual is -rho*(z - z_prev); both enter the relative
+stopping test below.  One run keeps lambda fixed.  In adaptive lambda mode
+the short-sale guard sits outside the runs: it counts the shorts of a
+converged run's z, which soft thresholding makes exactly sparse, and when
+it raises lambda the next run starts cold at the new value, reusing the
+KKT factorization at rho0 that the first run started from.
 
 One finiteness test per iteration, on ||z_new - x_new||, stands for tests
 on all three new vectors; z_new - x_new is formed once and also feeds the
 dual step.  The start and every accepted iterate are finite.  A NaN in
 x_new or z_new stays NaN in the difference, an infinity in x_new passes
-the shrinkage into z_new and inf - inf is NaN, and an infinity in z_new
-alone stays infinite.  Conversely, a finite norm bounds each entry of the
-difference by 1.4e154 and rho is at most 1e8, so y_new, starting from
-y = 0, stays finite for 1e146 iterations.  A squared norm that overflows
-although every entry is finite ends the solve as a numerical failure too.
+the shrinkage into z_new and inf - inf is NaN (each run silences numpy's
+invalid-value warning, as this test reports the failure), and an infinity
+in z_new alone stays infinite.  Conversely, a finite norm bounds each entry
+of the difference by 1.4e154 and rho is at most 1e8, so y_new, starting
+from y = 0, stays finite for 1e146 iterations.  A squared norm that
+overflows although every entry is finite ends the solve as a numerical
+failure too.
 
 Vector norms are written as sqrt(v.dot(v)), which is the formula
 numpy.linalg.norm uses for a 1-D float vector, without its argument
@@ -36,7 +42,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .kkt import factorize, solve_x_update
+from .kkt import KktFactorization, factorize, solve_x_update
 from .lambda_controller import LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
 from .penalty import FREEZE_AFTER, PenaltyConfig, PenaltyState, compute_ybar
@@ -139,70 +145,97 @@ def feasible_start(problem: PortfolioProblem) -> np.ndarray:
     return D.T @ np.linalg.solve(D @ D.T, b)
 
 
+def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
+         factorization: KktFactorization, budget: int,
+         callback: Optional[Callable[[IterateState], None]],
+         ) -> tuple[IterateState, str, int, float]:
+    """One ADMM run at a fixed lam from the cold start, for at most budget
+    iterations; factorization is the one at cfg.penalty.rho0.
+
+    Returns the last committed state, the termination, the iteration count
+    and the rho in force at the end.
+    """
+    pen_cfg = cfg.penalty
+    rho = pen_cfg.rho0
+    x = feasible_start(problem)
+    z = x.copy()
+    y = np.zeros(problem.n)
+    pen_state = PenaltyState(pen_cfg)
+    spectral = pen_cfg.kind in ("bb", "rbb")
+    nbar = pen_cfg.nbar
+    phase = 1 % nbar
+    tol = cfg.tol
+    state = IterateState(x, z, y, rho, lam, -1)
+
+    # inf - inf in z - x is reported by the finiteness test, not as a warning
+    with np.errstate(invalid="ignore"):
+        for k in range(budget):
+            x_new = solve_x_update(factorization, z, y)
+            z_new = z_update(x_new, y, rho, lam)
+            primal = z_new - x_new
+            r_norm, d_norm = residual_norms(primal, z_new - z, rho)
+            if not math.isfinite(r_norm):
+                return state, TERMINATION_NUMERICAL, k, rho
+            y_new = y_update(y, rho, primal)
+            update_due = k % nbar == phase and k <= FREEZE_AFTER
+            ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
+            x, z, y = x_new, z_new, y_new
+            state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
+
+            if callback is not None:
+                callback(state)
+
+            if stopping_check(r_norm, d_norm, x, z, y, tol):
+                return state, TERMINATION_CONVERGED, k + 1, rho
+
+            if update_due:
+                rho_new = pen_state.update(state)
+                if rho_new != rho:
+                    rho = rho_new
+                    factorization = factorize(problem, rho)
+
+    return state, TERMINATION_MAX_ITER, budget, rho
+
+
 def solve(problem: PortfolioProblem, cfg: SolverConfig,
           callback: Optional[Callable[[IterateState], None]] = None) -> SolveResult:
     """Run ADMM to the residual tolerance, the iteration cap, or a breakdown.
 
     callback, if given, receives each iteration's IterateState; it is the
     only per-iteration output.  Hitting max_iter is reported in the result,
-    not raised.  In adaptive lambda mode, convergence is not declared on an
-    iteration whose guard just moved lambda: the optimality target shifted,
-    so the loop continues against the new weight.
+    not raised.
+
+    In adaptive lambda mode the short-sale guard runs between runs, not
+    inside one: after a converged run it counts the shorts of that run's z
+    and, if lambda moves, starts a new run from the cold start at the new
+    lambda.  It stops when lambda stays put or a run does not converge.
+    max_iter bounds the iterations of all runs together; a move that finds
+    the budget spent ends the solve as max_iter.  The callback sees every
+    run, each with k counting from 0.  iterations is the total; weights,
+    final_state and rho_final come from the last run.
     """
-    pen_cfg = cfg.penalty
     schedule = cfg.lambda_schedule
     lam = schedule.lambda_current
-    rho = pen_cfg.rho0
-    x = feasible_start(problem)
-    z = x.copy()
-    y = np.zeros(problem.n)
-    factorization = factorize(problem, rho)
-    pen_state = PenaltyState(pen_cfg)
-    spectral = pen_cfg.kind in ("bb", "rbb")
+    factorization = factorize(problem, cfg.penalty.rho0)
+    state, termination, iterations, rho = _run(
+        problem, cfg, lam, factorization, cfg.max_iter, callback)
+
     adaptive = schedule.mode == "adaptive"
-    nbar = pen_cfg.nbar
-    phase = 1 % nbar
-    tol = cfg.tol
-    state = IterateState(x, z, y, rho, lam, -1)
-    termination = TERMINATION_MAX_ITER
-    iterations = cfg.max_iter
-
-    for k in range(cfg.max_iter):
-        x_new = solve_x_update(factorization, z, y)
-        z_new = z_update(x_new, y, rho, lam)
-        primal = z_new - x_new
-        r_norm, d_norm = residual_norms(primal, z_new - z, rho)
-        if not math.isfinite(r_norm):
-            termination = TERMINATION_NUMERICAL
-            iterations = k
+    while adaptive and termination == TERMINATION_CONVERGED:
+        adjusted = maybe_adjust(schedule, count_short_positions(state.z))
+        if adjusted.lambda_current == schedule.lambda_current:
             break
-        y_new = y_update(y, rho, primal)
-        update_due = k % nbar == phase and k <= FREEZE_AFTER
-        ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
-        x, z, y = x_new, z_new, y_new
-        state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
-
-        lambda_moved = False
-        if adaptive:
-            adjusted = maybe_adjust(schedule, count_short_positions(x))
-            lambda_moved = adjusted.lambda_current != schedule.lambda_current
-            schedule = adjusted
-            lam = schedule.lambda_current
-
-        if callback is not None:
-            callback(state)
-
-        if not lambda_moved and stopping_check(r_norm, d_norm, x, z, y, tol):
-            termination = TERMINATION_CONVERGED
-            iterations = k + 1
+        schedule = adjusted
+        lam = schedule.lambda_current
+        if iterations == cfg.max_iter:
+            termination = TERMINATION_MAX_ITER
             break
+        state, termination, used, rho = _run(
+            problem, cfg, lam, factorization, cfg.max_iter - iterations,
+            callback)
+        iterations += used
 
-        if update_due:
-            rho_new = pen_state.update(state)
-            if rho_new != rho:
-                rho = rho_new
-                factorization = factorize(problem, rho)
-
+    x = state.x
     return SolveResult(
         weights=x,
         objective=objective_value(problem.C, x, lam),

@@ -31,9 +31,9 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 # Shape of the JSON document emitted by `solve`; the history block appears
-# only when --history is passed, and its k-th entries are the residual norms
-# of iteration k and the rho and lambda it ran with.  Kept importable so
-# tests can validate.
+# only when --history is passed, and holds one entry per iteration, of every
+# adaptive-lambda run in order: its residual norms and the rho and lambda it
+# ran with.  Kept importable so tests can validate.
 RESULT_SCHEMA = {
     "type": "object",
     "additionalProperties": False,

@@ -1,9 +1,12 @@
 """Initialization and adaptive escalation of the L1 penalty weight.
 
 The default weight is 1/(m*n) for an m-period, n-asset estimation window.
-In adaptive mode the weight is multiplied by (shorts observed / shorts
-tolerated) whenever the iterate carries more short positions than the
-investor allows, which monotonically drives the solution long-only.
+In adaptive mode the engine solves to convergence, counts the short
+positions of the solution and, when they exceed what the investor allows,
+multiplies the weight by max(shorts observed / shorts tolerated, 2) and
+solves again, until the count is within the allowance.  A finite weight
+already makes the optimum long-only (Brodie et al. 2009), so the moves
+end; MAX_ADJUSTMENTS caps them where the target needs shorts.
 """
 
 from __future__ import annotations
@@ -58,19 +61,18 @@ def initial_lambda(m: int, n: int) -> float:
 
 
 def maybe_adjust(schedule: LambdaSchedule, sm: int) -> LambdaSchedule:
-    """Escalate lambda when the iterate holds more than sn short positions.
+    """Escalate lambda when a solution holds more than sn short positions.
 
-    The multiplier is sm/sn with a zero sn clamped to 1 in the denominator.
-    Only multipliers above 1 count as adjustments (sm = 1 with sn = 0 would
-    multiply by exactly 1); the budget MAX_ADJUSTMENTS bounds their total
-    number.  Lambda never decreases.
+    The multiplier is sm/sn with a zero sn clamped to 1 in the denominator,
+    and at least 2, so every move at least doubles lambda (sm = 1 with
+    sn = 0 would otherwise multiply by exactly 1).  The budget
+    MAX_ADJUSTMENTS bounds the number of moves.  Lambda never decreases.
     """
     if schedule.mode != "adaptive":
         raise ValueError(f"maybe_adjust requires adaptive mode, got {schedule.mode!r}")
     if sm > schedule.sn and schedule.adjustments_made < MAX_ADJUSTMENTS:
-        factor = sm / max(schedule.sn, 1)
-        if factor > 1.0:
-            return replace(schedule,
-                           lambda_current=schedule.lambda_current * factor,
-                           adjustments_made=schedule.adjustments_made + 1)
+        factor = max(sm / max(schedule.sn, 1), 2.0)
+        return replace(schedule,
+                       lambda_current=schedule.lambda_current * factor,
+                       adjustments_made=schedule.adjustments_made + 1)
     return schedule

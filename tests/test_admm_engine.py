@@ -1,4 +1,5 @@
-import contextlib
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,10 +271,10 @@ class TestSolveContracts:
         np.array([0.25, 0.25, np.inf, 0.5]),
     ], ids=["all-inf", "one-nan", "one-inf"])
     def test_numerical_failure_on_any_bad_entry(self, monkeypatch, bad):
-        # an infinite x entry passes the shrinkage into z, so z - x is inf - inf
-        expected = pytest.warns(RuntimeWarning, match="invalid value") \
-            if np.isinf(bad).any() else contextlib.nullcontext()
-        with expected:
+        # an infinite x entry passes the shrinkage into z, so z - x is
+        # inf - inf: the solve reports it, without numpy's invalid-value warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = self.solve_with_bad_third_xstep(monkeypatch, bad)
         assert result.termination == "numerical_failure"
         assert result.iterations == 2
@@ -374,9 +375,20 @@ class TestHistories:
         assert result.lambda_adjustments <= MAX_ADJUSTMENTS
 
 
+def shorting_adaptive_case():
+    """An adaptive solve whose first run ends with a short, so lambda moves."""
+    mu = factor_problem(n=6, m=60, seed=0).mu
+    problem = factor_problem(n=6, m=60, seed=0, e=float(mu.max()))
+    cfg = SolverConfig(
+        tol=1e-8, max_iter=30000,
+        penalty=PenaltyConfig(kind="fixed", rho0=mean_diag_rho(problem)),
+        lambda_schedule=LambdaSchedule.adaptive(initial_lambda(60, 6), sn=0))
+    return problem, cfg
+
+
 class TestShortCountSource:
-    def test_guard_counts_on_x_by_default(self, monkeypatch):
-        problem = factor_problem(n=6, m=60, seed=30)
+    def test_guard_counts_once_per_converged_run_on_its_z(self, monkeypatch):
+        problem, cfg = shorting_adaptive_case()
         recorded = []
         real = engine.count_short_positions
 
@@ -386,15 +398,53 @@ class TestShortCountSource:
 
         monkeypatch.setattr(engine, "count_short_positions", recording)
         states = []
-        cfg = SolverConfig(
-            tol=1e-8, max_iter=40,
-            penalty=PenaltyConfig(kind="fixed", rho0=mean_diag_rho(problem)),
-            lambda_schedule=LambdaSchedule.adaptive(initial_lambda(60, 6), sn=0))
         result = solve(problem, cfg, callback=states.append)
-        # one guard call per iteration, plus the final short_count call
-        assert len(recorded) == result.iterations + 1
-        for rec, state in zip(recorded, states):
-            np.testing.assert_array_equal(rec, state.x)
+        assert result.termination == "converged"
+        assert result.lambda_adjustments >= 1
+        # each run restarts k at 0; the guard sees only the end of each run
+        ends = [prev for prev, state in zip(states, states[1:]) if state.k == 0]
+        ends.append(states[-1])
+        assert len(ends) == result.lambda_adjustments + 1
+        assert sum(state.k + 1 for state in ends) == result.iterations
+        # one count per run on its final z, then short_count on the weights
+        assert len(recorded) == len(ends) + 1
+        for rec, end in zip(recorded, ends):
+            assert rec is end.z
+        assert recorded[-1] is result.weights
+        assert real(ends[0].z) > cfg.lambda_schedule.sn
+        assert real(ends[-1].z) <= cfg.lambda_schedule.sn
+
+    def test_adaptive_ends_on_the_fixed_solve_at_its_final_lambda(self):
+        problem, cfg = shorting_adaptive_case()
+        adaptive = solve(problem, cfg)
+        assert adaptive.lambda_adjustments >= 1
+        fixed = solve(problem, replace(
+            cfg, lambda_schedule=LambdaSchedule.fixed(adaptive.lambda_final)))
+        assert fixed.termination == adaptive.termination == "converged"
+        assert adaptive.weights.tobytes() == fixed.weights.tobytes()
+        for mine, theirs in zip(adaptive.final_state, fixed.final_state):
+            if isinstance(mine, np.ndarray):
+                assert mine.tobytes() == theirs.tobytes()
+            else:
+                assert mine == theirs
+        assert adaptive.rho_final == fixed.rho_final
+        assert adaptive.iterations > fixed.iterations
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_max_iter_bounds_all_runs_together(self, extra):
+        problem, cfg = shorting_adaptive_case()
+        lam0 = cfg.lambda_schedule.lambda0
+        first = solve(problem, replace(cfg, lambda_schedule=LambdaSchedule.fixed(lam0)))
+        assert first.termination == "converged"
+        # the first run converges, the guard moves lambda, and the re-solve
+        # finds no budget (extra = 0) or too little (extra = 5) left
+        budget = first.iterations + extra
+        result = solve(problem, replace(cfg, max_iter=budget))
+        assert result.termination == "max_iter"
+        assert result.iterations == budget
+        assert result.lambda_adjustments == 1
+        assert result.lambda_final > lam0
+        assert result.final_state.k == (first.iterations if extra == 0 else extra) - 1
 
 
 class TestTextbookEquivalence:

@@ -12,7 +12,8 @@ from sparsefolio.cli import (
     RESULT_SCHEMA,
     main,
 )
-from sparsefolio.market_data import generate_synthetic_returns, load_returns_csv
+from sparsefolio.market_data import (estimate_stats, generate_synthetic_returns,
+                                     load_returns_csv)
 from sparsefolio.penalty import PENALTY_KINDS
 
 
@@ -129,8 +130,12 @@ class TestSolve:
             return real(problem, cfg, callback=both)
 
         monkeypatch.setattr(cli, "solve", recording_solve)
+        # at the largest asset mean the first run ends with shorts, so the
+        # guard moves lambda between runs
+        top = float(estimate_stats(load_returns_csv(returns_csv)).mu.max())
         _, payload = run_solve(returns_csv, tmp_path, "--adaptive-lambda",
-                               "--sn", "0", "--max-iter", "300", "--history")
+                               "--sn", "0", "--max-iter", "300",
+                               "--target-return", repr(top), "--history")
         history = payload["history"]
         assert len({s.lam for s in states}) > 1, "expected the guard to move lambda"
         assert history["lambda"] == [s.lam for s in states]

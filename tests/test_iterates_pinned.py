@@ -9,10 +9,10 @@ claims identical iterates must pass this file unchanged.
 
 Suite cases use the ``bench`` command's configuration: suite seed 0, trials
 0-4, default penalty settings, tol 1e-6 and max_iter 5000.  Frontier cases
-are points 3, 4 and 12 of the 20-point ``frontier --strategy rbb
+are points 0, 3, 4 and 12 of the 20-point ``frontier --strategy rbb
 --adaptive-lambda --sn 0`` sweep over the n=10, m=120 returns of generator
-seed 3: two that run out of iterations after 16 and 10 lambda moves, and one
-that converges without a move.
+seed 3: point 0 converges after two lambda moves, each followed by a cold
+re-solve, and points 3, 4 and 12 converge without a move.
 """
 
 import numpy as np
@@ -92,9 +92,10 @@ SUITE_CASES = {
 
 # frontier point: same layout as SUITE_CASES
 FRONTIER_CASES = {
-    3: (5000, "max_iter", 16, 0.0019025082816450573, 2949.12, 3020.0104802609194),
+    0: (605, "converged", 2, 0.0031566278821024453, 0.0033333333333333335, 0.0034248884848805134),
+    3: (88, "converged", 0, 9.376564377321922e-05, 0.0008333333333333334, 0.0008428785221107147),
     4: (49, "converged", 0, 9.508498440573856e-05, 0.0008333333333333334, 0.0008412162243490269),
-    12: (5000, "max_iter", 10, 0.001598407044632668, 0.8533333333333334, 0.85340772450344),
+    12: (49, "converged", 0, 6.996794244373039e-05, 0.0008333333333333334, 0.0008415616155376298),
 }
 FRONTIER_POINTS = 20
 

@@ -82,13 +82,17 @@ class TestMaybeAdjust:
         out = maybe_adjust(s, 3)
         assert out.lambda_current == pytest.approx(0.003)
 
-    def test_single_short_with_zero_sn_is_a_noop(self):
-        # sm=1, sn=0 gives factor exactly 1: lambda cannot move, and the
-        # adjustment budget is not spent on it
+    def test_single_short_with_zero_sn_doubles_lambda(self):
+        # sm=1, sn=0 gives sm/max(sn, 1) = 1; the floor of 2 still moves it
         s = LambdaSchedule.adaptive(0.001, sn=0)
         out = maybe_adjust(s, 1)
-        assert out is s
-        assert out.adjustments_made == 0
+        assert out.lambda_current == 0.002
+        assert out.adjustments_made == 1
+
+    def test_factor_is_at_least_two(self):
+        s = LambdaSchedule.adaptive(0.001, sn=4)
+        assert maybe_adjust(s, 5).lambda_current == 0.002
+        assert maybe_adjust(s, 12).lambda_current == pytest.approx(0.003)
 
     def test_budget_exhaustion_freezes_lambda(self):
         assert MAX_ADJUSTMENTS == 50

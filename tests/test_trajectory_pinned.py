@@ -8,7 +8,8 @@ rho, lam, r_norm and d_norm as IEEE doubles.  A change that claims
 IEEE-equal iterates must pass this file unchanged.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
-suite with each strategy, and frontier points 3, 4 and 12.
+suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
+solve's trajectory runs through every run, each counting k from 0.
 """
 
 import hashlib
@@ -42,9 +43,10 @@ SUITE_TRAJECTORIES = {
 
 # frontier point: (iterations, sha256 of the trajectory)
 FRONTIER_TRAJECTORIES = {
-    3: (5000, "84d2751de8828a7ff2ed289e8241533625c6bd3f598991e4ee7322c6c5c5493d"),
+    0: (605, "cdb4aa3f761212dbc8f3fc86819fc1014552c731c628914ff5df68877f265c7a"),
+    3: (88, "45eb3d9423645056b82c5bd656b6b54168232574c14530683d1ace616b57bdec"),
     4: (49, "b34a1480f12932995e8e4e10da6cdd321f6b79de611076588e74979917f2b1d0"),
-    12: (5000, "02fc10f98bd94b78ab431cf9c8e7375b46031dd0f6389c293148c6139a99023d"),
+    12: (49, "bc19f3bdc9884635c8a90ce4d303c8fd32257f1164d2fc4462184229526dc66b"),
 }
 FRONTIER_POINTS = 20
 
@@ -81,7 +83,7 @@ def test_suite_trajectory_is_pinned(case):
     assert trajectory_digest(instance.problem, cfg) == SUITE_TRAJECTORIES[case]
 
 
-@pytest.mark.parametrize("point", [3, 4, 12])
+@pytest.mark.parametrize("point", list(FRONTIER_TRAJECTORIES))
 def test_adaptive_lambda_frontier_trajectory_is_pinned(point):
     stats = estimate_stats(generate_synthetic_returns(10, 120, 3))
     targets = np.linspace(float(stats.mu.min()), float(stats.mu.max()),
