@@ -9,13 +9,20 @@ ties them together.  Iteration k:
     z  <-  soft_threshold(x - y/rho, lam/rho)
     y  <-  y + rho*(z - x)
 
-followed, on its cadence, by one penalty update.  The primal residual is
-z - x and the dual residual is -rho*(z - z_prev); both enter the relative
-stopping test below.  One run keeps lambda fixed.  In adaptive lambda mode
-the short-sale guard sits outside the runs: it counts the shorts of a
-converged run's z, which soft thresholding makes exactly sparse, and when
-it raises lambda the next run starts cold at the new value, reusing the
-KKT factorization at rho0 that the first run started from.
+followed, on its cadence, by one penalty update; under fixed rho no update
+is ever due, as PenaltyState.update would return rho unchanged.  The
+primal residual is z - x and the dual residual is -rho*(z - z_prev); both
+enter the relative stopping test below.  One run keeps lambda fixed.  In
+adaptive lambda mode the short-sale guard sits outside the runs: it counts
+the shorts of a converged run's z, which soft thresholding makes exactly
+sparse, and when it raises lambda the next run starts cold at the new
+value, reusing the KKT factorization at rho0 that the first run started
+from.
+
+An iteration builds its IterateState only when something reads it: the
+callback, a due penalty update, or the return of the run.  With a
+callback, the run returns the very state the callback last received;
+without one, the state built at the end carries the same values.
 
 One finiteness test per iteration, on ||z_new - x_new||, stands for tests
 on all three new vectors; z_new - x_new is formed once and also feeds the
@@ -134,9 +141,15 @@ def stopping_check(r_norm: float, d_norm: float, x: np.ndarray, z: np.ndarray,
 
     The dual comparator is floored at 1 so a dual vector near zero (e.g.
     the all-cash start) cannot demand an absolute-zero residual.
+
+    The dual half is tested first: in a run that does not converge it is
+    the half that fails, so the primal half's two norms go uncomputed.
+    The order does not change the result.  The engine calls this only with
+    a finite r_norm, which makes x, z and y finite, so neither comparison
+    involves a NaN and the two halves commute under ``and``.
     """
-    return (r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z)))
-            and d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0))
+    return (d_norm <= tol * max(math.sqrt(y.dot(y)), 1.0)
+            and r_norm <= tol * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z))))
 
 
 def feasible_start(problem: PortfolioProblem) -> np.ndarray:
@@ -161,11 +174,17 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     z = x.copy()
     y = np.zeros(problem.n)
     pen_state = PenaltyState(pen_cfg)
+    # fixed rho: PenaltyState.update would return rho, so no update is due
+    updates = pen_cfg.kind != "fixed"
     spectral = pen_cfg.kind in ("bb", "rbb")
     nbar = pen_cfg.nbar
     phase = 1 % nbar
     tol = cfg.tol
+    # the last committed iterate's IterateState, or None when not built yet
     state = IterateState(x, z, y, rho, lam, -1)
+    r_norm = d_norm = math.inf
+    ybar = None
+    termination, used = TERMINATION_MAX_ITER, budget
 
     # inf - inf in z - x is reported by the finiteness test, not as a warning
     with np.errstate(invalid="ignore"):
@@ -173,28 +192,39 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
             x_new = solve_x_update(factorization, z, y)
             z_new = z_update(x_new, y, rho, lam)
             primal = z_new - x_new
-            r_norm, d_norm = residual_norms(primal, z_new - z, rho)
-            if not math.isfinite(r_norm):
-                return state, TERMINATION_NUMERICAL, k, rho
+            norms = residual_norms(primal, z_new - z, rho)
+            if not math.isfinite(norms[0]):
+                termination, used = TERMINATION_NUMERICAL, k
+                break
+            r_norm, d_norm = norms
             y_new = y_update(y, rho, primal)
-            update_due = k % nbar == phase and k <= FREEZE_AFTER
+            update_due = updates and k % nbar == phase and k <= FREEZE_AFTER
             ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
             x, z, y = x_new, z_new, y_new
-            state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
+            state = None
 
             if callback is not None:
+                state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
                 callback(state)
 
             if stopping_check(r_norm, d_norm, x, z, y, tol):
-                return state, TERMINATION_CONVERGED, k + 1, rho
+                termination, used = TERMINATION_CONVERGED, k + 1
+                break
 
             if update_due:
+                if state is None:
+                    state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm,
+                                         ybar)
                 rho_new = pen_state.update(state)
                 if rho_new != rho:
                     rho = rho_new
                     factorization = factorize(problem, rho)
 
-    return state, TERMINATION_MAX_ITER, budget, rho
+    if state is None:
+        # Not built means no update ran after the last committed iterate, so
+        # rho is still the value it ran with.
+        state = IterateState(x, z, y, rho, lam, used - 1, r_norm, d_norm, ybar)
+    return state, termination, used, rho
 
 
 def solve(problem: PortfolioProblem, cfg: SolverConfig,

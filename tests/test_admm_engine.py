@@ -245,22 +245,24 @@ class TestSolveContracts:
         assert result.iterations == 3
 
     @staticmethod
-    def solve_with_bad_third_xstep(monkeypatch, bad):
+    def solve_with_bad_xstep(monkeypatch, bad, kind="fixed", bad_call=3,
+                                   callback=None):
         problem = factor_problem(n=4, seed=6)
         calls = {"count": 0}
         real = solve_x_update
 
         def sabotaged(fact, z, y):
             calls["count"] += 1
-            if calls["count"] == 3:
+            if calls["count"] == bad_call:
                 return bad.copy()
             return real(fact, z, y)
 
         monkeypatch.setattr(engine, "solve_x_update", sabotaged)
-        return solve(problem, solver_config(problem, kind="fixed", lam=0.001))
+        return solve(problem, solver_config(problem, kind=kind, lam=0.001),
+                     callback=callback)
 
     def test_numerical_failure_reported(self, monkeypatch):
-        result = self.solve_with_bad_third_xstep(monkeypatch, np.full(4, np.nan))
+        result = self.solve_with_bad_xstep(monkeypatch, np.full(4, np.nan))
         assert result.termination == "numerical_failure"
         assert result.iterations == 2
         assert np.isfinite(result.weights).all()
@@ -275,7 +277,7 @@ class TestSolveContracts:
         # inf - inf: the solve reports it, without numpy's invalid-value warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = self.solve_with_bad_third_xstep(monkeypatch, bad)
+            result = self.solve_with_bad_xstep(monkeypatch, bad)
         assert result.termination == "numerical_failure"
         assert result.iterations == 2
         assert np.isfinite(result.weights).all()
@@ -306,6 +308,105 @@ class TestSolveContracts:
                 and state.k <= FREEZE_AFTER
             assert (state.ybar is not None) == (due and kind in ("bb", "rbb"))
         assert result.final_state is seen[-1]
+
+
+def assert_same_state(mine, theirs):
+    """Field by field, arrays compared as bytes."""
+    assert mine._fields == theirs._fields
+    for name, a, b in zip(mine._fields, mine, theirs):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert type(a) is type(b) and a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b and type(a) is type(b), name
+
+
+class TestFinalStateWithoutCallback:
+    """A run builds its IterateState lazily when there is no callback; the
+    state it returns must be the one a callback would have seen last."""
+
+    @staticmethod
+    def both(run):
+        seen = []
+        with_callback = run(seen.append)
+        without = run(None)
+        if seen:  # none when the first x-step fails
+            assert with_callback.final_state is seen[-1]
+        assert without.termination == with_callback.termination
+        assert without.iterations == with_callback.iterations
+        assert without.rho_final == with_callback.rho_final
+        assert without.weights.tobytes() == with_callback.weights.tobytes()
+        assert_same_state(without.final_state, with_callback.final_state)
+        return without
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_converged(self, kind):
+        # this instance converges on a cadence iteration under bb and rbb, so
+        # the state built after the loop carries that iteration's ybar
+        problem = factor_problem(n=6, seed=7)
+        cfg = solver_config(problem, kind=kind, lam=0.001)
+        result = self.both(lambda cb: solve(problem, cfg, callback=cb))
+        assert result.termination == "converged"
+        assert (result.final_state.ybar is not None) == (kind in ("bb", "rbb"))
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, FREEZE_AFTER + 10])
+    def test_max_iter(self, kind, max_iter):
+        # odd max_iter ends on a cadence iteration, even on one between
+        problem = factor_problem(n=5, seed=11)
+        cfg = solver_config(problem, kind=kind, lam=0.001, tol=1e-16,
+                            max_iter=max_iter)
+        result = self.both(lambda cb: solve(problem, cfg, callback=cb))
+        assert result.termination == "max_iter"
+        assert result.final_state.k == max_iter - 1
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    @pytest.mark.parametrize("bad_call", [1, 3, 4])
+    def test_numerical_failure(self, monkeypatch, kind, bad_call):
+        # the bad x-step follows a cadence iteration (3) or not (1, 4)
+        result = self.both(
+            lambda cb: TestSolveContracts.solve_with_bad_xstep(
+                monkeypatch, np.full(4, np.nan), kind=kind, bad_call=bad_call,
+                callback=cb))
+        assert result.termination == "numerical_failure"
+        assert result.final_state.k == bad_call - 2
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_adaptive_budget_runs_out(self, kind):
+        problem, cfg = shorting_adaptive_case()
+        cfg = replace(cfg, penalty=replace(cfg.penalty, kind=kind))
+        first = solve(problem, replace(
+            cfg, lambda_schedule=LambdaSchedule.fixed(cfg.lambda_schedule.lambda0)))
+        assert first.termination == "converged"
+        cfg = replace(cfg, max_iter=first.iterations + 5)
+        result = self.both(lambda cb: solve(problem, cfg, callback=cb))
+        assert result.termination == "max_iter"
+        assert result.lambda_adjustments == 1
+        assert result.final_state.k == 4
+
+
+class TestPenaltyUpdateCalls:
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    @pytest.mark.parametrize("tol, max_iter", [(1e-8, 100000),
+                                               (1e-16, FREEZE_AFTER + 10)])
+    def test_one_call_per_due_iteration(self, monkeypatch, kind, tol, max_iter):
+        problem = factor_problem(n=5, seed=11)
+        asked = []
+        real = PenaltyState.update
+
+        def spy(self, state):
+            asked.append(state.k)
+            return real(self, state)
+
+        monkeypatch.setattr(PenaltyState, "update", spy)
+        result = solve(problem, solver_config(problem, kind=kind, lam=0.001,
+                                              tol=tol, max_iter=max_iter))
+        if kind == "fixed":
+            assert asked == []
+            return
+        # a converged run stops before its last iteration's update
+        last = result.iterations - (result.termination == "converged")
+        assert asked == list(range(1, min(last, FREEZE_AFTER + 1), 2))
+        assert asked
 
 
 class TestHistories:

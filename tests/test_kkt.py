@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
 from conftest import factor_problem, identity_problem, two_asset_problem
 from sparsefolio.kkt import factorize, solve_with_multiplier, solve_x_update
@@ -27,7 +27,7 @@ class TestFactorize:
         fact = factorize(problem, 1.0)
         assert fact.rho == 1.0
         assert fact.n == 2
-        np.testing.assert_array_equal(fact.b, problem.b)
+        np.testing.assert_array_equal(fact.rhs[2:], problem.b)
 
     def test_nonpositive_rho_rejected(self):
         problem = two_asset_problem()
@@ -130,3 +130,36 @@ class TestSolveXUpdate:
         fact = factorize(problem, 1.0)
         x = solve_x_update(fact, np.zeros(5), np.zeros(5))
         assert x.shape == (5,)
+
+    def test_results_do_not_alias_scratch_or_each_other(self, rng):
+        problem = random_problem(6, rng)
+        fact = factorize(problem, 0.7)
+        z1, y1 = rng.standard_normal(6), rng.standard_normal(6)
+        z2, y2 = rng.standard_normal(6), rng.standard_normal(6)
+        inputs = [v.copy() for v in (z1, y1, z2, y2)]
+        first = solve_x_update(fact, z1, y1)
+        kept = first.copy()
+        second = solve_x_update(fact, z2, y2)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, fact.rhs)
+        assert not np.shares_memory(second, fact.rhs)
+        for given, copy in zip((z1, y1, z2, y2), inputs):
+            np.testing.assert_array_equal(given, copy)
+        # the tail of the scratch still holds b
+        np.testing.assert_array_equal(fact.rhs[6:], problem.b)
+
+    def test_bitwise_equal_to_concatenated_right_hand_side(self, rng):
+        problem = random_problem(7, rng)
+        fact = factorize(problem, 1.3)
+        lu, piv = lu_factor(np.block([[problem.C + 1.3 * np.eye(7), problem.D.T],
+                                      [problem.D, np.zeros((2, 2))]]))
+        for _ in range(3):
+            z, y = rng.standard_normal(7), rng.standard_normal(7)
+            expected = lu_solve((lu, piv),
+                                np.concatenate([1.3 * z + y, problem.b]))
+            assert solve_x_update(fact, z, y).tobytes() == expected[:7].tobytes()
+            x, nu = solve_with_multiplier(fact, z, y)
+            assert x.tobytes() == expected[:7].tobytes()
+            assert nu.tobytes() == expected[7:].tobytes()
+

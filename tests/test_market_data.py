@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sparsefolio import market_data
 from sparsefolio.market_data import (
+    JITTER_FLOOR,
     AssetStats,
     ReturnsFormatError,
     ReturnsMatrix,
@@ -352,6 +353,27 @@ class TestEstimateStats:
     def test_well_conditioned_generator_needs_no_jitter(self):
         stats = estimate_stats(generate_synthetic_returns(10, 200, seed=7))
         assert stats.jitter_applied == 0.0
+
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, 0.99, 1.01, 2.0, 1e6])
+    def test_shift_matches_eigenvalue_rule(self, rng, factor):
+        # a covariance whose smallest eigenvalue is factor * JITTER_FLOOR; the
+        # Cholesky screen must give the shift the eigenvalue rule gives
+        n = 6
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = np.concatenate([[factor * JITTER_FLOOR], np.logspace(-6, -3, n - 1)])
+        cov = (Q * spectrum) @ Q.T
+        rm = ReturnsMatrix(rng.standard_normal((20, n)), tuple("abcdef"))
+        with mock.patch.object(np, "cov", return_value=cov):
+            stats = estimate_stats(rm)
+        C = 0.5 * (cov + cov.T)
+        smallest = float(np.linalg.eigvalsh(C)[0])
+        jitter = 0.0
+        if smallest <= JITTER_FLOOR:
+            jitter = JITTER_FLOOR - smallest + JITTER_FLOOR
+            C = C + jitter * np.eye(n)
+        assert (jitter > 0) == (factor <= 1)
+        assert stats.jitter_applied == jitter
+        np.testing.assert_array_equal(stats.C, C)
 
     def test_output_always_cholesky_factorizable(self):
         for seed in range(6):

@@ -5,6 +5,7 @@ from conftest import factor_problem, identity_problem, two_asset_problem
 from sparsefolio.market_data import AssetStats
 from sparsefolio.model import PortfolioProblem, build_problem, objective_value
 from sparsefolio.oracle import (
+    InfeasibleTargetError,
     SignPattern,
     check_kkt,
     enumerate_solve,
@@ -142,6 +143,85 @@ class TestEnumerateSolve:
     def test_degenerate_constraints_refused(self):
         with pytest.raises(ValueError, match="degenerate"):
             enumerate_solve(degenerate_problem(), 0.01)
+
+
+def per_pattern_solve(problem, lam, kkt_tol=1e-9, tie_tol=1e-10):
+    """Reference oracle: one KKT solve per sign pattern, in pattern order.
+
+    Returns (weights, unique) of the first strictly-best verified candidate.
+    """
+    C, D, b, n = problem.C, problem.D, problem.b, problem.n
+    candidates = []
+    for pattern in iter_sign_patterns(n):
+        s = np.array(pattern.signs, dtype=float)
+        support = s != 0
+        k = int(support.sum())
+        A = np.zeros((k + 2, k + 2))
+        A[:k, :k] = C[np.ix_(support, support)]
+        A[:k, k:] = D[:, support].T
+        A[k:, :k] = D[:, support]
+        try:
+            solution = np.linalg.solve(A, np.concatenate([-lam * s[support], b]))
+        except np.linalg.LinAlgError:
+            continue
+        x_support, nu = solution[:k], solution[k:]
+        if not np.all(s[support] * x_support > 0):
+            continue
+        x = np.zeros(n)
+        x[support] = x_support
+        g = s.copy()
+        if k < n:
+            g[~support] = -(C @ x + D.T @ nu)[~support] / lam
+        if check_kkt(problem, lam, x, nu, g) > kkt_tol:
+            continue
+        candidates.append((objective_value(C, x, lam),
+                           frozenset(np.flatnonzero(support).tolist()), x))
+    if not candidates:
+        raise InfeasibleTargetError("no verified pattern")
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if cand[0] < best[0]:
+            best = cand
+    unique = not any(cand[1] != best[1] and abs(cand[0] - best[0]) <= tie_tol
+                     for cand in candidates)
+    return best[2], unique
+
+
+class TestPerSupportSolve:
+    """enumerate_solve batches each support's sign vectors into one solve; it
+    must pick what the one-solve-per-pattern reference picks."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_pattern_reference(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        problem = factor_problem(n=n, seed=seed, noise_scale=0.03)
+        mu = problem.mu
+        e = float(mu.min() + rng.uniform(0.02, 0.98) * (mu.max() - mu.min()))
+        problem = factor_problem(n=n, seed=seed, noise_scale=0.03, e=e)
+        # from shorts on a full support to a long-only sparse one
+        for lam in (1e-7, float(10 ** rng.uniform(-5, -3)), 0.05):
+            res = enumerate_solve(problem, lam)
+            weights, unique = per_pattern_solve(problem, lam)
+            np.testing.assert_allclose(res.weights, weights, rtol=0, atol=1e-12)
+            assert res.unique == unique
+
+    def test_matches_per_pattern_reference_at_a_tie(self):
+        # the support boundary of TestUniqueness, where unique is False
+        stats = AssetStats(mu=TestUniqueness.MU, C=TestUniqueness.C)
+        lo, hi = 0.165, 0.170
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            problem = build_problem(stats, mid, allow_out_of_range=True)
+            if enumerate_solve(problem, TestUniqueness.LAM).weights[0] > 0:
+                lo = mid
+            else:
+                hi = mid
+        problem = build_problem(stats, lo, allow_out_of_range=True)
+        res = enumerate_solve(problem, TestUniqueness.LAM)
+        weights, unique = per_pattern_solve(problem, TestUniqueness.LAM)
+        np.testing.assert_allclose(res.weights, weights, rtol=0, atol=1e-12)
+        assert res.unique == unique is False
 
 
 class TestUniqueness:
