@@ -36,6 +36,20 @@ from y = 0, stays finite for 1e146 iterations.  A squared norm that
 overflows although every entry is finite ends the solve as a numerical
 failure too.
 
+Everything the steps need that depends only on (rho, lam) is built once
+per pair, not once per iteration.  The x- and y-steps take rho as the
+n-vector the KKT factorization keeps (KktFactorization.rho_vector); the
+z-step takes kappa = lam/rho and -kappa as n-vectors plus one scratch
+vector (shrink_constants).  A run builds them at its start and again right
+after each refactorization a rho change triggers; a lambda move starts a
+new run, which builds its own.  So every ufunc of the three steps has
+array operands only (at n=10 a Python-float operand makes a numpy ufunc
+about 1.5 times as costly), and each step makes the same IEEE operations
+in the same order as its scalar formula: the iterates are bitwise those of
+the scalar steps.  Everything outside the steps keeps the float rho: the
+IterateState's rho and lam, the residual norms, ybar, the penalty update
+and SolveResult.rho_final.
+
 Vector norms are written as sqrt(v.dot(v)), which is the formula
 numpy.linalg.norm uses for a 1-D float vector, without its argument
 handling; the values are bitwise the same.
@@ -119,13 +133,38 @@ def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
     return u - np.minimum(np.maximum(u, -kappa), kappa)
 
 
-def z_update(x_new: np.ndarray, y: np.ndarray, rho: float,
-             lam: float) -> np.ndarray:
-    """Exact minimizer of lam*||z||_1 + (rho/2)||z - (x_new - y/rho)||^2."""
-    return soft_threshold(x_new - y / rho, lam / rho)
+def shrink_constants(lam: float, rho: float,
+                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z_update's kappa, -kappa and scratch for (rho, lam), as n-vectors.
+
+    kappa is the float lam/rho, so the vectors hold the very thresholds
+    soft_threshold(u, lam/rho) compares against.
+    """
+    kappa = lam / rho
+    return np.full(n, kappa), np.full(n, -kappa), np.empty(n)
 
 
-def y_update(y: np.ndarray, rho: float, primal: np.ndarray) -> np.ndarray:
+def z_update(x_new: np.ndarray, y: np.ndarray, rho_vector: np.ndarray,
+             kappa: np.ndarray, neg_kappa: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """Exact minimizer of lam*||z||_1 + (rho/2)||z - (x_new - y/rho)||^2.
+
+    rho_vector is rho as an n-vector and kappa, neg_kappa, scratch come
+    from shrink_constants(lam, rho, n).  The result is
+    soft_threshold(x_new - y/rho, lam/rho) from the same IEEE operations in
+    the same order, so it is bitwise equal, zero signs and NaNs included.
+    scratch is overwritten; the returned z is a new array.
+    """
+    u = x_new - y / rho_vector
+    np.maximum(u, neg_kappa, out=scratch)
+    np.minimum(scratch, kappa, out=scratch)
+    return u - scratch
+
+
+def y_update(y: np.ndarray, rho: np.ndarray | float,
+             primal: np.ndarray) -> np.ndarray:
+    """y + rho*primal; rho may be the float or the n-vector of it, for the
+    same products."""
     return y + rho * primal
 
 
@@ -170,9 +209,12 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     """
     pen_cfg = cfg.penalty
     rho = pen_cfg.rho0
+    n = problem.n
+    rho_vector = factorization.rho_vector
+    kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
     x = feasible_start(problem)
     z = x.copy()
-    y = np.zeros(problem.n)
+    y = np.zeros(n)
     pen_state = PenaltyState(pen_cfg)
     # fixed rho: PenaltyState.update would return rho, so no update is due
     updates = pen_cfg.kind != "fixed"
@@ -190,14 +232,14 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     with np.errstate(invalid="ignore"):
         for k in range(budget):
             x_new = solve_x_update(factorization, z, y)
-            z_new = z_update(x_new, y, rho, lam)
+            z_new = z_update(x_new, y, rho_vector, kappa, neg_kappa, scratch)
             primal = z_new - x_new
             norms = residual_norms(primal, z_new - z, rho)
             if not math.isfinite(norms[0]):
                 termination, used = TERMINATION_NUMERICAL, k
                 break
             r_norm, d_norm = norms
-            y_new = y_update(y, rho, primal)
+            y_new = y_update(y, rho_vector, primal)
             update_due = updates and k % nbar == phase and k <= FREEZE_AFTER
             ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
             x, z, y = x_new, z_new, y_new
@@ -219,6 +261,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if rho_new != rho:
                     rho = rho_new
                     factorization = factorize(problem, rho)
+                    rho_vector = factorization.rho_vector
+                    kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
 
     if state is None:
         # Not built means no update ran after the last committed iterate, so

@@ -29,31 +29,12 @@ class InfeasibleTargetError(ValueError):
 
 
 @dataclass(frozen=True)
-class SignPattern:
-    signs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if any(s not in (-1, 0, 1) for s in self.signs):
-            raise ValueError("sign entries must be -1, 0, or 1")
-        if sum(1 for s in self.signs if s != 0) < 2:
-            raise ValueError("two equality constraints need at least 2 nonzeros")
-
-
-@dataclass(frozen=True)
 class OracleResult:
     weights: np.ndarray
     objective: float
     multiplier: np.ndarray
     subgradient: np.ndarray
     unique: bool
-
-
-def iter_sign_patterns(n: int):
-    """All sign patterns with enough nonzeros to meet both constraints."""
-    for signs in itertools.product((-1, 0, 1), repeat=n):
-        if n - signs.count(0) >= 2:
-            yield SignPattern(signs)
 
 
 def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,
@@ -116,7 +97,8 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
 
     C, D, b = problem.C, problem.D, problem.b
     n = problem.n
-    # a pattern's place in iter_sign_patterns order: digits -1, 0, 1 -> 0, 1, 2
+    # a pattern's place in the lexicographic order of sign tuples over
+    # (-1, 0, 1): digits -1, 0, 1 -> 0, 1, 2
     place = 3 ** np.arange(n - 1, -1, -1)
     # the 2^k sign vectors of a k-asset support, one per row, in that order
     sign_vectors = {k: np.array(list(itertools.product((-1.0, 1.0), repeat=k)))

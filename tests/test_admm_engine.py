@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import lu_factor, lu_solve
 
 import sparsefolio.admm_engine as engine
 from conftest import factor_problem, identity_problem, mean_diag_rho, two_asset_problem
@@ -13,6 +14,7 @@ from sparsefolio.admm_engine import (
     SolverConfig,
     feasible_start,
     residual_norms,
+    shrink_constants,
     soft_threshold,
     solve,
     stopping_check,
@@ -23,7 +25,14 @@ from sparsefolio.kkt import factorize, solve_x_update
 from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
 from sparsefolio.model import constraint_violation, objective_value
 from sparsefolio.oracle import enumerate_solve
-from sparsefolio.penalty import FREEZE_AFTER, PENALTY_KINDS, PenaltyConfig, PenaltyState
+from sparsefolio.penalty import (
+    FREEZE_AFTER,
+    PENALTY_KINDS,
+    RHO_MAX,
+    RHO_MIN,
+    PenaltyConfig,
+    PenaltyState,
+)
 
 
 def solver_config(problem, kind="rbb", lam=0.0, tol=1e-8, max_iter=100000,
@@ -74,22 +83,34 @@ class TestSoftThreshold:
         assert (out[~nan] == ref[~nan]).all()
 
 
+def z_step(x, y, rho, lam):
+    """z_update at the float (rho, lam), with the vectors the engine builds."""
+    n = len(x)
+    return z_update(x, y, np.full(n, rho), *shrink_constants(lam, rho, n))
+
+
+# every float64, subnormals, signed zeros, NaN and infinities included
+entries = hnp.arrays(np.float64, st.shared(st.integers(1, 8), key="n"))
+specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2e-308, np.nan, np.inf,
+                     -np.inf])
+
+
 class TestZUpdate:
     def test_hand_value(self):
-        out = z_update(np.array([1.0, -1.0]), np.zeros(2), 1.0, 0.5)
+        out = z_step(np.array([1.0, -1.0]), np.zeros(2), 1.0, 0.5)
         np.testing.assert_array_equal(out, [0.5, -0.5])
 
     def test_no_regularization_passthrough(self, rng):
         x = rng.standard_normal(5)
         y = rng.standard_normal(5)
-        np.testing.assert_allclose(z_update(x, y, 2.0, 0.0), x - y / 2.0,
+        np.testing.assert_allclose(z_step(x, y, 2.0, 0.0), x - y / 2.0,
                                    atol=1e-15)
 
     def test_proximal_optimality_against_perturbations(self, rng):
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
         rho, lam = 1.7, 0.3
-        z = z_update(x, y, rho, lam)
+        z = z_step(x, y, rho, lam)
 
         def prox_objective(v):
             return lam * np.abs(v).sum(axis=-1) \
@@ -98,6 +119,29 @@ class TestZUpdate:
         base = prox_objective(z)
         trials = z + rng.normal(0.0, 0.3, size=(10000, 6))
         assert (prox_objective(trials) >= base - 1e-12).all()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(x=entries, y=entries, rho=st.floats(RHO_MIN, RHO_MAX),
+           lam=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)))
+    @example(x=specials, y=specials[::-1].copy(), rho=RHO_MIN, lam=0.0)
+    @example(x=specials, y=np.zeros(8), rho=1.0, lam=0.0)
+    @example(x=specials, y=-specials, rho=RHO_MAX, lam=1e3)
+    def test_bitwise_equal_to_soft_threshold(self, x, y, rho, lam):
+        with np.errstate(all="ignore"):
+            expected = soft_threshold(x - y / rho, lam / rho)
+            assert z_step(x, y, rho, lam).tobytes() == expected.tobytes()
+
+    def test_result_shares_no_memory(self, rng):
+        x, y = rng.standard_normal((2, 5))
+        rho_vector = np.full(5, 1.3)
+        kappa, neg_kappa, scratch = shrink_constants(0.2, 1.3, 5)
+        first = z_update(x, y, rho_vector, kappa, neg_kappa, scratch)
+        kept = first.copy()
+        second = z_update(first, y, rho_vector, kappa, neg_kappa, scratch)
+        assert not np.shares_memory(first, scratch)
+        assert not np.shares_memory(second, scratch)
+        assert not np.shares_memory(second, first)
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestYUpdate:
@@ -111,6 +155,15 @@ class TestYUpdate:
         out = y_update(y, 3.0, x - x)
         np.testing.assert_array_equal(out, y)
         np.testing.assert_array_equal(y_update(out, 3.0, x - x), y)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(y=entries, primal=entries, rho=st.floats(RHO_MIN, RHO_MAX))
+    @example(y=specials, primal=specials[::-1].copy(), rho=RHO_MAX)
+    def test_rho_vector_bitwise_equal_to_float(self, y, primal, rho):
+        with np.errstate(all="ignore"):
+            expected = y_update(y, rho, primal)
+            out = y_update(y, np.full(len(y), rho), primal)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestResidualNorms:
@@ -546,6 +599,54 @@ class TestShortCountSource:
         assert result.lambda_adjustments == 1
         assert result.lambda_final > lam0
         assert result.final_state.k == (first.iterations if extra == 0 else extra) - 1
+
+
+class TestStepsAtTheStatesRhoAndLambda:
+    """Along a whole solve, every committed iterate is the scalar steps'
+    result at the float rho and lam its state carries, bitwise: the vector
+    constants of the x-, z- and y-steps are rebuilt after every rho change
+    and for every run after a lambda move."""
+
+    @staticmethod
+    def trajectory(problem, cfg):
+        seen = []
+        result = solve(problem, cfg, callback=seen.append)
+        n = problem.n
+        factors = {}
+        for state in seen:
+            if state.k == 0:
+                z_prev, y_prev = feasible_start(problem), np.zeros(n)
+            rho, lam = state.rho, state.lam
+            if rho not in factors:
+                factors[rho] = lu_factor(np.block(
+                    [[problem.C + rho * np.eye(n), problem.D.T],
+                     [problem.D, np.zeros((2, 2))]]))
+            x = lu_solve(factors[rho],
+                         np.concatenate([rho * z_prev + y_prev, problem.b]))[:n]
+            assert state.x.tobytes() == x.tobytes()
+            z = soft_threshold(state.x - y_prev / rho, lam / rho)
+            assert state.z.tobytes() == z.tobytes()
+            y = y_update(y_prev, rho, state.z - state.x)
+            assert state.y.tobytes() == y.tobytes()
+            z_prev, y_prev = state.z, state.y
+        return result, seen
+
+    @pytest.mark.parametrize("kind", ["rb", "bb", "rbb"])
+    def test_rho_changes(self, kind):
+        problem = factor_problem(n=6, seed=10)
+        result, seen = self.trajectory(
+            problem, solver_config(problem, kind=kind, lam=0.001))
+        assert result.termination == "converged"
+        assert len({state.rho for state in seen}) > 2
+
+    def test_lambda_moves(self):
+        problem, cfg = shorting_adaptive_case()
+        cfg = replace(cfg, penalty=replace(cfg.penalty, kind="rbb"))
+        result, seen = self.trajectory(problem, cfg)
+        assert result.termination == "converged"
+        assert result.lambda_adjustments >= 1
+        assert len({state.lam for state in seen}) == result.lambda_adjustments + 1
+        assert len({state.rho for state in seen}) > 2
 
 
 class TestTextbookEquivalence:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import lu_factor, lu_solve
 
 from conftest import factor_problem, identity_problem, two_asset_problem
 from sparsefolio.kkt import factorize, solve_with_multiplier, solve_x_update
 from sparsefolio.model import PortfolioProblem
+from sparsefolio.penalty import RHO_MAX, RHO_MIN
 
 
 def random_problem(n, rng, scale=1.0):
@@ -28,6 +32,12 @@ class TestFactorize:
         assert fact.rho == 1.0
         assert fact.n == 2
         np.testing.assert_array_equal(fact.rhs[2:], problem.b)
+
+    @pytest.mark.parametrize("rho", [RHO_MIN, 0.37, 1, RHO_MAX])
+    def test_keeps_rho_as_float_and_vector(self, rho):
+        fact = factorize(factor_problem(n=5), rho)
+        assert type(fact.rho) is float and fact.rho == rho
+        assert fact.rho_vector.tobytes() == np.full(5, float(rho)).tobytes()
 
     def test_nonpositive_rho_rejected(self):
         problem = two_asset_problem()
@@ -163,3 +173,18 @@ class TestSolveXUpdate:
             assert x.tobytes() == expected[:7].tobytes()
             assert nu.tobytes() == expected[7:].tobytes()
 
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(z=hnp.arrays(np.float64, 2), y=hnp.arrays(np.float64, 2),
+           rho=st.floats(RHO_MIN, RHO_MAX))
+    @example(z=np.array([-0.0, 5e-324]), y=np.array([-0.0, np.nan]), rho=RHO_MIN)
+    @example(z=np.array([np.inf, 1e300]), y=np.array([-np.inf, 1e300]),
+             rho=RHO_MAX)
+    def test_right_hand_side_bitwise_rho_times_z_plus_y(self, z, y, rho):
+        # the solve multiplies by the rho vector; the head it hands getrs is
+        # rho*z + y with the float rho, bitwise
+        fact = factorize(two_asset_problem(), rho)
+        with np.errstate(all="ignore"):
+            solve_x_update(fact, z, y)
+            expected = rho * z + y
+        assert fact.head.tobytes() == expected.tobytes()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,8 @@ from sparsefolio.market_data import AssetStats
 from sparsefolio.model import PortfolioProblem, build_problem, objective_value
 from sparsefolio.oracle import (
     InfeasibleTargetError,
-    SignPattern,
     check_kkt,
     enumerate_solve,
-    iter_sign_patterns,
 )
 
 
@@ -18,36 +18,6 @@ def degenerate_problem(n=3):
     # problem raises, so the oracle is never handed one
     mu = np.ones(n)
     return PortfolioProblem(C=np.eye(n), mu=mu, e=1.0)
-
-
-class TestSignPattern:
-    def test_coerces_to_ints(self):
-        pattern = SignPattern((1.0, -1.0, 0.0))
-        assert pattern.signs == (1, -1, 0)
-
-    def test_rejects_other_values(self):
-        with pytest.raises(ValueError, match="-1, 0, or 1"):
-            SignPattern((1, 2, 0))
-
-    def test_rejects_single_nonzero(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            SignPattern((0, 1, 0))
-
-
-class TestIterSignPatterns:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_count_excludes_underdetermined(self, n):
-        # all 3^n patterns minus the all-zero one and the 2n singletons
-        patterns = list(iter_sign_patterns(n))
-        assert len(patterns) == 3 ** n - 1 - 2 * n
-
-    def test_lexicographic_order(self):
-        head = [p.signs for p in iter_sign_patterns(3)][:4]
-        assert head == [(-1, -1, -1), (-1, -1, 0), (-1, -1, 1), (-1, 0, -1)]
-
-    def test_every_pattern_supports_two_constraints(self):
-        for pattern in iter_sign_patterns(4):
-            assert sum(1 for s in pattern.signs if s != 0) >= 2
 
 
 class TestCheckKkt:
@@ -152,8 +122,10 @@ def per_pattern_solve(problem, lam, kkt_tol=1e-9, tie_tol=1e-10):
     """
     C, D, b, n = problem.C, problem.D, problem.b, problem.n
     candidates = []
-    for pattern in iter_sign_patterns(n):
-        s = np.array(pattern.signs, dtype=float)
+    for signs in itertools.product((-1, 0, 1), repeat=n):
+        if n - signs.count(0) < 2:
+            continue
+        s = np.array(signs, dtype=float)
         support = s != 0
         k = int(support.sum())
         A = np.zeros((k + 2, k + 2))
