@@ -43,10 +43,9 @@ z-step takes kappa = lam/rho and -kappa as n-vectors plus one scratch
 vector (shrink_constants).  A run builds them at its start and again right
 after each refactorization a rho change triggers; a lambda move starts a
 new run, which builds its own.  So every ufunc of the three steps has
-array operands only (at n=10 a Python-float operand makes a numpy ufunc
-about 1.5 times as costly), and each step makes the same IEEE operations
-in the same order as its scalar formula: the iterates are bitwise those of
-the scalar steps.  Everything outside the steps keeps the float rho: the
+array operands only, and each step makes the same IEEE operations in the
+same order as its scalar formula: the iterates are bitwise those of the
+scalar steps.  Everything outside the steps keeps the float rho: the
 IterateState's rho and lam, the residual norms, ybar, the penalty update
 and SolveResult.rho_final.
 

@@ -14,11 +14,9 @@ The block is built in Fortran order and factored in place by LAPACK
 ``getrf``; each solve calls ``getrs`` on the kept factors.  These are the
 routines ``lu_factor`` and ``lu_solve`` call, on the same arrays, so the
 results are bitwise theirs, without their copies, finiteness scans and
-dispatch, which cost about 20 us of a 24 us x-step at n=10 (2.0 GHz Xeon,
-OpenBLAS on one thread, scipy 1.17).  PortfolioProblem has checked C and
-mu and factorize checks rho; the right-hand side is finite unless
-rho*z + y overflows, and then the engine's test on the next iterate ends
-the solve.
+dispatch.  PortfolioProblem has checked C and mu and factorize checks rho;
+the right-hand side is finite unless rho*z + y overflows, and then the
+engine's test on the next iterate ends the solve.
 
 Each factorization also owns a scratch right-hand side of length n+2 and
 its rho as an n-vector.  factorize writes b into the scratch's tail once; a
@@ -27,9 +25,7 @@ the same IEEE operations as the expression) and passes the whole vector to
 ``getrs`` without ``overwrite_b``, so LAPACK solves in a fresh copy: the
 tail keeps b, and the returned x shares no memory with the scratch or with
 an earlier x.  The multiply takes the factorization's own rho vector, not
-the float, for the same products: at n=10 a numpy ufunc with a Python-float
-operand costs about 1.2 us against 0.8 us with an array operand (numpy 2.4,
-same host as above).
+the float; the products are the same.
 Because of the scratch, a factorization belongs to one run at a time and
 must not be shared across threads.
 """

@@ -15,6 +15,14 @@ Every policy reads the engine's ``IterateState`` by attribute: rho and the
 residual norms, and for the spectral rules also x, z, y and ybar.  Both
 spectral rules measure curvature between the current iterate and the
 iterate of the previous spectral update, which ``PenaltyState`` keeps.
+
+A new rho costs the engine one KKT refactorization, so ``PenaltyState``
+lets a spectral rule move rho only when its (clipped) proposal is at least
+REFACTOR_RATIO times or at most 1/REFACTOR_RATIO times the current rho;
+a proposal strictly between keeps the current rho (the adaptive-rho
+tolerance of OSQP, Stellato et al. 2020).  The curvature memory still
+advances on every spectral update.  ``rb`` is exempt: its every move is a
+factor ETA < REFACTOR_RATIO, which the rule would forbid.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ RHO_MIN = 1e-8        # every update is clipped to [RHO_MIN, RHO_MAX]
 RHO_MAX = 1e8
 FREEZE_AFTER = 1000   # no update is due after this iteration
 TAU_MAX = 1e12        # rbb: cap on the regularization weight tau
+REFACTOR_RATIO = 5.0  # bb/rbb: smallest factor a new rho must move by
 
 
 @dataclass(frozen=True)
@@ -210,4 +219,7 @@ class PenaltyState:
         if prev is None:
             # First spectral visit: nothing to difference against yet.
             return state.rho
-        return spectral_rho(prev, state, cfg)
+        rho_new = spectral_rho(prev, state, cfg)
+        if state.rho / REFACTOR_RATIO < rho_new < state.rho * REFACTOR_RATIO:
+            return state.rho
+        return rho_new

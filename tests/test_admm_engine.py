@@ -28,6 +28,7 @@ from sparsefolio.oracle import enumerate_solve
 from sparsefolio.penalty import (
     FREEZE_AFTER,
     PENALTY_KINDS,
+    REFACTOR_RATIO,
     RHO_MAX,
     RHO_MIN,
     PenaltyConfig,
@@ -395,7 +396,7 @@ class TestFinalStateWithoutCallback:
     def test_converged(self, kind):
         # this instance converges on a cadence iteration under bb and rbb, so
         # the state built after the loop carries that iteration's ybar
-        problem = factor_problem(n=6, seed=7)
+        problem = factor_problem(n=6, seed=4)
         cfg = solver_config(problem, kind=kind, lam=0.001)
         result = self.both(lambda cb: solve(problem, cfg, callback=cb))
         assert result.termination == "converged"
@@ -460,6 +461,30 @@ class TestPenaltyUpdateCalls:
         last = result.iterations - (result.termination == "converged")
         assert asked == list(range(1, min(last, FREEZE_AFTER + 1), 2))
         assert asked
+
+
+class TestRefactorization:
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    def test_spectral_refactors_only_on_moves_by_the_ratio(self, monkeypatch,
+                                                           kind):
+        problem = factor_problem(n=6, seed=10)
+        cfg = solver_config(problem, kind=kind, lam=0.001)
+        rhos = []
+        real = engine.factorize
+
+        def spy(problem, rho):
+            rhos.append(rho)
+            return real(problem, rho)
+
+        monkeypatch.setattr(engine, "factorize", spy)
+        result = solve(problem, cfg)
+        assert result.termination == "converged"
+        assert rhos[0] == cfg.penalty.rho0
+        assert rhos[-1] == result.rho_final
+        # on this instance rho moves at least twice
+        assert len(rhos) >= 3
+        for old, new in zip(rhos, rhos[1:]):
+            assert new >= REFACTOR_RATIO * old or new <= old / REFACTOR_RATIO
 
 
 class TestHistories:
@@ -529,10 +554,10 @@ class TestHistories:
         assert result.lambda_adjustments <= MAX_ADJUSTMENTS
 
 
-def shorting_adaptive_case():
+def shorting_adaptive_case(seed=0):
     """An adaptive solve whose first run ends with a short, so lambda moves."""
-    mu = factor_problem(n=6, m=60, seed=0).mu
-    problem = factor_problem(n=6, m=60, seed=0, e=float(mu.max()))
+    mu = factor_problem(n=6, m=60, seed=seed).mu
+    problem = factor_problem(n=6, m=60, seed=seed, e=float(mu.max()))
     cfg = SolverConfig(
         tol=1e-8, max_iter=30000,
         penalty=PenaltyConfig(kind="fixed", rho0=mean_diag_rho(problem)),
@@ -640,7 +665,8 @@ class TestStepsAtTheStatesRhoAndLambda:
         assert len({state.rho for state in seen}) > 2
 
     def test_lambda_moves(self):
-        problem, cfg = shorting_adaptive_case()
+        # rbb moves rho (by REFACTOR_RATIO or more) on this instance
+        problem, cfg = shorting_adaptive_case(seed=9)
         cfg = replace(cfg, penalty=replace(cfg.penalty, kind="rbb"))
         result, seen = self.trajectory(problem, cfg)
         assert result.termination == "converged"

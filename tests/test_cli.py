@@ -299,7 +299,8 @@ class TestBench:
         assert outputs[0] == outputs[1]
 
     def test_illcond_regression_values(self, tmp_path):
-        # medians recorded from the first run of this configuration; the
+        # medians recorded from the first run of this configuration, bb and
+        # rbb again when spectral updates began to decline small moves; the
         # fixed strategy stalls far behind residual balancing here
         code, rows = self.run(tmp_path, "--suite", "illcond", "--trials", "3",
                               "--seed", "0")
@@ -311,8 +312,8 @@ class TestBench:
                 medians[fields[1]] = float(fields[3])
         assert medians["fixed"] == 5000.0
         assert medians["rb"] == 1101.0
-        assert medians["bb"] == 57.0
-        assert medians["rbb"] == 102.0
+        assert medians["bb"] == 65.0
+        assert medians["rbb"] == 93.0
         assert medians["fixed"] >= medians["rb"]
 
     def test_unknown_suite_exits_2(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sparsefolio.penalty as penalty
 from sparsefolio.admm_engine import IterateState
 from sparsefolio.penalty import (
     EPS_CORR,
@@ -10,6 +11,7 @@ from sparsefolio.penalty import (
     FREEZE_AFTER,
     MU_RB,
     PENALTY_KINDS,
+    REFACTOR_RATIO,
     RHO_MAX,
     RHO_MIN,
     TAU_MAX,
@@ -57,6 +59,7 @@ class TestPenaltyConfig:
         assert (RHO_MIN, RHO_MAX) == (1e-8, 1e8)
         assert FREEZE_AFTER == 1000
         assert TAU_MAX == 1e12
+        assert REFACTOR_RATIO == 5.0
 
     @pytest.mark.parametrize("kwargs", [
         {"kind": "newton"},
@@ -287,7 +290,7 @@ class TestSpectralRho:
         pen = PenaltyState(PenaltyConfig(kind="bb"))
         pen.update(zero_state())
         snap = state_from_deltas(d_ybar=[1.0, 0.0], d_y=[2.0, 0.0],
-                                 d_psi=[4.0, 0.0], d_phi=[8.0, 0.0])
+                                 d_psi=[4.0, 0.0], d_phi=[8.0, 0.0], rho=2.0)
         assert pen.update(snap) == pytest.approx(0.25)
         assert pen.prev is snap
 
@@ -348,5 +351,61 @@ class TestPenaltyState:
         state = PenaltyState(PenaltyConfig(kind="bb"))
         zero = state_from_deltas([0, 0], [0, 0], [0, 0], [0, 0], rho=1.0)
         state.update(zero)
-        snap = state_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=1.0)
+        snap = state_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=2.0)
         assert state.update(snap) == pytest.approx(0.25)
+
+
+class TestRefactorRatio:
+    """A spectral proposal strictly within a factor REFACTOR_RATIO of the
+    current rho keeps the current rho; rb is exempt."""
+
+    @staticmethod
+    def second_visit(monkeypatch, kind, rho, proposal):
+        # the proposal stands in for spectral_rho's (clipped) result
+        monkeypatch.setattr(penalty, "spectral_rho", lambda *args: proposal)
+        pen = PenaltyState(PenaltyConfig(kind=kind))
+        pen.update(zero_state())
+        snap = state_from_deltas([1, 0], [2, 0], [4, 0], [8, 0], rho=rho)
+        return pen, snap, pen.update(snap)
+
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    @pytest.mark.parametrize("rho", [1.0, 0.3, 7e-5])
+    def test_factor_of_ratio_moves_and_just_inside_does_not(self, monkeypatch,
+                                                            kind, rho):
+        for edge, inward in ((rho * REFACTOR_RATIO, 0.0),
+                             (rho / REFACTOR_RATIO, math.inf)):
+            assert self.second_visit(monkeypatch, kind, rho, edge)[2] == edge
+            inside = float(np.nextafter(edge, inward))
+            assert self.second_visit(monkeypatch, kind, rho, inside)[2] == rho
+
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    def test_declined_update_still_advances_memory(self, monkeypatch, kind):
+        pen, snap, rho = self.second_visit(monkeypatch, kind, 1.0, 2.0)
+        assert rho == 1.0
+        assert pen.prev is snap
+
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    @pytest.mark.parametrize("scale, bound, rho, expected", [
+        (1e9, RHO_MIN, 3 * RHO_MIN, 3 * RHO_MIN),
+        (1e9, RHO_MIN, 10 * RHO_MIN, RHO_MIN),
+        (1e-9, RHO_MAX, RHO_MAX / 3, RHO_MAX / 3),
+        (1e-9, RHO_MAX, RHO_MAX / 10, RHO_MAX),
+    ], ids=["min-declined", "min-moves", "max-declined", "max-moves"])
+    def test_clipped_proposal_follows_the_rule(self, kind, scale, bound, rho,
+                                               expected):
+        # curvature of scale on both sides proposes rho = 1/scale, which the
+        # clip takes to the bound; the rule compares the clipped value
+        cfg = PenaltyConfig(kind=kind)
+        snap = state_from_deltas([1, 0], [1, 0], [scale, 0], [scale, 0], rho=rho)
+        assert spectral_rho(zero_state(), snap, cfg) == bound
+        pen = PenaltyState(cfg)
+        pen.update(zero_state())
+        assert pen.update(snap) == expected
+
+    def test_rb_ignores_the_rule(self):
+        assert ETA < REFACTOR_RATIO
+        pen = PenaltyState(PenaltyConfig(kind="rb"))
+        for r_norm, d_norm, expected in ((5.0, 0.4, 0.6), (0.4, 5.0, 0.15)):
+            snap = state_from_deltas([1, 0], [1, 0], [1, 0], [1, 0],
+                                     r_norm=r_norm, d_norm=d_norm, rho=0.3)
+            assert pen.update(snap) == expected

@@ -26,9 +26,10 @@ def load_tracer_module():
 def test_every_tracer_target_resolves_and_is_called(tmp_path):
     tracing = load_tracer_module()
     data = tmp_path / "returns.csv"
-    assert cli.main(["gen", "--assets", "10", "--periods", "200", "--seed", "7",
+    assert cli.main(["gen", "--assets", "10", "--periods", "200", "--seed", "4",
                      "-o", str(data)]) == cli.EXIT_OK
-    # at the largest asset mean the first run ends with shorts, so lambda moves
+    # at the largest asset mean the first run ends with shorts, so lambda
+    # moves, and the solve still converges
     top = float(estimate_stats(load_returns_csv(str(data))).mu.max())
     out = tmp_path / "result.json"
 

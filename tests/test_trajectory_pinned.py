@@ -33,20 +33,20 @@ SUITE_TRAJECTORIES = {
     ("random", "rbb"): (9, "a3ab1dd8898b0d79049404346ab429f8a120265c5dfc64e2c26057191263061a"),
     ("illcond", "fixed"): (5000, "ecaacb311063a1962030ff2705fd41a969c85018c64ea8437c95afdd1b0ecf78"),
     ("illcond", "rb"): (2448, "ad1559956f81428f7d4fddef8b268e4e49ec77c0252aef8d3797f57b1370b819"),
-    ("illcond", "bb"): (106, "aaa38eff6697307f00bc00d92d550fc3ca6ff0a17859c6b40858fb2c0095d3af"),
-    ("illcond", "rbb"): (2112, "adf2392a4eec4dd8715d46d9843527e04dcff4694dd56d0f4e2f37524e6cd573"),
+    ("illcond", "bb"): (321, "a22c619e82bfaa6d0f8553792f2f9f0f3bb2bf738ec213aba68dee9372ebc40f"),
+    ("illcond", "rbb"): (215, "f09961f1befa45bfd5266b8d591a29a38a2d9e0d72b88eea7ac460da1a89d5e0"),
     ("shorts", "fixed"): (5000, "58f02e9d79f15f81fc7499039a298c6b901e47ad4415a4d1ab120abc06ba4c9c"),
     ("shorts", "rb"): (511, "f89877e76461c984861129141cf5877f8ba9ba75db01fce55cb44293f215857f"),
-    ("shorts", "bb"): (262, "7715f665ebf719ca92e9ac265bf88b21f5f7f2f7fb3cfaca3630d2ef2fb38d1a"),
-    ("shorts", "rbb"): (349, "7e4aa85feea9a683e0fa3dbf5dca9b9febe683563e81a1cc7c6491ef68f13ea1"),
+    ("shorts", "bb"): (176, "ccb4a49cc8d21d44dce4077678eaab6493075bdee7ea6bd3c71f150ebfb25f2f"),
+    ("shorts", "rbb"): (317, "44f463d826a0bba5447f2f6c906ebe85c89c4fb93f45b17c5ec845d95448c69a"),
 }
 
 # frontier point: (iterations, sha256 of the trajectory)
 FRONTIER_TRAJECTORIES = {
-    0: (605, "cdb4aa3f761212dbc8f3fc86819fc1014552c731c628914ff5df68877f265c7a"),
-    3: (88, "45eb3d9423645056b82c5bd656b6b54168232574c14530683d1ace616b57bdec"),
-    4: (49, "b34a1480f12932995e8e4e10da6cdd321f6b79de611076588e74979917f2b1d0"),
-    12: (49, "bc19f3bdc9884635c8a90ce4d303c8fd32257f1164d2fc4462184229526dc66b"),
+    0: (1187, "f8c6d9cf46998ec8a3e2fa5bdbce6544e7a53447d25876fd52fca9282d4830e9"),
+    3: (89, "0381fc679e528516f0f9849aa7ef803bee22efaa42aba9663293982c57ce4fca"),
+    4: (60, "8c33d16435dbdeb7cd58984aa23439b73fbcf055320ff441e2035e7207f98e8b"),
+    12: (47, "0900f8eabaf63de324bc2d906ba5f26435589867ba0a036d281f4e162089e83e"),
 }
 FRONTIER_POINTS = 20
 
