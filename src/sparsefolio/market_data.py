@@ -3,16 +3,21 @@
 The on-disk format is a plain UTF-8 CSV: a header row of asset names
 followed by one row of fractional returns per observation period.  The
 same layout is used for both input and generated output, so a file
-written by :func:`returns_to_csv` parses back bit-for-bit.
+written by :func:`returns_to_csv` parses back bit-for-bit.  Such a file
+is read in one pass by orjson's correctly rounded number reader; any
+other file is read by ``csv.reader`` and ``float()``, which give the same
+values and also name the line of any error.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 # estimate_stats lifts the smallest covariance eigenvalue to 2*JITTER_FLOOR
 # when it does not clear JITTER_FLOOR.
@@ -91,76 +96,70 @@ def load_returns_csv(path) -> ReturnsMatrix:
     are accepted.  A blank line is a row of zero fields and is rejected, as
     are non-finite values.
 
-    A file whose data rows are plain numbers and commas, as returns_to_csv
-    writes them, with any of the three line ends, takes one vectorised
-    ``np.loadtxt`` pass.  A file that pass refuses (quoted fields, ``1_0``,
-    non-ASCII digits, a blank line, a row of the wrong width, a bad number)
-    and any input that cannot be re-read, such as a pipe, take the
-    ``csv.reader`` row parser.  Both give bitwise-equal values, so the input
-    alone decides the outcome.
+    A file whose data rows are JSON numbers with a fraction or an exponent,
+    separated by commas, as returns_to_csv writes them, with any of the
+    three line ends, takes one correctly rounded orjson pass.  Any other
+    file and any input that cannot be re-read, such as a pipe, take the
+    ``csv.reader`` row parser: quoted fields, blank lines, rows of the wrong
+    width, bad numbers, and valid numbers outside JSON's grammar or its
+    floats (``+3``, ``4.``, ``.5``, ``01``, integers, ``inf``, ``nan``).
+    Both give bitwise-equal values, so the input alone decides the outcome.
 
     Raises ReturnsFormatError with the offending line (and column, for bad
     numbers) on any layout problem; missing files surface as the usual
     FileNotFoundError.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        if not handle.seekable():
-            return _load_rows(path, handle)
-        returns = _load_vectorised(handle)
-    if returns is None:
-        with open(path, newline="", encoding="utf-8") as handle:
-            returns = _load_rows(path, handle)
-    return returns
+        if handle.seekable():
+            returns = _load_fast(handle)
+            if returns is not None:
+                return returns
+            handle.seek(0)
+        return _load_rows(path, handle)
 
 
-# Data lines sent to the row parser without a loadtxt attempt.  np.loadtxt
-# skips a blank line, which the row parser rejects as a row of zero fields,
-# and strips the ASCII separators 0x1c-0x1f around a number, which float()
-# keeps.  A quote would make loadtxt fail, but only on reaching its line.
-_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
-_ROW_PARSER_CHARS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+def _load_fast(handle):
+    """The returns from one orjson pass over the data lines, or None if it may differ.
 
-
-def _vectorisable(line: str, field_limit: int) -> bool:
-    """False if this data line must go to the row parser.
-
-    Besides the cases above, csv.reader refuses a field longer than
-    csv.field_size_limit(), which np.loadtxt would read.
-    """
-    if line in _BLANK_LINES or any(char in line for char in _ROW_PARSER_CHARS):
-        return False
-    return len(line) <= field_limit or max(
-        map(len, line.rstrip("\r\n").split(","))) <= field_limit
-
-
-def _load_vectorised(handle):
-    """The returns from one np.loadtxt pass, or None if it may differ.
-
-    The result is kept only when every data line is _vectorisable, loadtxt
-    raises nothing, and it returns one row per data line and one column per
-    header name.
+    Each data line is parsed as the JSON array "[line]".  JSON's number
+    grammar is a subset of float()'s and leaves out quotes, blank lines and
+    the whitespace float() strips beyond space and tab, so every line the
+    row parser would read differently fails to parse or gives something
+    other than one float per header name.  Strings, null, arrays and
+    objects make fromlist raise TypeError.  It takes JSON integers (whose
+    -0 loses its sign) and booleans, but they give integral values, so
+    only the rows holding one are checked for non-floats, on a second read.
+    csv.reader refuses a field longer than csv.field_size_limit(), which
+    this pass would read.
     """
     try:
         header = next(csv.reader(iter(handle.readline, "")), None)
         if header is None or len(header) < 2:
             return None
+        n = len(header)
         body = handle.tell()
         field_limit = csv.field_size_limit()
-        lines = 0
+        values = array("d")
         for line in handle:
-            if not _vectorisable(line, field_limit):
+            if len(line) > field_limit and max(map(len, line.split(","))) > field_limit:
                 return None
-            lines += 1
-        if lines < 2:
+            row = orjson.loads("[" + line + "]")
+            if len(row) != n:
+                return None
+            values.fromlist(row)
+        if len(values) < 2 * n:
             return None
-        handle.seek(body)
-        values = np.loadtxt(handle, delimiter=",", comments=None,
-                            quotechar=None, dtype=float, ndmin=2)
-    except (ValueError, csv.Error):
+        matrix = np.frombuffer(values).reshape(-1, n)
+        integral = (matrix == np.trunc(matrix)).any(axis=1)
+        if integral.any():
+            handle.seek(body)
+            for line, check in zip(handle, integral):
+                if check and not all(type(v) is float
+                                     for v in orjson.loads("[" + line + "]")):
+                    return None
+    except (ValueError, TypeError, csv.Error):
         return None
-    if values.shape != (lines, len(header)):
-        return None
-    return ReturnsMatrix(values, tuple(name.strip() for name in header))
+    return ReturnsMatrix(matrix, tuple(name.strip() for name in header))
 
 
 def _load_rows(path, handle):

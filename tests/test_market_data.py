@@ -1,6 +1,8 @@
 import csv
+import math
 import os
 import sys
+from decimal import Context, Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -158,6 +160,11 @@ class TestCsvGrammar:
         assert rm.asset_names == ("Acme, Inc.", "B")
         np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
 
+    def test_quoted_header_name_keeps_its_line_end(self, tmp_path):
+        _, rm = self.load_text(tmp_path, '"A\r\nB",C\r\n0.1,0.2\r\n0.3,0.4\r\n')
+        assert rm.asset_names == ("A\r\nB", "C")
+        np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
+
     def test_quoted_numeric_fields(self, tmp_path):
         _, rm = self.load_text(tmp_path, 'A,B\n"0.1",0.2\n0.3," 0.4 "\n')
         np.testing.assert_array_equal(rm.values, [[0.1, 0.2], [0.3, 0.4]])
@@ -204,7 +211,7 @@ class TestCsvGrammar:
 
 
 class TestParsePath:
-    """Which files take the vectorised pass and which the row parser."""
+    """Which files take the orjson pass and which the row parser."""
 
     def takes_row_parser(self, tmp_path, text):
         path = tmp_path / "r.csv"
@@ -222,10 +229,10 @@ class TestParsePath:
         "A,B\r\n0.1,0.2\r\n0.3,0.4\r\n",
         "A,B\r0.1,0.2\r0.3,0.4\r",
         "A,B\n0.1,0.2\n0.3,0.4",
-        '"A, Inc.",B\n 0.1 ,-0.2e-3\n+3,4.\n',
-        "A,B\n0.1,0.2\n0.3,inf\n",
+        '"A, Inc.",B\n 0.1 ,-0.2e-3\n3E0,\t4.5\n',
+        "A,B\n1.0,-0.0\n0.3,1e+5\n",
     ], ids=["plain", "crlf", "lone-cr", "no-final-newline", "quoted-header",
-            "non-finite"])
+            "integral-floats"])
     def test_vectorised(self, tmp_path, text):
         assert not self.takes_row_parser(tmp_path, text)
 
@@ -240,9 +247,16 @@ class TestParsePath:
         "A,B\n0.1,0.2\n0.3,0.4,0.5\n",
         "A,B\n0.1,0.2\n",
         "A\n0.1\n0.2\n",
+        '"A, Inc.",B\n 0.1 ,-0.2e-3\n+3,4.5\n',
+        "A,B\n0.1,0.2\n0.3,4.\n",
+        "A,B\n0.1,0.2\n0.3,inf\n",
+        "A,B\n0.1,0.2\n0.3,7\n",
+        "A,B\n0.1,0.2\n-0,0.4\n",
+        "A,B\n0.1,0.2\n0.3,true\n",
     ], ids=["quoted-field", "underscore", "full-width", "blank-line",
             "blank-last-line", "whitespace-line", "file-separator",
-            "ragged", "one-row", "one-column"])
+            "ragged", "one-row", "one-column", "plus-sign", "trailing-dot",
+            "non-finite", "integer", "negative-zero", "json-true"])
     def test_row_parser(self, tmp_path, text):
         assert self.takes_row_parser(tmp_path, text)
 
@@ -256,10 +270,18 @@ def outcome(path):
     return rm.asset_names, rm.values.shape, rm.values.tobytes()
 
 
+def row_parser_outcome(path):
+    """outcome(path) with the orjson pass turned off."""
+    with mock.patch.object(market_data, "_load_fast", lambda handle: None):
+        return outcome(path)
+
+
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _ODD_TOKENS = ["", " ", "0.5 ", "\t-2", "1_0", "１", "٣.5", "\xa01", "\x1c1",
                "2\x1f", "x", "0x10", "1e999", "nan", "-inf", "1.", ".", "+.5",
-               "#1", "1d5", "\x001", "\udcff"]
+               "#1", "1d5", "\x001", "\udcff", "-0", "0", "7", "+1", "01",
+               ".5", "5.", "1E5", "1e+5", "true", "null", "[1]", "{}",
+               "1e400", '"1.5"']
 _DEFECTS = ["token", "quote", "blank", "spaces", "short", "long", "end"]
 
 
@@ -267,7 +289,8 @@ _DEFECTS = ["token", "quote", "blank", "spaces", "short", "long", "end"]
 def returns_files(draw):
     """Raw bytes of a returns CSV: well formed, or with up to two defects."""
     n = draw(st.integers(1, 4))
-    header = [draw(st.sampled_from(["A", " B ", '"C, D"', '"E"', "F"]))
+    header = [draw(st.sampled_from(["A", " B ", '"C, D"', '"E"', "F",
+                                      '"G\r\nH"']))
               for _ in range(n)]
     rows = [[draw(_NUMBER) for _ in range(n)]
             for _ in range(draw(st.integers(0, 5)))]
@@ -300,12 +323,68 @@ def returns_files(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=returns_files())
 def test_vectorised_pass_matches_row_parser(tmp_path_factory, data):
+    """The orjson pass, where it is taken, returns what the row parser does."""
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(data)
-    with mock.patch.object(market_data, "_load_vectorised",
-                           lambda handle: None):
-        expected = outcome(path)
-    assert outcome(path) == expected
+    assert outcome(path) == row_parser_outcome(path)
+
+
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+def test_odd_token_matches_row_parser(tmp_path, token):
+    """Each odd token, in an otherwise plain file, reads as in the row parser."""
+    path = tmp_path / "odd.csv"
+    path.write_bytes(f"A,B\n0.1,{token}\n0.3,0.4\n".encode("utf-8", "surrogateescape"))
+    assert outcome(path) == row_parser_outcome(path)
+
+
+_SIGNED_ZEROS = ["0.0", "-0.0", "0e0", "-0E-5", "-0.0e300", "-1e-400", "1e-400"]
+
+
+def arbitrary_double(rng):
+    """A finite double of random sign, exponent and mantissa bits in [1e-300, 1e300]."""
+    x = math.ldexp(1 + rng.getrandbits(52) / 2**52, rng.randint(-996, 995))
+    return -x if rng.random() < 0.5 else x
+
+
+def rounding_tokens(x):
+    """repr(x), and decimal strings at and around the midpoint above |x|.
+
+    The midpoint of x and the next double away from zero is exact in
+    Decimal; it is written in full, with a digit appended (just above it),
+    and cut to 17, 20 and 26 significant digits, each cut also rounded up
+    in its last digit.
+    """
+    with localcontext(Context(prec=1000)):
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.copysign(math.inf, x)))) / 2
+    sign, digits, exponent = mid.as_tuple()
+    sign = "-" if sign else ""
+    digits = "".join(map(str, digits))
+    tokens = [repr(x), f"{sign}{digits}e{exponent}", f"{sign}{digits}1e{exponent - 1}"]
+    for keep in (17, 20, 26):
+        cut = exponent + max(len(digits) - keep, 0)
+        tokens += [f"{sign}{digits[:keep]}e{cut}",
+                   f"{sign}{int(digits[:keep]) + 1}e{cut}"]
+    return tokens
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=True))
+def test_fast_path_rounds_like_float(tmp_path_factory, rng):
+    """The orjson pass gives float()'s double for every token, signed zeros too."""
+    tokens = list(_SIGNED_ZEROS)
+    for _ in range(320):
+        tokens += rounding_tokens(arbitrary_double(rng))
+    width = 10
+    tokens += ["0.5"] * (-len(tokens) % width)
+    rows = [",".join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+    path = tmp_path_factory.getbasetemp() / "rounding.csv"
+    path.write_text("\n".join([",".join(["A"] * width)] + rows) + "\n")
+    with mock.patch.object(market_data, "_load_rows",
+                           side_effect=AssertionError("took the row parser")):
+        parsed = load_returns_csv(path).values.ravel()
+    expected = np.array([float(token) for token in tokens])
+    wrong = np.flatnonzero(parsed.view(np.uint64) != expected.view(np.uint64))
+    assert [tokens[i] for i in wrong] == []
 
 
 class TestRoundTrip:
