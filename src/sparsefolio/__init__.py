@@ -10,8 +10,7 @@ from .lambda_controller import LambdaSchedule, initial_lambda, maybe_adjust
 from .market_data import (AssetStats, ReturnsFormatError, ReturnsMatrix,
                           estimate_stats, generate_synthetic_returns,
                           load_returns_csv, returns_to_csv, write_returns_csv)
-from .model import (PortfolioProblem, build_problem, constraint_violation,
-                    count_short_positions)
+from .model import PortfolioProblem, build_problem, count_short_positions
 from .oracle import InfeasibleTargetError, OracleResult, check_kkt, enumerate_solve
 from .penalty import PenaltyConfig, rb_update, spectral_rho
 
@@ -31,7 +30,6 @@ __all__ = [
     "SolverConfig",
     "build_problem",
     "check_kkt",
-    "constraint_violation",
     "count_short_positions",
     "enumerate_solve",
     "estimate_stats",

@@ -112,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="target portfolio return, or 'mid' for the midpoint "
                           "of the asset means (default: %(default)s)")
     _add_solver_flags(slv)
-    slv.add_argument("--seed-independent", action="store_true",
-                     help="accepted for pipeline symmetry; solving consults no "
-                          "random source, so this changes nothing (default: off)")
     slv.add_argument("--history", action="store_true",
                      help="include per-iteration residual/rho/lambda arrays "
                           "(default: off)")
@@ -230,7 +227,6 @@ def cmd_solve(args) -> int:
             "rho0": args.rho0,
             "q": args.q,
             "nbar": args.nbar,
-            "seed_independent": args.seed_independent,
         },
     }
     if args.history:
@@ -330,3 +326,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -75,21 +75,13 @@ def build_problem(stats: AssetStats, e: float,
     """
     mu = stats.mu
     if not allow_out_of_range and not (mu.min() <= e <= mu.max()):
-        raise ValueError(
-            f"target return {e} outside the attainable mean range "
-            f"[{mu.min()}, {mu.max()}] (pass allow_out_of_range to override)"
-        )
+        raise ValueError(f"target return {e} outside the attainable mean "
+                         f"range [{mu.min()}, {mu.max()}]")
     return PortfolioProblem(C=stats.C, mu=mu, e=float(e))
 
 
 def objective_value(C: np.ndarray, weights: np.ndarray, lam: float) -> float:
     return 0.5 * float(weights @ C @ weights) + lam * float(np.abs(weights).sum())
-
-
-def constraint_violation(problem: PortfolioProblem,
-                         w: np.ndarray) -> tuple[float, float]:
-    """Absolute miss of the return target and of the budget, as a pair."""
-    return (abs(float(w @ problem.mu) - problem.e), abs(float(w.sum()) - 1.0))
 
 
 def count_short_positions(weights: np.ndarray) -> int:

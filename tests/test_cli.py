@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -174,9 +178,13 @@ class TestSolve:
         assert "finite" in capsys.readouterr().err
 
     def test_unreachable_target_exits_2(self, returns_csv, capsys):
-        assert main(["solve", "--input", returns_csv,
-                     "--target-return", "99"]) == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        for target in ("99", "1e400"):
+            assert main(["solve", "--input", returns_csv,
+                         "--target-return", target]) == EXIT_INPUT
+            # the message names the range, not a keyword CLI users cannot pass
+            err = capsys.readouterr().err
+            assert "error:" in err and "attainable mean range [" in err
+            assert "allow_out_of_range" not in err
 
     def test_adaptive_mode_accepts_short_budget(self, returns_csv, tmp_path):
         code, payload = run_solve(returns_csv, tmp_path, "--adaptive-lambda",
@@ -202,6 +210,31 @@ class TestSolve:
 
     def test_missing_command_exits_2(self):
         assert main([]) == EXIT_INPUT
+
+
+class TestModuleEntry:
+    """`python -m sparsefolio.cli` runs the same main as the console script."""
+
+    def run_module(self, *argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "sparsefolio.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_gen_prints_csv(self):
+        done = self.run_module("gen", "--assets", "3", "--periods", "5")
+        assert done.returncode == EXIT_OK
+        lines = done.stdout.splitlines()
+        assert lines[0] == "A1,A2,A3"
+        assert len(lines) == 6
+
+    def test_usage_error_exits_2(self, returns_csv):
+        done = self.run_module("solve", "--input", returns_csv, "--nbar", "0")
+        assert done.returncode == EXIT_INPUT
+        assert "error: nbar" in done.stderr
 
 
 class TestFrontier:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import factor_problem, identity_problem
+from conftest import factor_problem
 from sparsefolio.market_data import AssetStats
 from sparsefolio.model import (
     ZERO_TOL,
     PortfolioProblem,
     build_problem,
-    constraint_violation,
     count_short_positions,
     objective_value,
 )
@@ -96,20 +95,6 @@ class TestObjective:
         result = enumerate_solve(problem, 0.002)
         mine = objective_value(problem.C, result.weights, 0.002)
         assert mine == pytest.approx(result.objective, abs=1e-14)
-
-
-class TestConstraintViolation:
-    def test_feasible_point(self):
-        problem = identity_problem()
-        ret_miss, budget_miss = constraint_violation(problem, np.ones(3) / 3)
-        assert ret_miss <= 1e-12
-        assert budget_miss <= 1e-12
-
-    def test_zero_portfolio(self):
-        problem = identity_problem(e=0.2)
-        ret_miss, budget_miss = constraint_violation(problem, np.zeros(3))
-        assert ret_miss == pytest.approx(0.2)
-        assert budget_miss == pytest.approx(1.0)
 
 
 class TestCountShortPositions:
