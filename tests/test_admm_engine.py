@@ -34,6 +34,7 @@ from sparsefolio.penalty import (
     PenaltyConfig,
     PenaltyState,
 )
+from sparsefolio.suites import SUITES, make_suite_instances
 
 
 def solver_config(problem, kind="rbb", lam=0.0, tol=1e-8, max_iter=100000,
@@ -624,6 +625,78 @@ class TestShortCountSource:
         assert result.lambda_adjustments == 1
         assert result.lambda_final > lam0
         assert result.final_state.k == (first.iterations if extra == 0 else extra) - 1
+
+
+def runs_of(states):
+    """An adaptive solve's callback states, split into its runs."""
+    runs = []
+    for state in states:
+        if state.k == 0:
+            runs.append([])
+        runs[-1].append(state)
+    return runs
+
+
+def assert_states_bitwise_equal(mine, theirs):
+    for a, b in zip(mine, theirs, strict=True):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+class TestSharedRho0Factorization:
+    """solve factors the block at rho0 once and hands it to every run of an
+    adaptive solve.  Under fixed rho it is inverted before the first run;
+    under a moving rho a run that reaches the freeze inverts it only as a
+    copy, so the next run still finds the LU.  Either way each run is,
+    bitwise, the fixed-lambda solve at its lambda."""
+
+    @pytest.mark.parametrize("kind, seed, max_iter", [
+        ("fixed", 9, 30000),
+        # nbar > FREEZE_AFTER: the only update due is the first spectral
+        # visit, which moves nothing, so every run reaches the freeze at rho0
+        ("rbb", 5, 4000),
+    ])
+    def test_each_run_is_the_fixed_lambda_solve(self, kind, seed, max_iter):
+        problem, cfg = shorting_adaptive_case(seed)
+        cfg = replace(cfg, max_iter=max_iter, penalty=replace(
+            cfg.penalty, kind=kind, nbar=FREEZE_AFTER + 1))
+        states = []
+        result = solve(problem, cfg, callback=states.append)
+        runs = runs_of(states)
+        assert result.lambda_adjustments >= 1
+        assert len(runs) == result.lambda_adjustments + 1
+        assert {state.rho for state in states} == {cfg.penalty.rho0}
+        if kind != "fixed":
+            # the first run converges past the freeze, then lambda moves
+            assert len(runs[0]) > FREEZE_AFTER + 1
+        for run in runs:
+            alone = []
+            solve(problem, replace(cfg, lambda_schedule=LambdaSchedule.fixed(
+                run[0].lam)), callback=alone.append)
+            assert len(alone) >= len(run)
+            for mine, theirs in zip(run, alone):
+                assert_states_bitwise_equal(mine, theirs)
+
+
+class TestBenchSuiteFeasibility:
+    """Once rho is final the x-step takes the inverse of the KKT block, so
+    Dx = b holds to rounding rather than to the LU solve's backward error.
+    The worst |Dx - b| over the bench suites' solves was 4.5e-14 (shorts
+    trial 4, rbb, which runs past the freeze), against 2.2e-16 with the
+    LU alone; the bound leaves a factor of about 200."""
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_final_weights_meet_the_constraints(self, suite, kind):
+        for instance in make_suite_instances(suite, 5, 0):
+            problem = instance.problem
+            cfg = SolverConfig(tol=1e-6, max_iter=5000,
+                               penalty=PenaltyConfig(kind=kind),
+                               lambda_schedule=LambdaSchedule.fixed(instance.lam))
+            weights = solve(problem, cfg).weights
+            assert np.abs(problem.D @ weights - problem.b).max() <= 1e-11
 
 
 class TestStepsAtTheStatesRhoAndLambda:
