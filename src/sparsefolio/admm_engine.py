@@ -19,15 +19,12 @@ sparse, and when it raises lambda the next run starts cold at the new
 value, reusing the KKT factorization at rho0 that the first run started
 from.
 
-Once rho is final the x-step takes the explicit inverse of the KKT block
+Under fixed rho the x-step takes the explicit inverse of the KKT block
 (kkt.invert): one symmetric mat-vec instead of two triangular solves.
-Under fixed rho that is from the start: solve inverts its rho0
-factorization in place, and every run of an adaptive solve shares the
-inverse.  Under rb, bb and rbb no update is due after FREEZE_AFTER, so a
-run inverts at iteration FREEZE_AFTER + 1, in place unless it still holds
-solve's rho0 factorization in an adaptive solve: solve hands that LU to
-every run, so such a run inverts a copy.  While rho can still move the LU
-stays, as an inverse costs more than a factorization (kkt).
+solve inverts its rho0 factorization in place before the first run, and
+every run of an adaptive solve shares the inverse.  Under rb, bb and rbb
+the runs keep the LU, as an inverse costs more than a factorization
+(kkt); an adaptive solve hands every run the same rho0 LU.
 
 An iteration builds its IterateState only when something reads it: the
 callback, a due penalty update, or the return of the run.  With a
@@ -214,9 +211,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     iterations; factorization is the one at cfg.penalty.rho0.
 
     Returns the last committed state, the termination, the iteration count
-    and the rho in force at the end.  Under fixed rho, factorization may
-    already be inverted; under a moving rho the run inverts its
-    factorization at iteration FREEZE_AFTER + 1 (see the module docstring).
+    and the rho in force at the end.
     """
     pen_cfg = cfg.penalty
     rho = pen_cfg.rho0
@@ -229,10 +224,6 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     pen_state = PenaltyState(pen_cfg)
     # fixed rho: PenaltyState.update would return rho, so no update is due
     updates = pen_cfg.kind != "fixed"
-    freeze = FREEZE_AFTER + 1 if updates else -1
-    # whether the run may overwrite factorization: solve hands its rho0
-    # factorization to every run of an adaptive solve, so there it may not
-    owned = cfg.lambda_schedule.mode != "adaptive"
     spectral = pen_cfg.kind in ("bb", "rbb")
     nbar = pen_cfg.nbar
     phase = 1 % nbar
@@ -246,8 +237,6 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     # inf - inf in z - x is reported by the finiteness test, not as a warning
     with np.errstate(invalid="ignore"):
         for k in range(budget):
-            if k == freeze:
-                factorization = invert(factorization, overwrite=owned)
             x_new = solve_x_update(factorization, z, y)
             z_new = z_update(x_new, y, rho_vector, kappa, neg_kappa, scratch)
             primal = z_new - x_new
@@ -278,7 +267,6 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if rho_new != rho:
                     rho = rho_new
                     factorization = factorize(problem, rho)
-                    owned = True
                     rho_vector = factorization.rho_vector
                     kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
 
@@ -311,7 +299,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     factorization = factorize(problem, cfg.penalty.rho0)
     if cfg.penalty.kind == "fixed":
         # rho never moves, so every run of this solve takes the inverse
-        factorization = invert(factorization, overwrite=True)
+        factorization = invert(factorization)
     state, termination, iterations, rho = _run(
         problem, cfg, lam, factorization, cfg.max_iter, callback)
 

@@ -12,12 +12,10 @@ be marginally cheaper but needlessly splits the accuracy story.  The loop
 reads only x; the multiplier nu is solved for and dropped.
 
 The block is built in Fortran order and factored in place by the float64
-LAPACK ``getrf``.  PortfolioProblem stores an exactly symmetric C, so C'
-is the same matrix, and as C' it is already in Fortran order: the C block
-is filled by a contiguous pass.  The LAPACK routines are looked up once,
-at import.  PortfolioProblem has checked C and mu and factorize checks
-rho; the right-hand side is finite unless rho*z + y overflows, and then
-the engine's test on the next iterate ends the solve.
+LAPACK ``getrf``.  The LAPACK and BLAS routines are looked up once, at
+import.  PortfolioProblem has checked C and mu and factorize checks rho;
+the right-hand side is finite unless rho*z + y overflows, and then the
+engine's test on the next iterate ends the solve.
 
 An x-step takes one of two forms:
 
@@ -25,23 +23,20 @@ An x-step takes one of two forms:
   and arrays ``lu_solve`` uses, so the x is bitwise theirs, without their
   copies, finiteness scans and dispatch;
 - once ``invert`` has replaced the factors by the explicit inverse K^-1
-  (LAPACK ``getri`` on the same LU), x is the head of the product
-  K^-1 [rho*z + y; b], one BLAS ``symv`` that reads the upper triangle
-  of the inverse, which is symmetric up to rounding.  At n=500, on one
-  core of a 2-vCPU VM with OpenBLAS, that takes about 22 us against
-  100 us for ``getrs``, which streams the whole LU twice.
+  (LAPACK ``getri`` on the same LU, in place), x is the head of the
+  product K^-1 [rho*z + y; b], one BLAS ``symv`` that reads the upper
+  triangle of the inverse, where ``getrs`` streams the whole LU twice.
+  The inverse is symmetric up to rounding and to the 1e-12 of asymmetry
+  PortfolioProblem lets C keep.
 
-The LU stays while rho can still move: ``getri`` costs about 1.5-3 times
-a factorization (8 ms against 5.5 ms at n=500 on the same core), and a
-rho that moves again soon would discard the inverse before its x-steps
-have paid for it.  So the engine inverts only a factorization whose rho
-is final.
+The LU stays while rho can still move: ``getri`` costs more than a
+factorization, and a rho that moves again would discard the inverse
+before its x-steps have paid for it.  So the engine inverts only a
+factorization whose rho never moves, under fixed rho.
 
 On the LU, Dx = b holds exactly but for the last bits of the triangular
 solves; through the inverse it holds to rounding, as the product adds
 the inverse's own error, which grows with the condition of the block.
-Over the bench suites' solves the final |Dx - b| is at most 4.5e-14
-against 2.2e-16 on the LU.
 
 Each factorization also owns a scratch right-hand side of length n+2 and
 its rho as an n-vector.  factorize writes b into the scratch's tail once; a
@@ -101,8 +96,8 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     n = problem.n
     K = np.zeros((n + 2, n + 2), order="F")
-    # C' + 0.0, not a copy: a -0.0 entry becomes 0.0, as in C + rho*I
-    np.add(problem.C.T, 0.0, out=K[:n, :n])
+    # C + 0.0, not a copy: a -0.0 entry becomes 0.0, as in C + rho*I
+    np.add(problem.C, 0.0, out=K[:n, :n])
     K.flat[:n * (n + 3):n + 3] += rho  # the diagonal of the C block
     K[:n, n:] = problem.D.T
     K[n:, :n] = problem.D
@@ -115,20 +110,18 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
                             piv=piv, rhs=rhs, head=rhs[:n])
 
 
-def invert(factorization: KktFactorization,
-           overwrite: bool = False) -> KktFactorization:
+def invert(factorization: KktFactorization) -> KktFactorization:
     """The factorization's block as its explicit inverse, for the same x-steps.
 
-    The result shares rho_vector and the scratch rhs with factorization.
-    With overwrite, ``getri`` writes the inverse over factorization's LU,
-    which leaves factorization unusable; pass it only when nothing else
-    holds factorization.  Without it the inverse is a new array.
+    ``getri`` writes the inverse over factorization's LU, which leaves
+    factorization unusable; the result shares rho_vector and the scratch
+    rhs with it.
     """
     # the blocked getri needs the workspace size LAPACK asks for; the
     # wrapper's default of 3(n+2) makes it fall back to the unblocked code
     work, _ = _getri_lwork(factorization.n + 2)
     inverse, info = _getri(factorization.lu, factorization.piv,
-                           lwork=int(work), overwrite_lu=overwrite)
+                           lwork=int(work), overwrite_lu=True)
     if info != 0:
         raise ValueError(f"getri failed with info {info} on the KKT block")
     return replace(factorization, lu=inverse, piv=None)

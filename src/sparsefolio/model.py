@@ -24,9 +24,7 @@ class PortfolioProblem:
     """The model's inputs; the constraint system D x = b is derived from them.
 
     Every solve, factorization and oracle call takes one, so this is the one
-    place the covariance is checked: finite, symmetric to 1e-12, positive
-    definite.  C is stored in C order as its symmetric part 0.5*(C + C'),
-    which is C itself when C is exactly symmetric.
+    place the covariance is checked: finite, symmetric, positive definite.
     """
 
     C: np.ndarray
@@ -37,9 +35,7 @@ class PortfolioProblem:
     n: int = field(init=False)
 
     def __post_init__(self):
-        # in C order, so that C' fills the Fortran-ordered KKT block in one
-        # contiguous pass
-        C = np.ascontiguousarray(self.C, dtype=float)
+        C = np.asarray(self.C, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         n = mu.size
         if mu.shape != (n,) or C.shape != (n, n):
@@ -59,14 +55,8 @@ class PortfolioProblem:
         # finiteness and symmetry are checked first.
         if not np.isfinite(C).all():
             raise ValueError("covariance has non-finite entries")
-        asymmetry = np.abs(C - C.T).max()
-        if asymmetry > 1e-12:
+        if np.abs(C - C.T).max() > 1e-12:
             raise ValueError("covariance is not symmetric")
-        if asymmetry > 0:
-            # Stored exactly symmetric: the KKT block reads C' for C, and its
-            # inverse is applied as a symmetric matrix.  A symmetric C is
-            # kept, not copied, as 0.5*(C + C') would equal it anyway.
-            C = 0.5 * (C + C.T)
         try:
             np.linalg.cholesky(C)
         except np.linalg.LinAlgError:

@@ -5,12 +5,12 @@ moves, and the exact final rho, lambda and objective, as recorded from the
 solver before its per-iteration path was rewritten for speed; the bb and
 rbb cases, and the frontier cases, were recorded again when spectral
 updates began to keep rho for proposals within a factor REFACTOR_RATIO of
-it.  When x-steps at a final rho began to take the inverse of the KKT
-block, the objectives of 13 fixed cases, illcond rb 0 and 1 and shorts
-rbb 4 were recorded again; no count or termination moved.  A change to
-the arithmetic of any iterate (operation order, a different norm routine,
-a skipped or added step) moves at least one of these floats, so a change
-that claims identical iterates must pass this file unchanged.
+it.  When fixed-rho x-steps began to take the inverse of the KKT block,
+the objectives of 13 fixed cases were recorded again; no count or
+termination moved.  A change to the arithmetic of any iterate (operation
+order, a different norm routine, a skipped or added step) moves at least
+one of these floats, so a change that claims identical iterates must pass
+this file unchanged.
 
 Suite cases use the ``bench`` command's configuration: suite seed 0, trials
 0-4, default penalty settings, tol 1e-6 and max_iter 5000.  Frontier cases
@@ -54,11 +54,11 @@ SUITE_CASES = {
     ("random", "bb", 4): (86, "converged", 0, 0.0010126744791254022, 0.0008333333333333334, 0.0008475614325649525),
     ("random", "rbb", 4): (240, "converged", 0, 0.00010921461012628551, 0.0008333333333333334, 0.0008475627593089192),
     ("illcond", "fixed", 0): (5000, "max_iter", 0, 1.0, 0.0008333333333333334, 0.0008431884084489101),
-    ("illcond", "rb", 0): (2448, "converged", 0, 0.0625, 0.0008333333333333334, 0.000841375920982249),
+    ("illcond", "rb", 0): (2448, "converged", 0, 0.0625, 0.0008333333333333334, 0.0008413759209822487),
     ("illcond", "bb", 0): (321, "converged", 0, 0.003022403616390857, 0.0008333333333333334, 0.0008413697038486962),
     ("illcond", "rbb", 0): (215, "converged", 0, 0.0013629913647216572, 0.0008333333333333334, 0.000841371439608023),
     ("illcond", "fixed", 1): (5000, "max_iter", 0, 1.0, 0.0008333333333333334, 0.0008345940561701587),
-    ("illcond", "rb", 1): (1101, "converged", 0, 0.015625, 0.0008333333333333334, 0.0008337180489207091),
+    ("illcond", "rb", 1): (1101, "converged", 0, 0.015625, 0.0008333333333333334, 0.000833718048920709),
     ("illcond", "bb", 1): (54, "converged", 0, 0.012078617607385628, 0.0008333333333333334, 0.0008337181924316851),
     ("illcond", "rbb", 1): (93, "converged", 0, 0.00011220184079275687, 0.0008333333333333334, 0.0008337189114612764),
     ("illcond", "fixed", 2): (5000, "max_iter", 0, 1.0, 0.0008333333333333334, 0.0008334319160395723),
@@ -92,7 +92,7 @@ SUITE_CASES = {
     ("shorts", "fixed", 4): (5000, "max_iter", 0, 1.0, 0.008333333333333333, 0.008345123898292577),
     ("shorts", "rb", 4): (1016, "converged", 0, 0.0625, 0.008333333333333333, 0.008345095892541182),
     ("shorts", "bb", 4): (295, "converged", 0, 0.005670965788994165, 0.008333333333333333, 0.00834510944981089),
-    ("shorts", "rbb", 4): (2994, "converged", 0, 0.0003872711590769962, 0.008333333333333333, 0.00834509582932057),
+    ("shorts", "rbb", 4): (2994, "converged", 0, 0.0003872711590769962, 0.008333333333333333, 0.0083450958293202),
 }
 
 # frontier point: same layout as SUITE_CASES

@@ -82,24 +82,6 @@ class TestPortfolioProblemValidation:
             PortfolioProblem(**parts)
 
 
-    def test_stores_the_symmetric_part(self, rng):
-        A = rng.standard_normal((5, 5))
-        C = A @ A.T + 5 * np.eye(5)
-        C[0, 1] += 4e-13
-        problem = PortfolioProblem(C, np.linspace(0.1, 0.2, 5), 0.15)
-        assert problem.C.tobytes() == problem.C.T.tobytes(order="C")
-        assert problem.C.flags.c_contiguous
-        np.testing.assert_array_equal(problem.C, 0.5 * (C + C.T))
-
-    def test_keeps_a_symmetric_covariance_in_c_order(self):
-        C = factor_problem(n=5).C
-        assert PortfolioProblem(C, np.linspace(0.1, 0.2, 5), 0.15).C is C
-        from_fortran = PortfolioProblem(np.asfortranarray(C),
-                                        np.linspace(0.1, 0.2, 5), 0.15).C
-        assert from_fortran.flags.c_contiguous
-        assert from_fortran.tobytes() == C.tobytes()
-
-
 class TestObjective:
     def test_identity_hand_value(self):
         value = objective_value(np.eye(2), np.array([0.5, 0.5]), 0.1)

@@ -5,9 +5,9 @@ path to it.  Through ``callback``, each case hashes every IterateState in
 order: x, z, y and ybar (when set) as the bytes of ``v + 0.0``, which
 folds -0.0 into 0.0 so that only the sign of a zero may differ, then k,
 rho, lam, r_norm and d_norm as IEEE doubles.  A change that claims
-IEEE-equal iterates must pass this file unchanged.  The fixed cases and
-illcond rb, whose x-steps take the inverse of the KKT block once rho is
-final, were recorded again when that inverse came in.
+IEEE-equal iterates must pass this file unchanged.  The fixed cases, whose
+x-steps take the inverse of the KKT block, were recorded again when that
+inverse came in.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -34,7 +34,7 @@ SUITE_TRAJECTORIES = {
     ("random", "bb"): (9, "907ee7ae5e47f5d0a9c89c4205f176b7994b95208acda6fc5c087f467b799b71"),
     ("random", "rbb"): (9, "a3ab1dd8898b0d79049404346ab429f8a120265c5dfc64e2c26057191263061a"),
     ("illcond", "fixed"): (5000, "fd48f727d7f446e1916595a7e9dcbf2f2b86f651a71d14eab100a3fbd03203b2"),
-    ("illcond", "rb"): (2448, "fa1f5ea713ca772703d216644c4d03783326dc82e61706f0c4ce92ca759ccc63"),
+    ("illcond", "rb"): (2448, "ad1559956f81428f7d4fddef8b268e4e49ec77c0252aef8d3797f57b1370b819"),
     ("illcond", "bb"): (321, "a22c619e82bfaa6d0f8553792f2f9f0f3bb2bf738ec213aba68dee9372ebc40f"),
     ("illcond", "rbb"): (215, "f09961f1befa45bfd5266b8d591a29a38a2d9e0d72b88eea7ac460da1a89d5e0"),
     ("shorts", "fixed"): (5000, "97bddc76471dbd475891f965bd691f556f1f1acbbdabf1f49b2f00f09b08e28a"),
