@@ -5,13 +5,12 @@ and summing to one, with adaptive penalty-parameter strategies and an
 optional short-sale controller that escalates the L1 weight.
 """
 
-from .admm_engine import IterateState, SolveResult, SolverConfig, soft_threshold, solve
+from .admm_engine import IterateState, SolveResult, SolverConfig, solve
 from .lambda_controller import LambdaSchedule, initial_lambda, maybe_adjust
 from .market_data import (AssetStats, ReturnsFormatError, ReturnsMatrix,
                           estimate_stats, generate_synthetic_returns,
                           load_returns_csv, returns_to_csv, write_returns_csv)
 from .model import PortfolioProblem, build_problem, count_short_positions
-from .oracle import InfeasibleTargetError, OracleResult, check_kkt, enumerate_solve
 from .penalty import PenaltyConfig, rb_update, spectral_rho
 
 __version__ = "0.1.0"
@@ -19,9 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssetStats",
     "IterateState",
-    "InfeasibleTargetError",
     "LambdaSchedule",
-    "OracleResult",
     "PenaltyConfig",
     "PortfolioProblem",
     "ReturnsFormatError",
@@ -29,9 +26,7 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "build_problem",
-    "check_kkt",
     "count_short_positions",
-    "enumerate_solve",
     "estimate_stats",
     "generate_synthetic_returns",
     "initial_lambda",
@@ -39,7 +34,6 @@ __all__ = [
     "maybe_adjust",
     "rb_update",
     "returns_to_csv",
-    "soft_threshold",
     "solve",
     "spectral_rho",
     "write_returns_csv",

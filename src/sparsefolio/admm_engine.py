@@ -6,7 +6,7 @@ carried by a copy z and solved by soft thresholding; the scaled dual y
 ties them together.  Iteration k:
 
     x  <-  block solve of (C + rho*I, D) against (rho*z + y, b)
-    z  <-  soft_threshold(x - y/rho, lam/rho)
+    z  <-  u - min(max(u, -lam/rho), lam/rho),  u = x - y/rho
     y  <-  y + rho*(z - x)
 
 followed, on its cadence, by one penalty update; under fixed rho no update
@@ -128,23 +128,12 @@ class SolveResult:
     rho_final: float
 
 
-def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
-    """Shrink toward zero by kappa; magnitudes at or below kappa map to 0.0.
-
-    Equal under ==, NaN for NaN, to sign(u) * max(|u| - kappa, 0) in fewer
-    ufuncs; only zero signs differ (negative u in the dead zone gives +0.0).
-    """
-    if kappa < 0:
-        raise ValueError("threshold must be nonnegative")
-    return u - np.minimum(np.maximum(u, -kappa), kappa)
-
-
 def shrink_constants(lam: float, rho: float,
                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """z_update's kappa, -kappa and scratch for (rho, lam), as n-vectors.
 
     kappa is the float lam/rho, so the vectors hold the very thresholds
-    soft_threshold(u, lam/rho) compares against.
+    of the scalar shrinkage u - min(max(u, -lam/rho), lam/rho).
     """
     kappa = lam / rho
     return np.full(n, kappa), np.full(n, -kappa), np.empty(n)
@@ -156,9 +145,12 @@ def z_update(x_new: np.ndarray, y: np.ndarray, rho_vector: np.ndarray,
     """Exact minimizer of lam*||z||_1 + (rho/2)||z - (x_new - y/rho)||^2.
 
     rho_vector is rho as an n-vector and kappa, neg_kappa, scratch come
-    from shrink_constants(lam, rho, n).  The result is
-    soft_threshold(x_new - y/rho, lam/rho) from the same IEEE operations in
-    the same order, so it is bitwise equal, zero signs and NaNs included.
+    from shrink_constants(lam, rho, n).  With u = x_new - y/rho, the result
+    is bitwise that of the scalar shrinkage u - min(max(u, -lam/rho),
+    lam/rho) at the float lam/rho, zero signs and NaNs included, as it
+    makes the same IEEE operations in the same order.  Under ==, and NaN
+    for NaN, that equals sign(u) * max(|u| - lam/rho, 0); only the signs
+    of zeros differ.
     scratch is overwritten; the returned z is a new array.
     """
     u = x_new - y / rho_vector

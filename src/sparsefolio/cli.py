@@ -168,11 +168,7 @@ def _make_schedule(args, periods: int, assets: int) -> LambdaSchedule:
         lam0 = initial_lambda(periods, assets)
     else:
         lam0 = float(args.lam)
-        if lam0 < 0:
-            raise ValueError(f"--lambda must be nonnegative, got {lam0}")
     if args.adaptive_lambda:
-        if lam0 == 0:
-            raise ValueError("--adaptive-lambda needs a positive --lambda")
         return LambdaSchedule.adaptive(lam0, sn=args.sn)
     return LambdaSchedule.fixed(lam0)
 

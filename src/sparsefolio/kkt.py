@@ -47,6 +47,16 @@ b, and the returned x shares no memory with the scratch or with an
 earlier x.
 Because of the scratch, a factorization belongs to one run at a time and
 must not be shared across threads.
+
+``solve_support`` solves another block: C without the rho shift,
+restricted to a support S of the weights, [C_SS D_S'; D_S 0], against
+[head; b].  With the weights off S held at zero and head = -lam*s for
+signs s on S, its solution meets the penalized problem's stationarity
+and feasibility conditions on S; head = 0 on the full support gives the
+unpenalized, equality-constrained QP.  ``check_kkt`` measures how far a
+candidate (x, nu, g) is from meeting all the optimality conditions, which
+certifies such a solution.  The block is built and solved on each call:
+a support's block shares no factorization with the x-step's.
 """
 
 from __future__ import annotations
@@ -140,3 +150,49 @@ def solve_x_update(factorization: KktFactorization, z: np.ndarray,
     if info != 0:
         raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
     return solution[:factorization.n]
+
+
+def solve_support(problem: PortfolioProblem, support: np.ndarray,
+                  head: np.ndarray) -> np.ndarray:
+    """Solve the block of C restricted to a support against [head; b].
+
+    support is a boolean mask over the n assets with k entries set, and
+    head is (k,) or (k, s), one right-hand side per column.  Returns
+    [x_S; nu] of [C_SS D_S'; D_S 0] [x_S; nu] = [head; b], shaped like the
+    right-hand side.  C_SS is positive definite, so the block is
+    nonsingular when D_S has rank 2, which needs k >= 2; numpy.linalg.solve
+    raises LinAlgError on an exactly singular one.
+    """
+    k = int(np.count_nonzero(support))
+    D_S = problem.D[:, support]
+    A = np.zeros((k + 2, k + 2))
+    A[:k, :k] = problem.C[np.ix_(support, support)]
+    A[:k, k:] = D_S.T
+    A[k:, :k] = D_S
+    rhs = np.empty((k + 2,) + head.shape[1:])
+    rhs[:k] = head
+    rhs[k:] = problem.b if head.ndim == 1 else problem.b[:, None]
+    return np.linalg.solve(A, rhs)
+
+
+def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,
+              nu: np.ndarray, g: np.ndarray) -> float:
+    """Worst violation across stationarity, feasibility, and the subgradient.
+
+    The subgradient terms (|g_i| <= 1 off the support, g_i = sign(x_i) on
+    it) only constrain anything when lam > 0; at lam = 0 the conditions
+    reduce to the plain equality-constrained QP system.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    stationarity = float(np.abs(problem.C @ x + lam * g + problem.D.T @ nu).max())
+    feasibility = float(np.abs(problem.D @ x - problem.b).max())
+    worst = max(stationarity, feasibility)
+    if lam > 0:
+        on_support = x != 0
+        if on_support.any():
+            worst = max(worst, float(np.abs(g[on_support] - np.sign(x[on_support])).max()))
+        off_support = ~on_support
+        if off_support.any():
+            worst = max(worst, max(float(np.abs(g[off_support]).max()) - 1.0, 0.0))
+    return worst

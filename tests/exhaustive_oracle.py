@@ -1,15 +1,21 @@
-"""Exhaustive certificate-checked reference solver for small instances.
+"""Independent references the tests compare the solver against.
 
-For each sign pattern of the weight vector (3^n of them, capped at n = 12)
-the optimality conditions of the penalized problem reduce to a small linear
-system on the pattern's support.  Solving every system, discarding
-candidates whose signs or subgradient bounds fail, and keeping the best
-verified objective yields the exact optimum, independent of any iterative
-machinery.  Intended for testing, not production sizes.
+enumerate_solve is an exhaustive, certificate-checked reference solver for
+small instances.  For each sign pattern of the weight vector (3^n of them,
+capped at n = 12) the optimality conditions of the penalized problem reduce
+to a small linear system on the pattern's support.  Solving every system,
+discarding candidates whose signs or subgradient bounds fail, and keeping
+the best verified objective yields the exact optimum, independent of any
+iterative machinery.
 
 The system's matrix depends only on the support, and the sign vector only
-enters its right-hand side, so each support's block is solved once against
-the right-hand sides of all its 2^k sign vectors.
+enters its right-hand side, so each support's block is solved once, by
+kkt.solve_support, against the right-hand sides of all its 2^k sign
+vectors.
+
+soft_threshold is the shrinkage formula the engine's z-step must match
+bitwise, and fixed_rho_reference a textbook fixed-rho ADMM loop with a
+fresh dense KKT solve per iteration.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PortfolioProblem, objective_value
+from sparsefolio.admm_engine import feasible_start
+from sparsefolio.kkt import check_kkt, solve_support
+from sparsefolio.model import PortfolioProblem, objective_value
 
 MAX_ENUM_ASSETS = 12
 
@@ -37,36 +45,9 @@ class OracleResult:
     unique: bool
 
 
-def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,
-              nu: np.ndarray, g: np.ndarray) -> float:
-    """Worst violation across stationarity, feasibility, and the subgradient.
-
-    The subgradient terms (|g_i| <= 1 off the support, g_i = sign(x_i) on
-    it) only constrain anything when lam > 0; at lam = 0 the conditions
-    reduce to the plain equality-constrained QP system.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    stationarity = float(np.abs(problem.C @ x + lam * g + problem.D.T @ nu).max())
-    feasibility = float(np.abs(problem.D @ x - problem.b).max())
-    worst = max(stationarity, feasibility)
-    if lam > 0:
-        on_support = x != 0
-        if on_support.any():
-            worst = max(worst, float(np.abs(g[on_support] - np.sign(x[on_support])).max()))
-        off_support = ~on_support
-        if off_support.any():
-            worst = max(worst, max(float(np.abs(g[off_support]).max()) - 1.0, 0.0))
-    return worst
-
-
 def _solve_unpenalized(problem: PortfolioProblem, kkt_tol: float) -> OracleResult:
     n = problem.n
-    K = np.zeros((n + 2, n + 2))
-    K[:n, :n] = problem.C
-    K[:n, n:] = problem.D.T
-    K[n:, :n] = problem.D
-    solution = np.linalg.solve(K, np.concatenate([np.zeros(n), problem.b]))
+    solution = solve_support(problem, np.ones(n, dtype=bool), np.zeros(n))
     x, nu = solution[:n], solution[n:]
     g = np.zeros(n)
     if check_kkt(problem, 0.0, x, nu, g) > kkt_tol:
@@ -95,7 +76,7 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
     if lam == 0:
         return _solve_unpenalized(problem, kkt_tol)
 
-    C, D, b = problem.C, problem.D, problem.b
+    C, D = problem.C, problem.D
     n = problem.n
     # a pattern's place in the lexicographic order of sign tuples over
     # (-1, 0, 1): digits -1, 0, 1 -> 0, 1, 2
@@ -109,16 +90,9 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
         k = int(support.sum())
         if k < 2:
             continue
-        A = np.zeros((k + 2, k + 2))
-        A[:k, :k] = C[np.ix_(support, support)]
-        A[:k, k:] = D[:, support].T
-        A[k:, :k] = D[:, support]
         signs = sign_vectors[k]
-        rhs = np.empty((k + 2, len(signs)))
-        rhs[:k] = -lam * signs.T
-        rhs[k:] = b[:, None]
         try:
-            solutions = np.linalg.solve(A, rhs)
+            solutions = solve_support(problem, support, -lam * signs.T)
         except np.linalg.LinAlgError:
             continue
         consistent = np.all(signs.T * solutions[:k] > 0, axis=0)
@@ -152,3 +126,40 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
     return OracleResult(weights=best[3], objective=best[0], multiplier=best[4],
                         subgradient=best[5], unique=unique)
 
+
+def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:
+    """Shrink toward zero by kappa; magnitudes at or below kappa map to 0.0.
+
+    Equal under ==, NaN for NaN, to sign(u) * max(|u| - kappa, 0) in fewer
+    ufuncs; only zero signs differ (negative u in the dead zone gives +0.0).
+    """
+    if kappa < 0:
+        raise ValueError("threshold must be nonnegative")
+    return u - np.minimum(np.maximum(u, -kappa), kappa)
+
+
+def fixed_rho_reference(problem: PortfolioProblem, lam: float, rho: float,
+                        iters: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The textbook scaled-form ADMM loop at a fixed rho, for iters iterations.
+
+    Written apart from the engine: u is the scaled dual (the engine's y is
+    -rho*u), the x-step is a fresh dense solve of the full KKT block each
+    iteration, and the z-step is sign(v) * max(|v| - lam/rho, 0).  Starts
+    where the engine does and returns (x, z, u) after each iteration.
+    """
+    n = problem.n
+    x = feasible_start(problem)
+    z = x.copy()
+    u = np.zeros(n)
+    K = np.zeros((n + 2, n + 2))
+    K[:n, :n] = problem.C + rho * np.eye(n)
+    K[:n, n:] = problem.D.T
+    K[n:, :n] = problem.D
+    iterates = []
+    for _ in range(iters):
+        x = np.linalg.solve(K, np.concatenate([rho * (z - u), problem.b]))[:n]
+        v = x + u
+        z = np.sign(v) * np.maximum(np.abs(v) - lam / rho, 0.0)
+        u = u + x - z
+        iterates.append((x, z, u))
+    return iterates

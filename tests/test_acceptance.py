@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import factor_problem, mean_diag_rho
+from exhaustive_oracle import enumerate_solve, fixed_rho_reference
 from sparsefolio.admm_engine import (
     IterateState,
     SolverConfig,
-    feasible_start,
     solve,
     stopping_check,
 )
@@ -23,7 +23,6 @@ from sparsefolio.cli import main
 from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
 from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
 from sparsefolio.model import build_problem
-from sparsefolio.oracle import enumerate_solve
 from sparsefolio.penalty import (
     PENALTY_KINDS,
     PenaltyConfig,
@@ -220,20 +219,9 @@ def test_7_fixed_rho_matches_reference_loop():
     solve(problem, cfg, callback=states.append)
     assert len(states) == iters
 
-    n = problem.n
-    x = feasible_start(problem)
-    z = x.copy()
-    u = np.zeros(n)
-    K = np.zeros((n + 2, n + 2))
-    K[:n, :n] = problem.C + rho * np.eye(n)
-    K[:n, n:] = problem.D.T
-    K[n:, :n] = problem.D
     worst = 0.0
-    for state in states:
-        x = np.linalg.solve(K, np.concatenate([rho * (z - u), problem.b]))[:n]
-        v = x + u
-        z = np.sign(v) * np.maximum(np.abs(v) - lam / rho, 0.0)
-        u = u + x - z
+    for state, (x, z, u) in zip(states,
+                                fixed_rho_reference(problem, lam, rho, iters)):
         worst = max(worst,
                     float(np.abs(state.x - x).max()),
                     float(np.abs(state.z - z).max()),

@@ -10,12 +10,12 @@ from scipy.linalg import lu_factor, lu_solve
 
 import sparsefolio.admm_engine as engine
 from conftest import factor_problem, identity_problem, mean_diag_rho, two_asset_problem
+from exhaustive_oracle import enumerate_solve, fixed_rho_reference, soft_threshold
 from sparsefolio.admm_engine import (
     SolverConfig,
     feasible_start,
     residual_norms,
     shrink_constants,
-    soft_threshold,
     solve,
     stopping_check,
     y_update,
@@ -24,7 +24,6 @@ from sparsefolio.admm_engine import (
 from sparsefolio.kkt import factorize, solve_x_update
 from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
 from sparsefolio.model import objective_value
-from sparsefolio.oracle import enumerate_solve
 from sparsefolio.penalty import (
     FREEZE_AFTER,
     PENALTY_KINDS,
@@ -747,22 +746,8 @@ class TestTextbookEquivalence:
         solve(problem, cfg, callback=mine.append)
         assert len(mine) == iters
 
-        # independent scaled-form loop: u is the scaled dual, x-step solved
-        # by a fresh dense KKT solve each iteration
-        n = problem.n
-        x = feasible_start(problem)
-        z = x.copy()
-        u = np.zeros(n)
-        K = np.zeros((n + 2, n + 2))
-        K[:n, :n] = problem.C + rho * np.eye(n)
-        K[:n, n:] = problem.D.T
-        K[n:, :n] = problem.D
-        for state in mine:
-            rhs = np.concatenate([rho * (z - u), problem.b])
-            x = np.linalg.solve(K, rhs)[:n]
-            v = x + u
-            z = np.sign(v) * np.maximum(np.abs(v) - lam / rho, 0.0)
-            u = u + x - z
+        for state, (x, z, u) in zip(mine,
+                                    fixed_rho_reference(problem, lam, rho, iters)):
             assert np.abs(state.x - x).max() <= 1e-12
             assert np.abs(state.z - z).max() <= 1e-12
             assert np.abs(state.y + rho * u).max() <= 1e-12

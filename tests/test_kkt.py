@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import lu_factor, lu_solve
 
 from conftest import factor_problem, identity_problem, two_asset_problem
-from sparsefolio.kkt import factorize, invert, solve_x_update
+from sparsefolio.kkt import factorize, invert, solve_support, solve_x_update
 from sparsefolio.model import PortfolioProblem
 from sparsefolio.penalty import RHO_MAX, RHO_MIN
 from sparsefolio.suites import SUITES, make_suite_instances
@@ -192,6 +192,22 @@ class TestSolveXUpdate:
 
 # rho from RHO_MIN to 5e7 in steps of 5 and 2
 RHO_GRID = [m * 10.0 ** p for p in range(-8, 8) for m in (1, 5)]
+
+
+class TestSolveSupport:
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_block_equations_hold_on_the_support(self, rng, columns):
+        problem = random_problem(6, rng)
+        support = np.array([True, False, True, True, False, True])
+        head = rng.standard_normal(4 if columns is None else (4, columns))
+        solution = solve_support(problem, support, head)
+        assert solution.shape == (6,) + head.shape[1:]
+        x_s, nu = solution[:4], solution[4:]
+        C_ss = problem.C[np.ix_(support, support)]
+        D_s = problem.D[:, support]
+        b = problem.b if columns is None else problem.b[:, None]
+        np.testing.assert_allclose(C_ss @ x_s + D_s.T @ nu, head, atol=1e-12)
+        np.testing.assert_allclose(D_s @ x_s - b, 0.0, atol=1e-12)
 
 
 class TestInvert:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import factor_problem
+from exhaustive_oracle import enumerate_solve
 from sparsefolio.market_data import AssetStats
 from sparsefolio.model import (
     ZERO_TOL,
@@ -10,7 +11,6 @@ from sparsefolio.model import (
     count_short_positions,
     objective_value,
 )
-from sparsefolio.oracle import enumerate_solve
 
 
 class TestBuildProblem:

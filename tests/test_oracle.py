@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import factor_problem, identity_problem, two_asset_problem
+from exhaustive_oracle import InfeasibleTargetError, enumerate_solve
+from sparsefolio.kkt import check_kkt
 from sparsefolio.market_data import AssetStats
 from sparsefolio.model import PortfolioProblem, build_problem, objective_value
-from sparsefolio.oracle import (
-    InfeasibleTargetError,
-    check_kkt,
-    enumerate_solve,
-)
 
 
 def degenerate_problem(n=3):

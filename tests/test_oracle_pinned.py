@@ -12,10 +12,10 @@ import hashlib
 
 import pytest
 
+from exhaustive_oracle import enumerate_solve
 from sparsefolio.lambda_controller import initial_lambda
 from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
 from sparsefolio.model import build_problem
-from sparsefolio.oracle import enumerate_solve
 from sparsefolio.suites import SUITES, make_suite_instances
 
 
