@@ -9,7 +9,7 @@ from .admm_engine import IterateState, SolveResult, SolverConfig, solve
 from .lambda_controller import LambdaSchedule, initial_lambda, maybe_adjust
 from .market_data import (AssetStats, ReturnsFormatError, ReturnsMatrix,
                           estimate_stats, generate_synthetic_returns,
-                          load_returns_csv, returns_to_csv, write_returns_csv)
+                          load_returns_csv, returns_to_csv)
 from .model import PortfolioProblem, build_problem, count_short_positions
 from .penalty import PenaltyConfig, rb_update, spectral_rho
 
@@ -36,6 +36,5 @@ __all__ = [
     "returns_to_csv",
     "solve",
     "spectral_rho",
-    "write_returns_csv",
     "__version__",
 ]

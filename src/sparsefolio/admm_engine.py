@@ -282,9 +282,10 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     and, if lambda moves, starts a new run from the cold start at the new
     lambda.  It stops when lambda stays put or a run does not converge.
     max_iter bounds the iterations of all runs together; a move that finds
-    the budget spent ends the solve as max_iter.  The callback sees every
-    run, each with k counting from 0.  iterations is the total; weights,
-    final_state and rho_final come from the last run.
+    the budget spent starts no run and ends the solve as max_iter, with
+    the moved lambda as lambda_final.  The callback sees every run, each
+    with k counting from 0.  iterations is the total; weights, final_state
+    and rho_final come from the last run.
     """
     schedule = cfg.lambda_schedule
     lam = schedule.lambda_current
@@ -292,23 +293,20 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     if cfg.penalty.kind == "fixed":
         # rho never moves, so every run of this solve takes the inverse
         factorization = invert(factorization)
-    state, termination, iterations, rho = _run(
-        problem, cfg, lam, factorization, cfg.max_iter, callback)
-
-    adaptive = schedule.mode == "adaptive"
-    while adaptive and termination == TERMINATION_CONVERGED:
-        adjusted = maybe_adjust(schedule, count_short_positions(state.z))
-        if adjusted.lambda_current == schedule.lambda_current:
-            break
-        schedule = adjusted
-        lam = schedule.lambda_current
-        if iterations == cfg.max_iter:
-            termination = TERMINATION_MAX_ITER
-            break
+    iterations = 0
+    while iterations < cfg.max_iter:
         state, termination, used, rho = _run(
             problem, cfg, lam, factorization, cfg.max_iter - iterations,
             callback)
         iterations += used
+        if schedule.mode != "adaptive" or termination != TERMINATION_CONVERGED:
+            break
+        schedule = maybe_adjust(schedule, count_short_positions(state.z))
+        if schedule.lambda_current == lam:
+            break
+        lam = schedule.lambda_current
+    else:  # lambda moved with the budget spent: the last run's result stands
+        termination = TERMINATION_MAX_ITER
 
     x = state.x
     return SolveResult(

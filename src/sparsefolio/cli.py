@@ -19,9 +19,8 @@ import numpy as np
 
 from .admm_engine import SolverConfig, solve
 from .lambda_controller import LambdaSchedule, initial_lambda
-from .market_data import (ReturnsFormatError, estimate_stats,
-                          generate_synthetic_returns, load_returns_csv,
-                          returns_to_csv)
+from .market_data import (estimate_stats, generate_synthetic_returns,
+                          load_returns_csv, returns_to_csv)
 from .model import ZERO_TOL, build_problem, count_short_positions
 from .penalty import PENALTY_KINDS, PenaltyConfig
 from .suites import SUITES, make_suite_instances
@@ -77,10 +76,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sn", type=int, default=0,
                         help="short positions tolerated in adaptive mode "
                              "(default: %(default)s)")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="relative residual tolerance (default: %(default)s)")
-    parser.add_argument("--max-iter", type=int, default=5000,
-                        help="iteration cap (default: %(default)s)")
     parser.add_argument("--rho0", type=float, default=1.0,
                         help="initial penalty parameter (default: %(default)s)")
     parser.add_argument("--q", type=float, default=1.0,
@@ -137,12 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="instances per suite (default: %(default)s)")
     ben.add_argument("--seed", type=int, default=0,
                      help="suite seed (default: %(default)s)")
-    ben.add_argument("--tol", type=float, default=1e-6,
-                     help="relative residual tolerance (default: %(default)s)")
-    ben.add_argument("--max-iter", type=int, default=5000,
-                     help="iteration cap (default: %(default)s)")
     ben.add_argument("-o", "--output", default="-",
                      help="results CSV path, '-' for stdout (default: %(default)s)")
+    for command in (slv, frn, ben):
+        command.add_argument("--tol", type=float, default=1e-6,
+                             help="relative residual tolerance (default: %(default)s)")
+        command.add_argument("--max-iter", type=int, default=5000,
+                             help="iteration cap (default: %(default)s)")
     return parser
 
 
@@ -154,14 +150,7 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _make_config(args, schedule: LambdaSchedule) -> SolverConfig:
-    penalty = PenaltyConfig(kind=args.strategy, rho0=args.rho0, q=args.q,
-                            nbar=args.nbar)
-    return SolverConfig(tol=args.tol, max_iter=args.max_iter, penalty=penalty,
-                        lambda_schedule=schedule)
-
-
-def _make_schedule(args, periods: int, assets: int) -> LambdaSchedule:
+def _make_config(args, periods: int, assets: int) -> SolverConfig:
     if args.sn < 0:
         raise ValueError(f"--sn must be nonnegative, got {args.sn}")
     if args.lam == "auto":
@@ -169,8 +158,13 @@ def _make_schedule(args, periods: int, assets: int) -> LambdaSchedule:
     else:
         lam0 = float(args.lam)
     if args.adaptive_lambda:
-        return LambdaSchedule.adaptive(lam0, sn=args.sn)
-    return LambdaSchedule.fixed(lam0)
+        schedule = LambdaSchedule.adaptive(lam0, sn=args.sn)
+    else:
+        schedule = LambdaSchedule.fixed(lam0)
+    penalty = PenaltyConfig(kind=args.strategy, rho0=args.rho0, q=args.q,
+                            nbar=args.nbar)
+    return SolverConfig(tol=args.tol, max_iter=args.max_iter, penalty=penalty,
+                        lambda_schedule=schedule)
 
 
 def _resolve_target(args, mu: np.ndarray) -> float:
@@ -190,8 +184,7 @@ def cmd_solve(args) -> int:
     stats = estimate_stats(returns)
     target = _resolve_target(args, stats.mu)
     problem = build_problem(stats, target)
-    schedule = _make_schedule(args, returns.periods, returns.assets)
-    cfg = _make_config(args, schedule)
+    cfg = _make_config(args, returns.periods, returns.assets)
     history = {"r_norm": [], "d_norm": [], "rho": [], "lambda": []}
 
     def record(state) -> None:
@@ -247,8 +240,7 @@ def cmd_frontier(args) -> int:
         raise ValueError(f"--e-max {e_max} minus --e-min {e_min} overflows; "
                          f"narrow the range")
     targets = np.linspace(e_min, e_max, args.points)
-    schedule = _make_schedule(args, returns.periods, returns.assets)
-    cfg = _make_config(args, schedule)
+    cfg = _make_config(args, returns.periods, returns.assets)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -314,8 +306,7 @@ def main(argv=None) -> int:
                 "bench": cmd_bench}
     try:
         return handlers[args.command](args)
-    except (ReturnsFormatError, FileNotFoundError, IsADirectoryError,
-            PermissionError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ReturnsFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

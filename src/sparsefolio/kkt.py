@@ -80,16 +80,16 @@ class KktFactorization:
     """The block system in solvable form, with what its solves need.
 
     lu holds the LU factors with their pivots piv or, after ``invert``,
-    the inverse of the block, and then piv is None.  rho_vector is the rho
-    the block was built at, as an n-vector.  rhs is the solves' scratch
-    right-hand side, whose tail is the right-hand side b of the equality
-    rows, so every solve uses the rho and b it was factored for.  head is
-    the view of the first n entries of rhs; solves overwrite it, so one
-    factorization serves one thread.
+    the inverse of the block, and then piv is None; either way lu is
+    (n+2) x (n+2).  rho_vector is the rho the block was built at, as an
+    n-vector.  rhs is the solves' scratch right-hand side, whose tail is the
+    right-hand side b of the two equality rows, so every solve uses the rho
+    and b it was factored for, and x is the solution without its last two
+    entries.  head is the view of the first n entries of rhs; solves
+    overwrite it, so one factorization serves one thread.
     """
 
     rho_vector: np.ndarray = field(repr=False)
-    n: int
     lu: np.ndarray = field(repr=False)
     piv: Optional[np.ndarray] = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -116,8 +116,8 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         raise ValueError(f"getrf rejected argument {-info} of the KKT block")
     rhs = np.empty(n + 2)
     rhs[n:] = problem.b
-    return KktFactorization(rho_vector=np.full(n, float(rho)), n=n, lu=lu,
-                            piv=piv, rhs=rhs, head=rhs[:n])
+    return KktFactorization(rho_vector=np.full(n, float(rho)), lu=lu, piv=piv,
+                            rhs=rhs, head=rhs[:n])
 
 
 def invert(factorization: KktFactorization) -> KktFactorization:
@@ -129,7 +129,7 @@ def invert(factorization: KktFactorization) -> KktFactorization:
     """
     # the blocked getri needs the workspace size LAPACK asks for; the
     # wrapper's default of 3(n+2) makes it fall back to the unblocked code
-    work, _ = _getri_lwork(factorization.n + 2)
+    work, _ = _getri_lwork(factorization.lu.shape[0])
     inverse, info = _getri(factorization.lu, factorization.piv,
                            lwork=int(work), overwrite_lu=True)
     if info != 0:
@@ -144,12 +144,12 @@ def solve_x_update(factorization: KktFactorization, z: np.ndarray,
     np.multiply(z, factorization.rho_vector, out=head)
     np.add(head, y, out=head)
     if factorization.piv is None:
-        return _symv(1.0, factorization.lu, factorization.rhs)[:factorization.n]
+        return _symv(1.0, factorization.lu, factorization.rhs)[:-2]
     solution, info = _getrs(factorization.lu, factorization.piv,
                             factorization.rhs)
     if info != 0:
         raise ValueError(f"getrs rejected argument {-info} of the x-step solve")
-    return solution[:factorization.n]
+    return solution[:-2]
 
 
 def solve_support(problem: PortfolioProblem, support: np.ndarray,

@@ -106,7 +106,8 @@ def load_returns_csv(path) -> ReturnsMatrix:
     Both give bitwise-equal values, so the input alone decides the outcome.
 
     Raises ReturnsFormatError with the offending line (and column, for bad
-    numbers) on any layout problem; missing files surface as the usual
+    numbers) on any layout problem, a field longer than
+    csv.field_size_limit() included; missing files surface as the usual
     FileNotFoundError.
     """
     with open(path, newline="", encoding="utf-8") as handle:
@@ -165,7 +166,10 @@ def _load_fast(handle):
 def _load_rows(path, handle):
     """The returns via csv.reader and float(), naming any bad row's first line."""
     reader = csv.reader(handle)
-    rows = [(reader.line_num, row) for row in reader]  # (last line, fields)
+    try:
+        rows = [(reader.line_num, row) for row in reader]  # (last line, fields)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ReturnsFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ReturnsFormatError(f"{path}: line 1: empty file, expected a header row")
     names = [name.strip() for name in rows[0][1]]
@@ -209,11 +213,6 @@ def returns_to_csv(returns: ReturnsMatrix) -> str:
     for row in returns.values:
         writer.writerow([repr(float(v)) for v in row])
     return buffer.getvalue()
-
-
-def write_returns_csv(returns: ReturnsMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(returns_to_csv(returns))
 
 
 def estimate_stats(returns: ReturnsMatrix) -> AssetStats:

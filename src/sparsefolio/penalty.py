@@ -59,13 +59,10 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
-        for name in ("rho0", "q"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (RHO_MIN < self.rho0 < RHO_MAX):
+        if not (RHO_MIN < self.rho0 < RHO_MAX):  # False for NaN and inf too
             raise ValueError(f"need {RHO_MIN} < rho0 < {RHO_MAX}")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
+        if not (0 < self.q < math.inf):
+            raise ValueError("q must be positive and finite")
         if self.nbar < 1:
             raise ValueError("nbar must be at least 1")
 
@@ -117,10 +114,12 @@ def bb_scalars(d_dual: np.ndarray, d_grad: np.ndarray) -> BbScalars:
 
 
 def tau_update(r_norm: float, d_norm: float, q: float) -> float:
-    """Regularization weight (r/d)^q, capped at TAU_MAX (also used when d = 0)."""
-    if d_norm == 0.0:
+    """Regularization weight (r/d)^q, capped at TAU_MAX (also used when d = 0
+    and when the power overflows a float, as it can for a large q)."""
+    try:
+        return min((r_norm / d_norm) ** q, TAU_MAX)
+    except (ZeroDivisionError, OverflowError):
         return TAU_MAX
-    return min((r_norm / d_norm) ** q, TAU_MAX)
 
 
 def rbb_scalar(d_dual: np.ndarray, d_grad: np.ndarray, tau: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -176,6 +177,27 @@ class TestSolve:
     def test_non_finite_setting_exits_2(self, returns_csv, capsys, flag, value):
         assert main(["solve", "--input", returns_csv, flag, value]) == EXIT_INPUT
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_overflowing_rbb_weight_converges(self, tmp_path, seed):
+        # (r/d)^1000 overflows a float on these inputs; tau is then TAU_MAX
+        path = str(tmp_path / "r.csv")
+        assert main(["gen", "--assets", "10", "--periods", "120",
+                     "--seed", str(seed), "-o", path]) == EXIT_OK
+        code, payload = run_solve(path, tmp_path, "--strategy", "rbb",
+                                  "--q", "1000")
+        assert code == EXIT_OK
+        assert payload["termination"] == "converged"
+
+    @pytest.mark.parametrize("command", ["solve", "frontier"])
+    def test_field_over_csv_limit_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "long.csv"
+        long_field = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"A,B\n{long_field},0.2\n0.3,0.4\n")
+        assert main([command, "--input", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 2: field larger than field limit" in err
 
     def test_unreachable_target_exits_2(self, returns_csv, capsys):
         for target in ("99", "1e400"):

@@ -36,7 +36,7 @@ class TestFactorize:
     def test_identity_covariance(self):
         problem = two_asset_problem()
         fact = factorize(problem, 1.0)
-        assert fact.n == 2
+        assert fact.lu.shape == (4, 4)
         np.testing.assert_array_equal(fact.rhs[2:], problem.b)
 
     @pytest.mark.parametrize("rho", [RHO_MIN, 0.37, 1, RHO_MAX])

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sparsefolio.penalty as penalty
 from sparsefolio.admm_engine import IterateState
@@ -183,6 +186,27 @@ class TestTauUpdate:
         # (1e7)^2 = 1e14 exceeds the cap; just below it passes through
         assert tau_update(1e7, 1.0, 2.0) == TAU_MAX
         assert tau_update(9.9e5, 1.0, 2.0) == pytest.approx(9.801e11)
+
+    def test_overflowing_power_returns_cap(self):
+        # 10.0 ** 1000.0 raises OverflowError instead of giving inf
+        assert tau_update(10.0, 1.0, 1000.0) == TAU_MAX
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(0.0, sys.float_info.max),
+           d=st.floats(0.0, sys.float_info.max),
+           q=st.floats(0.0, sys.float_info.max, exclude_min=True))
+    @example(r=10.0, d=1.0, q=1000.0)
+    @example(r=0.0, d=0.0, q=1.0)
+    @example(r=sys.float_info.max, d=5e-324, q=1.0)
+    def test_bounded_and_bitwise_the_power(self, r, d, q):
+        tau = tau_update(r, d, q)
+        assert 0.0 <= tau <= TAU_MAX
+        try:
+            power = (r / d) ** q
+        except (ZeroDivisionError, OverflowError):
+            return
+        if power < TAU_MAX:  # finite and under the cap
+            assert tau.hex() == power.hex()
 
 
 class TestRbbScalar:
