@@ -9,10 +9,10 @@ ties them together.  Iteration k:
     z  <-  u - min(max(u, -lam/rho), lam/rho),  u = x - y/rho
     y  <-  y + rho*(z - x)
 
-followed, on its cadence, by one penalty update; under fixed rho no update
-is ever due, as PenaltyState.update would return rho unchanged.  The
-primal residual is z - x and the dual residual is -rho*(z - z_prev); both
-enter the relative stopping test below.  One run keeps lambda fixed.  In
+followed, on each iteration PenaltyState.due lists, by one penalty update
+(PenaltyState owns the cadence; under fixed rho none is due).  The primal
+residual is z - x and the dual residual is -rho*(z - z_prev); both enter
+the relative stopping test below.  One run keeps lambda fixed.  In
 adaptive lambda mode the short-sale guard sits outside the runs: it counts
 the shorts of a converged run's z, which soft thresholding makes exactly
 sparse, and when it raises lambda the next run starts cold at the new
@@ -72,7 +72,7 @@ import numpy as np
 from .kkt import KktFactorization, factorize, invert, solve_x_update
 from .lambda_controller import LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
-from .penalty import FREEZE_AFTER, PenaltyConfig, PenaltyState, compute_ybar
+from .penalty import PenaltyConfig, PenaltyState, compute_ybar
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -120,9 +120,7 @@ class SolveResult:
     objective: float
     iterations: int
     termination: str
-    short_count: int
     final_state: IterateState
-    lambda_initial: float
     lambda_final: float
     lambda_adjustments: int
     rho_final: float
@@ -200,25 +198,23 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
          callback: Optional[Callable[[IterateState], None]],
          ) -> tuple[IterateState, str, int, float]:
     """One ADMM run at a fixed lam from the cold start, for at most budget
-    iterations; factorization is the one at cfg.penalty.rho0.
+    iterations; factorization is the one at cfg.penalty.rho0.  Iteration k
+    is due an update when k equals the value last drawn from PenaltyState.due.
 
     Returns the last committed state, the termination, the iteration count
     and the rho in force at the end.
     """
-    pen_cfg = cfg.penalty
-    rho = pen_cfg.rho0
+    rho = cfg.penalty.rho0
     n = problem.n
     rho_vector = factorization.rho_vector
     kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
     x = feasible_start(problem)
     z = x.copy()
     y = np.zeros(n)
-    pen_state = PenaltyState(pen_cfg)
-    # fixed rho: PenaltyState.update would return rho, so no update is due
-    updates = pen_cfg.kind != "fixed"
-    spectral = pen_cfg.kind in ("bb", "rbb")
-    nbar = pen_cfg.nbar
-    phase = 1 % nbar
+    pen_state = PenaltyState(cfg.penalty)
+    due = iter(pen_state.due)
+    next_due = next(due, -1)  # -1 once no update is due any more
+    reads_ybar = pen_state.reads_ybar
     tol = cfg.tol
     # the last committed iterate's IterateState, or None when not built yet
     state = IterateState(x, z, y, rho, lam, -1)
@@ -238,8 +234,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 break
             r_norm, d_norm = norms
             y_new = y_update(y, rho_vector, primal)
-            update_due = updates and k % nbar == phase and k <= FREEZE_AFTER
-            ybar = compute_ybar(y, rho, x_new, z) if update_due and spectral else None
+            ybar = (compute_ybar(y, rho, x_new, z)
+                    if reads_ybar and k == next_due else None)
             x, z, y = x_new, z_new, y_new
             state = None
 
@@ -251,7 +247,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 termination, used = TERMINATION_CONVERGED, k + 1
                 break
 
-            if update_due:
+            if k == next_due:
+                next_due = next(due, -1)
                 if state is None:
                     state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm,
                                          ybar)
@@ -314,9 +311,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         objective=objective_value(problem.C, x, lam),
         iterations=iterations,
         termination=termination,
-        short_count=count_short_positions(x),
         final_state=state,
-        lambda_initial=cfg.lambda_schedule.lambda_current,
         lambda_final=lam,
         lambda_adjustments=schedule.adjustments_made,
         rho_final=rho,

@@ -81,8 +81,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, default=1.0,
                         help="residual-ratio exponent for the rbb strategy "
                              "(default: %(default)s)")
-    parser.add_argument("--nbar", type=int, default=2,
-                        help="iterations between penalty updates (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,8 +159,7 @@ def _make_config(args, periods: int, assets: int) -> SolverConfig:
         schedule = LambdaSchedule.adaptive(lam0, sn=args.sn)
     else:
         schedule = LambdaSchedule.fixed(lam0)
-    penalty = PenaltyConfig(kind=args.strategy, rho0=args.rho0, q=args.q,
-                            nbar=args.nbar)
+    penalty = PenaltyConfig(kind=args.strategy, rho0=args.rho0, q=args.q)
     return SolverConfig(tol=args.tol, max_iter=args.max_iter, penalty=penalty,
                         lambda_schedule=schedule)
 
@@ -200,10 +197,10 @@ def cmd_solve(args) -> int:
         "objective": result.objective,
         "iterations": result.iterations,
         "termination": result.termination,
-        "lambda_initial": result.lambda_initial,
+        "lambda_initial": cfg.lambda_schedule.lambda_current,
         "lambda_final": result.lambda_final,
         "rho_final": result.rho_final,
-        "short_count": result.short_count,
+        "short_count": count_short_positions(result.weights),
         "config_echo": {
             "input": args.input,
             "target_return": target,
@@ -215,7 +212,6 @@ def cmd_solve(args) -> int:
             "max_iter": args.max_iter,
             "rho0": args.rho0,
             "q": args.q,
-            "nbar": args.nbar,
         },
     }
     if args.history:
@@ -306,7 +302,8 @@ def main(argv=None) -> int:
                 "bench": cmd_bench}
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:  # ReturnsFormatError is a ValueError
+    # ReturnsFormatError is a ValueError; MemoryError, a size numpy refuses
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

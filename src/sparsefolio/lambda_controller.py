@@ -22,7 +22,6 @@ MAX_ADJUSTMENTS = 50
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    lambda0: float
     lambda_current: float
     sn: int = 0
     adjustments_made: int = 0
@@ -31,13 +30,11 @@ class LambdaSchedule:
     def __post_init__(self):
         if self.mode not in LAMBDA_MODES:
             raise ValueError(f"mode must be one of {LAMBDA_MODES}, got {self.mode!r}")
-        if not (0 <= self.lambda0 < math.inf and 0 <= self.lambda_current < math.inf):
+        if not (0 <= self.lambda_current < math.inf):
             raise ValueError("lambda weights must be nonnegative and finite")
-        if self.mode == "adaptive" and self.lambda0 == 0:
+        if self.mode == "adaptive" and self.lambda_current == 0:
             # A zero weight can never escalate multiplicatively.
             raise ValueError("lambda must be positive in adaptive mode")
-        if self.lambda_current < self.lambda0:
-            raise ValueError("lambda_current may never fall below lambda0")
         if self.sn < 0:
             raise ValueError("sn must be nonnegative")
         if not (0 <= self.adjustments_made <= MAX_ADJUSTMENTS):
@@ -45,12 +42,11 @@ class LambdaSchedule:
 
     @classmethod
     def fixed(cls, value: float) -> "LambdaSchedule":
-        return cls(lambda0=float(value), lambda_current=float(value), mode="fixed")
+        return cls(lambda_current=float(value), mode="fixed")
 
     @classmethod
     def adaptive(cls, lambda0: float, sn: int = 0) -> "LambdaSchedule":
-        return cls(lambda0=float(lambda0), lambda_current=float(lambda0),
-                   sn=sn, mode="adaptive")
+        return cls(lambda_current=float(lambda0), sn=sn, mode="adaptive")
 
 
 def initial_lambda(m: int, n: int) -> float:

@@ -44,6 +44,7 @@ MU_RB = 10.0          # rb: residual ratio that triggers a move
 EPS_CORR = 0.2        # bb/rbb: correlation a curvature side must exceed
 RHO_MIN = 1e-8        # every update is clipped to [RHO_MIN, RHO_MAX]
 RHO_MAX = 1e8
+NBAR = 2              # an update is due on every NBAR-th iteration
 FREEZE_AFTER = 1000   # no update is due after this iteration
 TAU_MAX = 1e12        # rbb: cap on the regularization weight tau
 REFACTOR_RATIO = 5.0  # bb/rbb: smallest factor a new rho must move by
@@ -54,7 +55,6 @@ class PenaltyConfig:
     kind: str = "fixed"
     rho0: float = 1.0
     q: float = 1.0
-    nbar: int = 2
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
@@ -63,8 +63,6 @@ class PenaltyConfig:
             raise ValueError(f"need {RHO_MIN} < rho0 < {RHO_MAX}")
         if not (0 < self.q < math.inf):
             raise ValueError("q must be positive and finite")
-        if self.nbar < 1:
-            raise ValueError("nbar must be at least 1")
 
 
 class BbScalars(NamedTuple):
@@ -197,21 +195,23 @@ def spectral_rho(prev: IterateState, state: IterateState,
 
 
 class PenaltyState:
-    """Owns the per-solve memory of one penalty policy.
+    """Owns the per-solve memory and the cadence of one penalty policy.
 
-    The engine decides *when* an update is due (the nbar cadence and the
-    freeze horizon); this object only knows *how* to produce the next rho.
+    ``due`` holds the iterations an update is due: every NBAR-th, from
+    iteration 1 through the freeze horizon FREEZE_AFTER, and none under
+    ``fixed``, whose rho never moves.  The engine calls ``update`` on those
+    iterations only, and computes ybar for it only when ``reads_ybar``.
     For the spectral rules ``prev`` is the last iterate an update saw.
     """
 
     def __init__(self, cfg: PenaltyConfig):
         self.cfg = cfg
         self.prev: Optional[IterateState] = None
+        self.due = range(0) if cfg.kind == "fixed" else range(1, FREEZE_AFTER + 1, NBAR)
+        self.reads_ybar = cfg.kind in ("bb", "rbb")
 
     def update(self, state: IterateState) -> float:
         cfg = self.cfg
-        if cfg.kind == "fixed":
-            return state.rho
         if cfg.kind == "rb":
             return rb_update(state.rho, state.r_norm, state.d_norm)
         prev, self.prev = self.prev, state

@@ -26,6 +26,7 @@ from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initi
 from sparsefolio.model import objective_value
 from sparsefolio.penalty import (
     FREEZE_AFTER,
+    NBAR,
     PENALTY_KINDS,
     REFACTOR_RATIO,
     RHO_MAX,
@@ -352,14 +353,13 @@ class TestSolveContracts:
                            lambda_schedule=LambdaSchedule.fixed(0.001))
         seen = []
         result = solve(problem, cfg, callback=seen.append)
-        assert len(seen) == result.iterations > FREEZE_AFTER + pen.nbar
+        assert len(seen) == result.iterations > FREEZE_AFTER + NBAR
         for prev, state in zip(seen, seen[1:]):
             assert (state.r_norm, state.d_norm) \
                 == residual_norms(state.z - state.x, state.z - prev.z,
                                   state.rho)
         for state in seen:
-            due = state.k % pen.nbar == 1 % pen.nbar \
-                and state.k <= FREEZE_AFTER
+            due = state.k % NBAR == 1 % NBAR and state.k <= FREEZE_AFTER
             assert (state.ybar is not None) == (due and kind in ("bb", "rbb"))
         assert result.final_state is seen[-1]
 
@@ -428,8 +428,8 @@ class TestFinalStateWithoutCallback:
     def test_adaptive_budget_runs_out(self, kind):
         problem, cfg = shorting_adaptive_case()
         cfg = replace(cfg, penalty=replace(cfg.penalty, kind=kind))
-        first = solve(problem, replace(
-            cfg, lambda_schedule=LambdaSchedule.fixed(cfg.lambda_schedule.lambda0)))
+        lam0 = cfg.lambda_schedule.lambda_current
+        first = solve(problem, replace(cfg, lambda_schedule=LambdaSchedule.fixed(lam0)))
         assert first.termination == "converged"
         cfg = replace(cfg, max_iter=first.iterations + 5)
         result = self.both(lambda cb: solve(problem, cfg, callback=cb))
@@ -502,10 +502,9 @@ class TestHistories:
 
     def test_rho_moves_only_on_cadence_iterations(self):
         problem = factor_problem(n=6, seed=10)
-        nbar = 2
         cfg = SolverConfig(
             tol=1e-10, max_iter=300,
-            penalty=PenaltyConfig(kind="rb", rho0=1.0, nbar=nbar),
+            penalty=PenaltyConfig(kind="rb", rho0=1.0),
             lambda_schedule=LambdaSchedule.fixed(0.001))
         seen = []
         solve(problem, cfg, callback=seen.append)
@@ -515,7 +514,7 @@ class TestHistories:
         for k in changes:
             # a state carries the rho in force during iteration k, so a
             # change at position k was decided at iteration k-1
-            assert (k - 1) % nbar == 1 % nbar
+            assert (k - 1) % NBAR == 1 % NBAR
 
     def test_rho_frozen_after_horizon(self, monkeypatch):
         problem = factor_problem(n=5, seed=11)
@@ -550,7 +549,7 @@ class TestHistories:
         result = solve(problem, cfg, callback=seen.append)
         lam = [s.lam for s in seen]
         assert all(a <= b for a, b in zip(lam, lam[1:]))
-        assert result.lambda_final >= result.lambda_initial
+        assert result.lambda_final >= cfg.lambda_schedule.lambda_current
         assert result.lambda_adjustments <= MAX_ADJUSTMENTS
 
 
@@ -585,11 +584,10 @@ class TestShortCountSource:
         ends.append(states[-1])
         assert len(ends) == result.lambda_adjustments + 1
         assert sum(state.k + 1 for state in ends) == result.iterations
-        # one count per run on its final z, then short_count on the weights
-        assert len(recorded) == len(ends) + 1
+        # one count per run on its final z, none on the weights
+        assert len(recorded) == len(ends)
         for rec, end in zip(recorded, ends):
             assert rec is end.z
-        assert recorded[-1] is result.weights
         assert real(ends[0].z) > cfg.lambda_schedule.sn
         assert real(ends[-1].z) <= cfg.lambda_schedule.sn
 
@@ -612,7 +610,7 @@ class TestShortCountSource:
     @pytest.mark.parametrize("extra", [0, 5])
     def test_max_iter_bounds_all_runs_together(self, extra):
         problem, cfg = shorting_adaptive_case()
-        lam0 = cfg.lambda_schedule.lambda0
+        lam0 = cfg.lambda_schedule.lambda_current
         first = solve(problem, replace(cfg, lambda_schedule=LambdaSchedule.fixed(lam0)))
         assert first.termination == "converged"
         # the first run converges, the guard moves lambda, and the re-solve

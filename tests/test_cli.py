@@ -75,6 +75,14 @@ class TestGen:
         assert main(["gen", "--assets", "1", "--periods", "10"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys):
+        # 8 PB for the asset means alone: numpy refuses it without allocating
+        out = tmp_path / "r.csv"
+        assert main(["gen", "--assets", "1000000000000000", "--periods", "2",
+                     "-o", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_converges_and_validates_schema(self, returns_csv, tmp_path):
@@ -254,9 +262,13 @@ class TestModuleEntry:
         assert len(lines) == 6
 
     def test_usage_error_exits_2(self, returns_csv):
-        done = self.run_module("solve", "--input", returns_csv, "--nbar", "0")
+        done = self.run_module("solve", "--input", returns_csv, "--max-iter", "0")
         assert done.returncode == EXIT_INPUT
-        assert "error: nbar" in done.stderr
+        assert "error: max_iter" in done.stderr
+        # the update cadence is a constant, not a flag
+        done = self.run_module("solve", "--input", returns_csv, "--nbar", "2")
+        assert done.returncode == EXIT_INPUT
+        assert "unrecognized arguments: --nbar 2" in done.stderr
 
 
 class TestFrontier:
@@ -297,6 +309,14 @@ class TestFrontier:
             main(["frontier", "--input", returns_csv, "--points", "4",
                   "-o", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unallocatable_points_exits_2(self, returns_csv, tmp_path, capsys):
+        # 800 TB of targets: numpy refuses it without allocating
+        code, rows = self.run(returns_csv, tmp_path,
+                              "--points", "100000000000000")
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert rows == []
 
     def test_zero_points_exits_2(self, returns_csv, capsys):
         assert main(["frontier", "--input", returns_csv, "--points", "0"]) \

@@ -33,7 +33,7 @@ class TestLambdaSchedule:
     def test_fixed_constructor(self):
         s = LambdaSchedule.fixed(0.01)
         assert s.mode == "fixed"
-        assert s.lambda0 == s.lambda_current == 0.01
+        assert s.lambda_current == 0.01
 
     def test_fixed_allows_zero(self):
         assert LambdaSchedule.fixed(0.0).lambda_current == 0.0
@@ -52,17 +52,13 @@ class TestLambdaSchedule:
         with pytest.raises(ValueError, match="nonnegative"):
             LambdaSchedule.fixed(-0.1)
 
-    def test_current_below_initial_rejected(self):
-        with pytest.raises(ValueError, match="lambda_current"):
-            LambdaSchedule(lambda0=0.01, lambda_current=0.005, mode="adaptive")
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            LambdaSchedule(lambda0=0.01, lambda_current=0.01, mode="annealed")
+            LambdaSchedule(lambda_current=0.01, mode="annealed")
 
     def test_adjustment_budget_validated(self):
         with pytest.raises(ValueError, match="adjustments_made"):
-            LambdaSchedule(lambda0=0.01, lambda_current=0.01, mode="adaptive",
+            LambdaSchedule(lambda_current=0.01, mode="adaptive",
                            adjustments_made=MAX_ADJUSTMENTS + 1)
 
 

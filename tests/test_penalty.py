@@ -13,6 +13,7 @@ from sparsefolio.penalty import (
     ETA,
     FREEZE_AFTER,
     MU_RB,
+    NBAR,
     PENALTY_KINDS,
     REFACTOR_RATIO,
     RHO_MAX,
@@ -55,11 +56,11 @@ class TestPenaltyConfig:
         assert cfg.kind == "fixed"
         assert cfg.rho0 == 1.0
         assert cfg.q == 1.0
-        assert cfg.nbar == 2
 
     def test_safeguard_constants(self):
         assert (ETA, MU_RB, EPS_CORR) == (2.0, 10.0, 0.2)
         assert (RHO_MIN, RHO_MAX) == (1e-8, 1e8)
+        assert NBAR == 2
         assert FREEZE_AFTER == 1000
         assert TAU_MAX == 1e12
         assert REFACTOR_RATIO == 5.0
@@ -74,7 +75,6 @@ class TestPenaltyConfig:
         {"rho0": math.nan},
         {"rho0": math.inf},
         {"q": 0.0},
-        {"nbar": 0},
         {"q": -1.0},
         {"q": math.nan},
         {"q": math.inf},
@@ -353,10 +353,16 @@ class TestSpectralRho:
 
 
 class TestPenaltyState:
-    def test_fixed_returns_current_rho(self):
+    def test_fixed_has_no_due_iteration(self):
         state = PenaltyState(PenaltyConfig(kind="fixed"))
-        snap = state_from_deltas([1, 0], [1, 0], [1, 0], [1, 0], rho=2.5)
-        assert state.update(snap) == 2.5
+        assert list(state.due) == []
+        assert not state.reads_ybar
+
+    @pytest.mark.parametrize("kind", ["rb", "bb", "rbb"])
+    def test_due_every_nbar_th_iteration_through_the_horizon(self, kind):
+        state = PenaltyState(PenaltyConfig(kind=kind))
+        assert list(state.due) == list(range(1, FREEZE_AFTER + 1, NBAR))
+        assert state.reads_ybar == (kind != "rb")
 
     def test_rb_delegates(self):
         state = PenaltyState(PenaltyConfig(kind="rb"))
