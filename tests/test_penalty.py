@@ -291,6 +291,27 @@ class TestSpectralRho:
         rho = spectral_rho(zero_state(), snap, cfg)
         assert rho == 0.7
 
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    @pytest.mark.parametrize("kind, accepted", [("bb", 0.9799999999999998),
+                                                ("rbb", 0.07692307692307693)])
+    def test_correlation_gate_is_strict(self, side, kind, accepted):
+        # <d, g> = 1 and ||d|| ||g|| = 5, so the correlation is exactly
+        # EPS_CORR in floating point; one ulp more in g[0] clears the gate
+        cfg = PenaltyConfig(kind=kind)
+        zero = [0.0] * 4
+
+        def rho_with(g0):
+            dual, grad = [1.0, 0.0, 0.0, 0.0], [g0, 4.0, 2.0, 2.0]
+            if side == "alpha":
+                snap = state_from_deltas(dual, zero, grad, zero, rho=0.7)
+            else:
+                snap = state_from_deltas(zero, dual, zero, grad, rho=0.7)
+            return spectral_rho(zero_state(dim=4), snap, cfg)
+
+        assert 1.0 / (1.0 * math.sqrt(25.0)) == EPS_CORR
+        assert rho_with(1.0) == 0.7
+        assert rho_with(float(np.nextafter(1.0, 2.0))) == accepted
+
     def test_zero_differences_keep_rho(self):
         cfg = PenaltyConfig(kind="bb")
         snap = state_from_deltas(d_ybar=[0.0, 0.0], d_y=[0.0, 0.0],
