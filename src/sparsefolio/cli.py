@@ -1,7 +1,8 @@
 """Command-line front end: generate data, solve, sweep a frontier, benchmark.
 
-Exit codes: 0 on success (solves must converge), 2 on usage or input
-errors, 3 when the iteration budget runs out without convergence.
+Exit codes: 0 on success (the solve converged, or at least one frontier
+point did), 2 on usage or input errors, 3 when the iteration budget runs
+out without convergence.
 """
 
 from __future__ import annotations

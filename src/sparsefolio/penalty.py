@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -65,19 +65,6 @@ class PenaltyConfig:
             raise ValueError("q must be positive and finite")
 
 
-class BbScalars(NamedTuple):
-    """Steepest-descent-like and minimum-gradient-like curvature scalars.
-
-    ``bb1`` is <d, g>/||d||^2 and ``bb2`` is ||g||^2/<d, g>; their ratio is
-    the squared correlation.  When <d, g> = 0, bb2 is reported as inf and
-    callers must take the safeguard branch (corr will be 0).
-    """
-
-    bb1: float
-    bb2: float
-    corr: float
-
-
 def rb_update(rho: float, r_norm: float, d_norm: float) -> float:
     """Residual balancing: nudge rho toward equal primal/dual residuals.
 
@@ -98,19 +85,6 @@ def compute_ybar(y_prev: np.ndarray, rho_prev: float, x_new: np.ndarray,
     return y_prev + rho_prev * (z_prev - x_new)
 
 
-def bb_scalars(d_dual: np.ndarray, d_grad: np.ndarray) -> BbScalars:
-    """Two-point curvature scalars and the correlation that gates their use."""
-    dual_norm = math.sqrt(d_dual.dot(d_dual))
-    grad_norm = math.sqrt(d_grad.dot(d_grad))
-    if dual_norm == 0.0 or grad_norm == 0.0:
-        raise ValueError("curvature scalars need nonzero difference vectors")
-    inner = float(d_dual @ d_grad)
-    bb1 = inner / dual_norm**2
-    bb2 = grad_norm**2 / inner if inner != 0.0 else math.inf
-    corr = inner / (dual_norm * grad_norm)
-    return BbScalars(bb1=bb1, bb2=bb2, corr=corr)
-
-
 def tau_update(r_norm: float, d_norm: float, q: float) -> float:
     """Regularization weight (r/d)^q, capped at TAU_MAX (also used when d = 0
     and when the power overflows a float, as it can for a large q)."""
@@ -120,46 +94,33 @@ def tau_update(r_norm: float, d_norm: float, q: float) -> float:
         return TAU_MAX
 
 
-def rbb_scalar(d_dual: np.ndarray, d_grad: np.ndarray, tau: float) -> float:
-    """Regularized curvature scalar interpolating bb1 (tau=0) to bb2 (tau->inf).
-
-    Requires positive curvature <d_dual, d_grad> > 0, which the correlation
-    safeguard guarantees before this is ever called.
-    """
+def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray,
+                 tau: Optional[float]) -> Optional[float]:
+    # The curvature scalar of one side, or None when that side is unreliable:
+    # a zero difference vector, or a correlation <d, g>/(||d|| ||g||) at or
+    # below EPS_CORR (a correlation above it makes <d, g> positive).  tau is
+    # rbb's regularization weight, which interpolates bb1 = <d, g>/||d||^2
+    # (tau=0) to bb2 = ||g||^2/<d, g> (tau->inf); None selects bb's hybrid.
+    dual_sq = float(d_dual.dot(d_dual))
+    grad_sq = float(d_grad.dot(d_grad))
+    if dual_sq == 0.0 or grad_sq == 0.0:
+        return None
     inner = float(d_dual @ d_grad)
-    if inner <= 0.0:
-        raise ValueError(f"regularized scalar needs positive curvature, got {inner}")
-    dual_sq = float(d_dual @ d_dual)
-    grad_sq = float(d_grad @ d_grad)
-    return (inner + tau * grad_sq) / (dual_sq + tau * inner)
-
-
-def _hybrid_scalar(scalars: BbScalars) -> float:
+    dual_norm = math.sqrt(dual_sq)
+    grad_norm = math.sqrt(grad_sq)
+    if not (inner / (dual_norm * grad_norm) > EPS_CORR):
+        return None
+    if tau is not None:
+        return (inner + tau * grad_sq) / (dual_sq + tau * inner)
     # Alternating short/long step choice, expressed in step-size space where
     # 1/bb1 is the long step and 1/bb2 the short one.
-    step_long = 1.0 / scalars.bb1
-    step_short = 1.0 / scalars.bb2
+    step_long = 1.0 / (inner / dual_norm**2)
+    step_short = 1.0 / (grad_norm**2 / inner)
     if 2.0 * step_short > step_long:
         step = step_short
     else:
         step = step_long - 0.5 * step_short
     return 1.0 / step
-
-
-def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray,
-                 tau: Optional[float]) -> Optional[float]:
-    # Returns the curvature scalar for one side, or None when that side is
-    # unreliable (degenerate differences or correlation at/below the gate).
-    # tau is rbb's regularization weight; None selects bb's hybrid step.
-    try:
-        scalars = bb_scalars(d_dual, d_grad)
-    except ValueError:  # a zero difference vector
-        return None
-    if not (scalars.corr > EPS_CORR):
-        return None
-    if tau is not None:
-        return rbb_scalar(d_dual, d_grad, tau)
-    return _hybrid_scalar(scalars)
 
 
 def spectral_rho(prev: IterateState, state: IterateState,

@@ -24,10 +24,10 @@ from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initi
 from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
 from sparsefolio.model import build_problem
 from sparsefolio.penalty import (
+    EPS_CORR,
     PENALTY_KINDS,
     PenaltyConfig,
-    bb_scalars,
-    rbb_scalar,
+    _side_scalar,
     spectral_rho,
 )
 
@@ -105,18 +105,25 @@ def test_3_regularized_scalar_interpolates():
     rng = np.random.default_rng(33)
     taus = (0.0, 0.1, 1.0, 10.0, 1e6, 1e12)
     worst_low, worst_high, worst_end0, worst_end1 = 0.0, 0.0, 0.0, 0.0
-    for _ in range(10000):
+    accepted = 0
+    while accepted < 10000:
         d = rng.standard_normal(8)
         g = rng.standard_normal(8)
         if float(d @ g) <= 0.0:
             g = -g
-        sc = bb_scalars(d, g)
-        values = [rbb_scalar(d, g, tau) for tau in taus]
-        worst_low = min(worst_low, min(values) - sc.bb1)
-        worst_high = max(worst_high, max(values) - sc.bb2)
+        # the correlation gate is the only route into the regularized scalar
+        inner = float(d @ g)
+        if not inner / np.sqrt(float(d @ d) * float(g @ g)) > EPS_CORR:
+            continue
+        accepted += 1
+        bb1 = inner / float(d @ d)
+        bb2 = float(g @ g) / inner
+        values = [_side_scalar(d, g, tau) for tau in taus]
+        worst_low = min(worst_low, min(values) - bb1)
+        worst_high = max(worst_high, max(values) - bb2)
         assert all(a <= b for a, b in zip(values, values[1:]))
-        worst_end0 = max(worst_end0, abs(values[0] - sc.bb1) / abs(sc.bb1))
-        worst_end1 = max(worst_end1, abs(values[-1] - sc.bb2) / abs(sc.bb2))
+        worst_end0 = max(worst_end0, abs(values[0] - bb1) / abs(bb1))
+        worst_end1 = max(worst_end1, abs(values[-1] - bb2) / abs(bb2))
     ok = (worst_low >= -1e-12 and worst_high <= 1e-12
           and worst_end0 <= 1e-6 and worst_end1 <= 1e-6)
     report(3, "regularized scalar interpolates", ok,

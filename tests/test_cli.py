@@ -219,8 +219,9 @@ class TestSolve:
     def test_adaptive_mode_accepts_short_budget(self, returns_csv, tmp_path):
         code, payload = run_solve(returns_csv, tmp_path, "--adaptive-lambda",
                                   "--sn", "0", "--max-iter", "30000")
-        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
-        assert payload["lambda_final"] >= payload["lambda_initial"]
+        assert code == EXIT_OK
+        assert payload["termination"] == "converged"
+        assert payload["short_count"] == 0
 
     @pytest.mark.parametrize("mode", [[], ["--adaptive-lambda"]],
                              ids=["fixed", "adaptive"])
@@ -309,6 +310,18 @@ class TestFrontier:
             main(["frontier", "--input", returns_csv, "--points", "4",
                   "-o", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_exits_3_only_when_no_point_converged(self, returns_csv, tmp_path):
+        code, rows = self.run(returns_csv, tmp_path, "--points", "3",
+                              "--max-iter", "2", "--tol", "1e-14")
+        assert code == EXIT_NO_CONVERGENCE
+        assert [r.split(",")[-1] for r in rows[1:]] == ["max_iter"] * 3
+        # one converged point of five is enough for exit 0
+        code, rows = self.run(returns_csv, tmp_path, "--points", "5",
+                              "--strategy", "rbb", "--max-iter", "60")
+        assert code == EXIT_OK
+        statuses = [r.split(",")[-1] for r in rows[1:]]
+        assert sorted(statuses) == ["converged"] + ["max_iter"] * 4
 
     def test_unallocatable_points_exits_2(self, returns_csv, tmp_path, capsys):
         # 800 TB of targets: numpy refuses it without allocating

@@ -19,14 +19,11 @@ from sparsefolio.penalty import (
     RHO_MAX,
     RHO_MIN,
     TAU_MAX,
-    BbScalars,
     PenaltyConfig,
     PenaltyState,
-    _hybrid_scalar,
-    bb_scalars,
+    _side_scalar,
     compute_ybar,
     rb_update,
-    rbb_scalar,
     spectral_rho,
     tau_update,
 )
@@ -135,37 +132,44 @@ class TestComputeYbar:
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
+def gated_pairs(rng, dim, draws):
+    """Random difference pairs whose correlation clears EPS_CORR, with bb1
+    and bb2 computed here as references independent of _side_scalar."""
+    for _ in range(draws):
+        d = rng.standard_normal(dim)
+        g = rng.standard_normal(dim)
+        inner = d @ g
+        if inner / math.sqrt((d @ d) * (g @ g)) > EPS_CORR:
+            yield d, g, inner / (d @ d), (g @ g) / inner
+
+
 class TestBbScalars:
+    """bb1 = <d, g>/||d||^2 is _side_scalar at tau=0 and bb2 = ||g||^2/<d, g>
+    its limit as tau grows; a side failing the gate gives None."""
+
     def test_hand_values(self):
-        out = bb_scalars(V([1.0, 1.0]), V([2.0, 0.0]))
-        assert out.bb1 == pytest.approx(1.0)
-        assert out.bb2 == pytest.approx(2.0)
-        assert out.corr == pytest.approx(1 / math.sqrt(2))
+        d, g = V([1.0, 1.0]), V([2.0, 0.0])  # correlation 1/sqrt(2)
+        assert _side_scalar(d, g, 0.0) == pytest.approx(1.0)
+        assert _side_scalar(d, g, TAU_MAX) == pytest.approx(2.0)
 
     def test_collinear(self):
-        out = bb_scalars(V([1.0, 0.0]), V([2.0, 0.0]))
-        assert out.bb1 == pytest.approx(2.0)
-        assert out.bb2 == pytest.approx(2.0)
-        assert out.corr == pytest.approx(1.0)
+        d, g = V([1.0, 0.0]), V([2.0, 0.0])
+        assert _side_scalar(d, g, 0.0) == pytest.approx(2.0)
+        assert _side_scalar(d, g, TAU_MAX) == pytest.approx(2.0)
 
     def test_orthogonal_reports_safeguard_signals(self):
-        out = bb_scalars(V([1.0, 0.0]), V([0.0, 1.0]))
-        assert out.bb1 == 0.0
-        assert out.bb2 == math.inf
-        assert out.corr == 0.0
+        for tau in (None, 0.0, 1.0):
+            assert _side_scalar(V([1.0, 0.0]), V([0.0, 1.0]), tau) is None
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            bb_scalars(V([0.0, 0.0]), V([1.0, 0.0]))
+        for tau in (None, 1.0):
+            assert _side_scalar(V([0.0, 0.0]), V([1.0, 0.0]), tau) is None
+            assert _side_scalar(V([1.0, 0.0]), V([0.0, 0.0]), tau) is None
 
     def test_bb1_never_exceeds_bb2_under_positive_curvature(self, rng):
-        for _ in range(200):
-            d = rng.standard_normal(6)
-            g = rng.standard_normal(6)
-            if d @ g <= 1e-12:
-                continue
-            out = bb_scalars(d, g)
-            assert out.bb1 <= out.bb2 * (1 + 1e-12)
+        for d, g, bb1, bb2 in gated_pairs(rng, 6, 200):
+            assert bb1 <= bb2 * (1 + 1e-12)
+            assert _side_scalar(d, g, 0.0) == pytest.approx(bb1, rel=1e-14)
 
 
 class TestTauUpdate:
@@ -211,52 +215,38 @@ class TestTauUpdate:
 
 class TestRbbScalar:
     def test_hand_value(self):
-        assert rbb_scalar(V([1.0, 1.0]), V([2.0, 0.0]), 1.0) == pytest.approx(1.5)
+        assert _side_scalar(V([1.0, 1.0]), V([2.0, 0.0]), 1.0) == pytest.approx(1.5)
 
     def test_tau_zero_is_bb1(self, rng):
-        for _ in range(20):
-            d = rng.standard_normal(5)
-            g = rng.standard_normal(5)
-            if d @ g <= 1e-9:
-                continue
-            ref = bb_scalars(d, g)
-            assert rbb_scalar(d, g, 0.0) == pytest.approx(ref.bb1, rel=1e-14)
+        for d, g, bb1, _ in gated_pairs(rng, 5, 20):
+            assert _side_scalar(d, g, 0.0) == pytest.approx(bb1, rel=1e-14)
 
     def test_large_tau_approaches_bb2(self, rng):
-        for _ in range(20):
-            d = rng.standard_normal(5)
-            g = rng.standard_normal(5)
-            if d @ g <= 1e-9:
-                continue
-            ref = bb_scalars(d, g)
-            assert rbb_scalar(d, g, 1e12) == pytest.approx(ref.bb2, rel=1e-6)
+        for d, g, _, bb2 in gated_pairs(rng, 5, 20):
+            assert _side_scalar(d, g, 1e12) == pytest.approx(bb2, rel=1e-6)
 
     def test_nonpositive_curvature_rejected(self):
-        with pytest.raises(ValueError, match="curvature"):
-            rbb_scalar(V([1.0, 0.0]), V([-1.0, 0.0]), 1.0)
+        for tau in (None, 1.0):
+            assert _side_scalar(V([1.0, 0.0]), V([-1.0, 0.0]), tau) is None
 
     def test_interpolates_monotonically(self, rng):
         taus = [0.0, 0.1, 1.0, 10.0, 1e6, 1e12]
-        for _ in range(50):
-            d = rng.standard_normal(4)
-            g = rng.standard_normal(4)
-            if d @ g <= 1e-9:
-                continue
-            ref = bb_scalars(d, g)
-            values = [rbb_scalar(d, g, t) for t in taus]
+        for d, g, bb1, bb2 in gated_pairs(rng, 4, 50):
+            values = [_side_scalar(d, g, t) for t in taus]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-            assert all(ref.bb1 - 1e-12 <= v <= ref.bb2 + 1e-12 for v in values)
+            assert all(bb1 - 1e-12 <= v <= bb2 + 1e-12 for v in values)
 
 
 class TestHybridScalar:
     def test_separated_scalars_take_long_minus_half_short(self):
         # bb1=1, bb2=2: long step 1, short step 0.5; 2*0.5 is not > 1, so
         # the step is 1 - 0.25 and the scalar its reciprocal
-        out = _hybrid_scalar(BbScalars(bb1=1.0, bb2=2.0, corr=0.7))
+        out = _side_scalar(V([1.0, 1.0]), V([2.0, 0.0]), None)
         assert out == pytest.approx(4.0 / 3.0)
 
     def test_close_scalars_take_short_step(self):
-        out = _hybrid_scalar(BbScalars(bb1=2.0, bb2=2.0, corr=1.0))
+        # bb1 = bb2 = 2
+        out = _side_scalar(V([1.0, 0.0]), V([2.0, 0.0]), None)
         assert out == pytest.approx(2.0)
 
 
