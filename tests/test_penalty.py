@@ -47,6 +47,21 @@ def state_from_deltas(d_ybar, d_y, d_psi, d_phi, r_norm=1.0, d_norm=1.0,
                         r_norm=r_norm, d_norm=d_norm, rho=rho, lam=0.0, k=3)
 
 
+@st.composite
+def finite_iterate_pairs(draw):
+    """Two iterates of one size (1 to 4) with every entry finite, up to 1e300."""
+    finite = st.floats(-1e300, 1e300)
+    dim = draw(st.integers(1, 4))
+
+    def iterate():
+        x, z, y, ybar = (V(draw(st.lists(finite, min_size=dim, max_size=dim)))
+                         for _ in range(4))
+        return IterateState(x=x, z=z, y=y, ybar=ybar, rho=draw(finite), lam=0.0,
+                            k=1, r_norm=abs(draw(finite)), d_norm=abs(draw(finite)))
+
+    return iterate(), iterate()
+
+
 class TestPenaltyConfig:
     def test_defaults(self):
         cfg = PenaltyConfig()
@@ -361,6 +376,29 @@ class TestSpectralRho:
                                   lam=0.0, k=base.k)
             rho_scaled = spectral_rho(zero_state(dim=5), scaled, cfg)
             assert abs(rho_scaled - rho_base) <= 1e-12 * abs(rho_base)
+
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    @pytest.mark.parametrize("deltas", [
+        # bb's two steps both overflow, and their hybrid would be inf - inf
+        ([1e154, 0.0], [0.0, 0.0], [1e-161, 0.0], [0.0, 0.0]),
+        # alpha = beta = 1e-200, whose product underflows to zero
+        ([1e100, 0.0], [1e100, 0.0], [1e-100, 0.0], [1e-100, 0.0]),
+    ])
+    def test_underflowing_curvature_gives_rho_max(self, kind, deltas):
+        snap = state_from_deltas(*deltas)
+        assert spectral_rho(zero_state(), snap, PenaltyConfig(kind=kind)) == RHO_MAX
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["bb", "rbb"]), pair=finite_iterate_pairs())
+    @example(kind="bb", pair=(zero_state(), state_from_deltas(
+        [1e154, 0.0], [0.0, 0.0], [1e-161, 0.0], [0.0, 0.0])))
+    @example(kind="bb", pair=(zero_state(), state_from_deltas(
+        [1e100, 0.0], [1e100, 0.0], [1e-100, 0.0], [1e-100, 0.0])))
+    @example(kind="rbb", pair=(zero_state(), state_from_deltas(
+        [1e100, 0.0], [1e100, 0.0], [1e-100, 0.0], [1e-100, 0.0])))
+    def test_finite_input_gives_rho_in_range(self, kind, pair):
+        rho = spectral_rho(*pair, PenaltyConfig(kind=kind))
+        assert type(rho) is float and RHO_MIN <= rho <= RHO_MAX
 
 
 class TestPenaltyState:
