@@ -101,6 +101,7 @@ def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray,
     # below EPS_CORR (a correlation above it makes <d, g> positive).  tau is
     # rbb's regularization weight, which interpolates bb1 = <d, g>/||d||^2
     # (tau=0) to bb2 = ||g||^2/<d, g> (tau->inf); None selects bb's hybrid.
+    # The scalar is 0.0 where it underflows and inf where it overflows.
     dual_sq = float(d_dual.dot(d_dual))
     grad_sq = float(d_grad.dot(d_grad))
     if dual_sq == 0.0 or grad_sq == 0.0:
@@ -111,16 +112,22 @@ def _side_scalar(d_dual: np.ndarray, d_grad: np.ndarray,
     if not (inner / (dual_norm * grad_norm) > EPS_CORR):
         return None
     if tau is not None:
-        return (inner + tau * grad_sq) / (dual_sq + tau * inner)
+        denominator = dual_sq + tau * inner
+        if denominator == math.inf:  # the same ratio divided through by tau*inner
+            return (1.0 / tau + grad_sq / inner) / (dual_sq / inner / tau + 1.0)
+        return (inner + tau * grad_sq) / denominator
     # Alternating short/long step choice, expressed in step-size space where
     # 1/bb1 is the long step and 1/bb2 the short one.
-    step_long = 1.0 / (inner / dual_norm**2)
+    bb1 = inner / dual_norm**2
+    step_long = 1.0 / bb1 if bb1 else math.inf
+    if step_long == math.inf:  # bb1 <= bb2 underflows, and so does the step
+        return 0.0
     step_short = 1.0 / (grad_norm**2 / inner)
     if 2.0 * step_short > step_long:
         step = step_short
     else:
         step = step_long - 0.5 * step_short
-    return 1.0 / step
+    return 1.0 / step if step else math.inf
 
 
 def spectral_rho(prev: IterateState, state: IterateState,
@@ -131,9 +138,10 @@ def spectral_rho(prev: IterateState, state: IterateState,
     current one; both carry ybar.  The x-side scalar alpha and z-side
     scalar beta are each accepted only if their correlation clears
     EPS_CORR; the new rho is 1/sqrt(alpha*beta) when both pass, 1/alpha or
-    1/beta when one does, and the old rho when neither does.  Every
-    degeneracy (zero differences, nonpositive curvature) lands in the
-    "unchanged" branch rather than raising.
+    1/beta when one does, and the old rho when neither does, each clipped to
+    [RHO_MIN, RHO_MAX].  Zero differences and nonpositive curvature land in
+    the "unchanged" branch.  A curvature that underflows to zero, alone or
+    against an infinite one (0*inf), gives the limit 1/0+, so RHO_MAX.
     """
     if cfg.kind not in ("bb", "rbb"):
         raise ValueError(f"spectral update called with kind={cfg.kind!r}")
@@ -145,13 +153,12 @@ def spectral_rho(prev: IterateState, state: IterateState,
     alpha = _side_scalar(d_ybar, d_psi, tau)
     beta = _side_scalar(d_y, d_phi, tau)
     if alpha is not None and beta is not None:
-        rho_new = 1.0 / math.sqrt(alpha * beta)
-    elif alpha is not None:
-        rho_new = 1.0 / alpha
-    elif beta is not None:
-        rho_new = 1.0 / beta
+        curvature = math.sqrt(alpha * beta)
+    elif alpha is not None or beta is not None:
+        curvature = beta if alpha is None else alpha
     else:
-        rho_new = state.rho
+        return min(max(state.rho, RHO_MIN), RHO_MAX)
+    rho_new = 1.0 / curvature if curvature > 0.0 else math.inf  # 0 or NaN
     return min(max(rho_new, RHO_MIN), RHO_MAX)
 
 

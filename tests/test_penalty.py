@@ -252,6 +252,15 @@ class TestRbbScalar:
             assert all(bb1 - 1e-12 <= v <= bb2 + 1e-12 for v in values)
 
 
+    def test_overflowing_denominator_is_rescaled(self):
+        # at scale 1e153 the denominator 2e306 + 1e3 * 2e306 overflows; the
+        # scalar does not, and matches the unscaled one
+        d, g = V([1.0, 1.0]), V([2.0, 0.0])
+        out = _side_scalar(1e153 * d, 1e153 * g, 1e3)
+        assert out == pytest.approx((2.0 + 4e3) / (2.0 + 2e3), rel=1e-15)
+        assert out == pytest.approx(_side_scalar(d, g, 1e3), rel=1e-15)
+
+
 class TestHybridScalar:
     def test_separated_scalars_take_long_minus_half_short(self):
         # bb1=1, bb2=2: long step 1, short step 0.5; 2*0.5 is not > 1, so
@@ -263,6 +272,14 @@ class TestHybridScalar:
         # bb1 = bb2 = 2
         out = _side_scalar(V([1.0, 0.0]), V([2.0, 0.0]), None)
         assert out == pytest.approx(2.0)
+
+    def test_underflowing_scalars_give_zero(self):
+        # bb1 = bb2 = 1e-315: both steps overflow, and so does the hybrid's
+        assert _side_scalar(V([1e154, 0.0]), V([1e-161, 0.0]), None) == 0.0
+
+    def test_overflowing_scalars_give_inf(self):
+        # bb1 = bb2 = 1e310: both steps are zero, and so is the hybrid's
+        assert _side_scalar(V([1e-160, 0.0]), V([1e150, 0.0]), None) == math.inf
 
 
 class TestSpectralRho:
@@ -388,6 +405,11 @@ class TestSpectralRho:
         snap = state_from_deltas(*deltas)
         assert spectral_rho(zero_state(), snap, PenaltyConfig(kind=kind)) == RHO_MAX
 
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    def test_overflowing_curvature_gives_rho_min(self, kind):
+        snap = state_from_deltas([1e-160, 0.0], [0.0, 0.0], [1e150, 0.0], [0.0, 0.0])
+        assert spectral_rho(zero_state(), snap, PenaltyConfig(kind=kind)) == RHO_MIN
+
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(["bb", "rbb"]), pair=finite_iterate_pairs())
     @example(kind="bb", pair=(zero_state(), state_from_deltas(
@@ -397,7 +419,10 @@ class TestSpectralRho:
     @example(kind="rbb", pair=(zero_state(), state_from_deltas(
         [1e100, 0.0], [1e100, 0.0], [1e-100, 0.0], [1e-100, 0.0])))
     def test_finite_input_gives_rho_in_range(self, kind, pair):
-        rho = spectral_rho(*pair, PenaltyConfig(kind=kind))
+        # numpy warns when a squared norm or inner product overflows to inf;
+        # the gate then rejects that side
+        with np.errstate(over="ignore"):
+            rho = spectral_rho(*pair, PenaltyConfig(kind=kind))
         assert type(rho) is float and RHO_MIN <= rho <= RHO_MAX
 
 
