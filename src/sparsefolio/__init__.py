@@ -7,16 +7,15 @@ optional short-sale controller that escalates the L1 weight.
 
 from .admm_engine import IterateState, SolveResult, SolverConfig, solve
 from .lambda_controller import LambdaSchedule, initial_lambda, maybe_adjust
-from .market_data import (AssetStats, ReturnsFormatError, ReturnsMatrix,
-                          estimate_stats, generate_synthetic_returns,
-                          load_returns_csv, returns_to_csv)
+from .market_data import (ReturnsFormatError, ReturnsMatrix, estimate_stats,
+                          generate_synthetic_returns, load_returns_csv,
+                          returns_to_csv)
 from .model import PortfolioProblem, build_problem, count_short_positions
 from .penalty import PenaltyConfig, rb_update, spectral_rho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssetStats",
     "IterateState",
     "LambdaSchedule",
     "PenaltyConfig",

@@ -179,9 +179,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     returns = load_returns_csv(args.input)
-    stats = estimate_stats(returns)
-    target = _resolve_target(args, stats.mu)
-    problem = build_problem(stats, target)
+    mu, C = estimate_stats(returns)
+    target = _resolve_target(args, mu)
+    problem = build_problem(mu, C, target)
     cfg = _make_config(args, returns.periods, returns.assets)
     history = {"r_norm": [], "d_norm": [], "rho": [], "lambda": []}
 
@@ -223,11 +223,11 @@ def cmd_solve(args) -> int:
 
 def cmd_frontier(args) -> int:
     returns = load_returns_csv(args.input)
-    stats = estimate_stats(returns)
+    mu, C = estimate_stats(returns)
     if args.points < 1:
         raise ValueError("--points must be at least 1")
-    e_min = float(stats.mu.min()) if args.e_min is None else args.e_min
-    e_max = float(stats.mu.max()) if args.e_max is None else args.e_max
+    e_min = float(mu.min()) if args.e_min is None else args.e_min
+    e_max = float(mu.max()) if args.e_max is None else args.e_max
     for flag, value in (("--e-min", e_min), ("--e-max", e_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -245,7 +245,7 @@ def cmd_frontier(args) -> int:
                      "iterations", "status"])
     any_converged = False
     for target in targets:
-        problem = build_problem(stats, float(target), allow_out_of_range=True)
+        problem = build_problem(mu, C, float(target), allow_out_of_range=True)
         result = solve(problem, cfg)
         w = result.weights
         writer.writerow([

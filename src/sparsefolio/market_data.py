@@ -62,29 +62,6 @@ class ReturnsMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class AssetStats:
-    """Sample mean vector and (conditioned) covariance of a returns matrix.
-
-    PortfolioProblem validates the covariance; this only checks the shapes.
-    """
-
-    mu: np.ndarray
-    C: np.ndarray
-    jitter_applied: float = 0.0
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "C", C)
-        n = mu.shape[0]
-        if C.shape != (n, n):
-            raise ValueError(f"covariance shape {C.shape} does not match {n} assets")
-        if self.jitter_applied < 0:
-            raise ValueError("jitter_applied must be nonnegative")
-
-
 def load_returns_csv(path) -> ReturnsMatrix:
     """Parse a returns CSV with a header of asset names.
 
@@ -215,12 +192,12 @@ def returns_to_csv(returns: ReturnsMatrix) -> str:
     return buffer.getvalue()
 
 
-def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
-    """Column means and the unbiased (1/(m-1)) sample covariance.
+def estimate_stats(returns: ReturnsMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The column means mu and the unbiased (1/(m-1)) sample covariance C.
 
-    If the smallest covariance eigenvalue does not clear JITTER_FLOOR, a
-    diagonal shift of (2*JITTER_FLOOR - lambda_min) is added so the result
-    is safely positive definite; the shift is reported in ``jitter_applied``.
+    If the smallest eigenvalue of C does not clear JITTER_FLOOR, C gets a
+    diagonal shift of (2*JITTER_FLOOR - lambda_min) that makes it safely
+    positive definite.
 
     A Cholesky factorization of C - JITTER_FLOOR*I that succeeds shows the
     eigenvalue clears the floor (to rounding of order eps*||C||), at a
@@ -232,15 +209,13 @@ def estimate_stats(returns: ReturnsMatrix) -> AssetStats:
     C = np.cov(values, rowvar=False, ddof=1)
     C = 0.5 * (C + C.T)
     n = returns.assets
-    jitter = 0.0
     try:
         np.linalg.cholesky(C - JITTER_FLOOR * np.eye(n))
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(C)[0])
         if smallest <= JITTER_FLOOR:
-            jitter = JITTER_FLOOR - smallest + JITTER_FLOOR
-            C = C + jitter * np.eye(n)
-    return AssetStats(mu=mu, C=C, jitter_applied=jitter)
+            C = C + (JITTER_FLOOR - smallest + JITTER_FLOOR) * np.eye(n)
+    return mu, C
 
 
 def generate_synthetic_returns(n: int, m: int, seed: int,

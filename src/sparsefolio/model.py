@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market_data import AssetStats
-
 # A weight at or above -ZERO_TOL is not a short position.
 ZERO_TOL = 1e-9
 
@@ -66,18 +64,18 @@ class PortfolioProblem:
             object.__setattr__(self, name, value)
 
 
-def build_problem(stats: AssetStats, e: float,
+def build_problem(mu: np.ndarray, C: np.ndarray, e: float,
                   allow_out_of_range: bool = False) -> PortfolioProblem:
-    """The problem for the estimated moments and the target return e.
+    """The problem for the mean mu, the covariance C and the target return e.
 
     The target e must lie between the smallest and largest asset mean unless
-    allow_out_of_range is set.  PortfolioProblem rejects all-equal means.
+    allow_out_of_range is set.  PortfolioProblem checks the moments: shapes
+    that match, a positive definite C, and means that are not all equal.
     """
-    mu = stats.mu
     if not allow_out_of_range and not (mu.min() <= e <= mu.max()):
         raise ValueError(f"target return {e} outside the attainable mean "
                          f"range [{mu.min()}, {mu.max()}]")
-    return PortfolioProblem(C=stats.C, mu=mu, e=float(e))
+    return PortfolioProblem(C=C, mu=mu, e=float(e))
 
 
 def objective_value(C: np.ndarray, weights: np.ndarray, lam: float) -> float:

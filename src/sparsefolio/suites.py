@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lambda_controller import initial_lambda
-from .market_data import AssetStats, estimate_stats, generate_synthetic_returns
+from .market_data import estimate_stats, generate_synthetic_returns
 from .model import PortfolioProblem, build_problem
 
 SUITES = ("random", "illcond", "shorts")
@@ -27,8 +27,8 @@ def _midpoint(mu: np.ndarray) -> float:
 
 def _random_instance(seed: int) -> SuiteInstance:
     returns = generate_synthetic_returns(SUITE_ASSETS, SUITE_PERIODS, seed)
-    stats = estimate_stats(returns)
-    problem = build_problem(stats, _midpoint(stats.mu))
+    mu, C = estimate_stats(returns)
+    problem = build_problem(mu, C, _midpoint(mu))
     return SuiteInstance(problem, initial_lambda(SUITE_PERIODS, SUITE_ASSETS))
 
 
@@ -43,18 +43,16 @@ def _illcond_instance(seed: int) -> SuiteInstance:
     C = (basis * eigenvalues) @ basis.T
     C = 0.5 * (C + C.T)
     mu = rng.uniform(0.005, 0.02, size=n)
-    stats = AssetStats(mu=mu, C=C, jitter_applied=0.0)
-    problem = build_problem(stats, _midpoint(mu))
+    problem = build_problem(mu, C, _midpoint(mu))
     return SuiteInstance(problem, initial_lambda(SUITE_PERIODS, n))
 
 
 def _shorts_instance(seed: int) -> SuiteInstance:
     # Target near the top of the attainable range forces leveraged optima.
     returns = generate_synthetic_returns(SUITE_ASSETS, SUITE_PERIODS, seed)
-    stats = estimate_stats(returns)
-    mu = stats.mu
+    mu, C = estimate_stats(returns)
     e = float(mu.min()) + 0.9 * (float(mu.max()) - float(mu.min()))
-    problem = build_problem(stats, e)
+    problem = build_problem(mu, C, e)
     return SuiteInstance(problem, 10.0 * initial_lambda(SUITE_PERIODS, SUITE_ASSETS))
 
 

@@ -38,9 +38,9 @@ def report(index, name, ok, detail):
 
 def midpoint_problem(n, m, seed, noise_scale=0.03):
     returns = generate_synthetic_returns(n, m, seed, noise_scale=noise_scale)
-    stats = estimate_stats(returns)
-    e = 0.5 * (float(stats.mu.min()) + float(stats.mu.max()))
-    return build_problem(stats, e)
+    mu, C = estimate_stats(returns)
+    e = 0.5 * (float(mu.min()) + float(mu.max()))
+    return build_problem(mu, C, e)
 
 
 def fixed_lambda_config(problem, kind, lam, tol, max_iter):
@@ -288,15 +288,15 @@ def test_10_adaptive_frontier_matches_oracle():
     # the CLI defaults.  The exact optimum at the initial lambda has no
     # shorts at points 1-18, so the guard must leave lambda alone there; the
     # oracle misses the single-asset optima at the endpoints 0 and 19.
-    stats = estimate_stats(generate_synthetic_returns(10, 120, 3))
-    targets = np.linspace(float(stats.mu.min()), float(stats.mu.max()), 20)
+    mu, C = estimate_stats(generate_synthetic_returns(10, 120, 3))
+    targets = np.linspace(float(mu.min()), float(mu.max()), 20)
     lam0 = initial_lambda(120, 10)
     cfg = SolverConfig(tol=1e-6, max_iter=5000,
                        penalty=PenaltyConfig(kind="rbb"),
                        lambda_schedule=LambdaSchedule.adaptive(lam0, sn=0))
     converged, moved, worst_gap = 0, [], 0.0
     for point, target in enumerate(targets):
-        problem = build_problem(stats, float(target), allow_out_of_range=True)
+        problem = build_problem(mu, C, float(target), allow_out_of_range=True)
         result = solve(problem, cfg)
         converged += result.termination == "converged"
         if not 1 <= point <= 18:

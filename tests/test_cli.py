@@ -145,7 +145,7 @@ class TestSolve:
         monkeypatch.setattr(cli, "solve", recording_solve)
         # at the largest asset mean the first run ends with shorts, so the
         # guard moves lambda between runs
-        top = float(estimate_stats(load_returns_csv(returns_csv)).mu.max())
+        top = float(estimate_stats(load_returns_csv(returns_csv))[0].max())
         _, payload = run_solve(returns_csv, tmp_path, "--adaptive-lambda",
                                "--sn", "0", "--max-iter", "300",
                                "--target-return", repr(top), "--history")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sparsefolio import market_data
 from sparsefolio.market_data import (
     JITTER_FLOOR,
-    AssetStats,
     ReturnsFormatError,
     ReturnsMatrix,
     estimate_stats,
@@ -410,32 +409,32 @@ class TestRoundTrip:
 class TestEstimateStats:
     def test_two_point_sample(self):
         rm = ReturnsMatrix(np.array([[0.1, 0.3], [0.3, 0.1]]), ("A", "B"))
-        stats = estimate_stats(rm)
-        np.testing.assert_allclose(stats.mu, [0.2, 0.2], atol=1e-15)
+        mu, C = estimate_stats(rm)
+        np.testing.assert_allclose(mu, [0.2, 0.2], atol=1e-15)
         raw = np.array([[0.02, -0.02], [-0.02, 0.02]])
-        # the raw two-point covariance is singular, so jitter must kick in
-        assert stats.jitter_applied > 0
-        np.testing.assert_allclose(
-            stats.C, raw + stats.jitter_applied * np.eye(2), atol=1e-15)
-        assert np.linalg.eigvalsh(stats.C)[0] > 0
+        # the raw two-point covariance is singular, so its smallest
+        # eigenvalue is lifted to 2*JITTER_FLOOR
+        shift = 2 * JITTER_FLOOR - np.linalg.eigvalsh(raw)[0]
+        np.testing.assert_allclose(C, raw + shift * np.eye(2), rtol=0, atol=1e-15)
+        assert np.linalg.eigvalsh(C)[0] > 0
 
     def test_constant_rows_give_jitter_identity(self):
         rm = ReturnsMatrix(np.tile([0.01, 0.02, 0.03], (4, 1)), ("a", "b", "c"))
-        stats = estimate_stats(rm)
-        assert stats.jitter_applied > 0
-        np.testing.assert_allclose(
-            stats.C, stats.jitter_applied * np.eye(3), atol=1e-18)
+        _, C = estimate_stats(rm)
+        np.testing.assert_array_equal(C, 2 * JITTER_FLOOR * np.eye(3))
 
     def test_matches_two_pass_reference(self, rng):
         values = rng.normal(0.01, 0.02, size=(500, 10))
-        stats = estimate_stats(ReturnsMatrix(values, tuple(f"A{i}" for i in range(10))))
+        mu, C = estimate_stats(ReturnsMatrix(values, tuple(f"A{i}" for i in range(10))))
         expected = two_pass_covariance(values)
-        np.testing.assert_allclose(stats.C, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stats.mu, values.mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(C, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mu, values.mean(axis=0), atol=1e-15)
 
     def test_well_conditioned_generator_needs_no_jitter(self):
-        stats = estimate_stats(generate_synthetic_returns(10, 200, seed=7))
-        assert stats.jitter_applied == 0.0
+        returns = generate_synthetic_returns(10, 200, seed=7)
+        _, C = estimate_stats(returns)
+        raw = np.cov(returns.values, rowvar=False, ddof=1)
+        np.testing.assert_array_equal(C, 0.5 * (raw + raw.T))
 
     @pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, 0.99, 1.01, 2.0, 1e6])
     def test_shift_matches_eigenvalue_rule(self, rng, factor):
@@ -447,7 +446,7 @@ class TestEstimateStats:
         cov = (Q * spectrum) @ Q.T
         rm = ReturnsMatrix(rng.standard_normal((20, n)), tuple("abcdef"))
         with mock.patch.object(np, "cov", return_value=cov):
-            stats = estimate_stats(rm)
+            _, shifted = estimate_stats(rm)
         C = 0.5 * (cov + cov.T)
         smallest = float(np.linalg.eigvalsh(C)[0])
         jitter = 0.0
@@ -455,34 +454,29 @@ class TestEstimateStats:
             jitter = JITTER_FLOOR - smallest + JITTER_FLOOR
             C = C + jitter * np.eye(n)
         assert (jitter > 0) == (factor <= 1)
-        assert stats.jitter_applied == jitter
-        np.testing.assert_array_equal(stats.C, C)
+        np.testing.assert_array_equal(shifted, C)
 
     def test_output_always_cholesky_factorizable(self):
         for seed in range(6):
             rm = generate_synthetic_returns(8, 12, seed=seed, noise_scale=0.0)
-            stats = estimate_stats(rm)
-            np.linalg.cholesky(stats.C)
+            np.linalg.cholesky(estimate_stats(rm)[1])
 
 
 class TestAssetStats:
-    # AssetStats checks shapes only; the covariance is validated when a
-    # problem is built from it
+    # the moments are checked when a problem is built from them
     def test_asymmetric_covariance_rejected(self):
-        stats = AssetStats(mu=np.array([0.1, 0.2]),
-                           C=np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
-            build_problem(stats, 0.15)
+            build_problem(np.array([0.1, 0.2]),
+                          np.array([[1.0, 0.5], [0.2, 1.0]]), 0.15)
 
     def test_indefinite_covariance_rejected(self):
-        stats = AssetStats(mu=np.array([0.1, 0.2]),
-                           C=np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError, match="positive definite"):
-            build_problem(stats, 0.15)
+            build_problem(np.array([0.1, 0.2]),
+                          np.array([[1.0, 0.0], [0.0, -1.0]]), 0.15)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            AssetStats(mu=np.array([0.1, 0.2, 0.3]), C=np.eye(2))
+        with pytest.raises(ValueError, match="mean/covariance shapes do not match"):
+            build_problem(np.array([0.1, 0.2, 0.3]), np.eye(2), 0.15)
 
 
 class TestGenerateSyntheticReturns:

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import factor_problem
 from exhaustive_oracle import enumerate_solve
-from sparsefolio.market_data import AssetStats
 from sparsefolio.model import (
     ZERO_TOL,
     PortfolioProblem,
@@ -15,35 +14,35 @@ from sparsefolio.model import (
 
 class TestBuildProblem:
     def test_direct_stacking(self):
-        stats = AssetStats(mu=np.array([0.1, 0.2]), C=np.eye(2))
-        problem = build_problem(stats, 0.15)
+        mu, C = np.array([0.1, 0.2]), np.eye(2)
+        problem = build_problem(mu, C, 0.15)
         np.testing.assert_array_equal(problem.D, [[0.1, 0.2], [1.0, 1.0]])
         np.testing.assert_array_equal(problem.b, [0.15, 1.0])
         assert problem.n == 2
         assert problem.e == 0.15
 
     def test_equal_means_degenerate(self):
-        stats = AssetStats(mu=np.array([0.1, 0.1, 0.1]), C=np.eye(3))
+        mu, C = np.array([0.1, 0.1, 0.1]), np.eye(3)
         with pytest.raises(ValueError, match="degenerate"):
-            build_problem(stats, 0.1)
+            build_problem(mu, C, 0.1)
 
     def test_out_of_range_target(self):
-        stats = AssetStats(mu=np.array([0.1, 0.2]), C=np.eye(2))
+        mu, C = np.array([0.1, 0.2]), np.eye(2)
         with pytest.raises(ValueError) as excinfo:
-            build_problem(stats, 0.5)
+            build_problem(mu, C, 0.5)
         message = str(excinfo.value)
         assert "0.5" in message
         assert "0.1" in message and "0.2" in message
 
     def test_out_of_range_override(self):
-        stats = AssetStats(mu=np.array([0.1, 0.2]), C=np.eye(2))
-        problem = build_problem(stats, 0.5, allow_out_of_range=True)
+        mu, C = np.array([0.1, 0.2]), np.eye(2)
+        problem = build_problem(mu, C, 0.5, allow_out_of_range=True)
         assert problem.e == 0.5
 
     def test_boundary_targets_allowed(self):
-        stats = AssetStats(mu=np.array([0.1, 0.2]), C=np.eye(2))
-        build_problem(stats, 0.1)
-        build_problem(stats, 0.2)
+        mu, C = np.array([0.1, 0.2]), np.eye(2)
+        build_problem(mu, C, 0.1)
+        build_problem(mu, C, 0.2)
 
 
 class TestPortfolioProblemValidation:

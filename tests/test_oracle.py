@@ -6,7 +6,6 @@ import pytest
 from conftest import factor_problem, identity_problem, two_asset_problem
 from exhaustive_oracle import InfeasibleTargetError, enumerate_solve
 from sparsefolio.kkt import check_kkt
-from sparsefolio.market_data import AssetStats
 from sparsefolio.model import PortfolioProblem, build_problem, objective_value
 
 
@@ -102,8 +101,7 @@ class TestEnumerateSolve:
             enumerate_solve(two_asset_problem(), -0.1)
 
     def test_large_problems_refused(self):
-        stats = AssetStats(mu=np.linspace(0.01, 0.02, 13), C=np.eye(13))
-        problem = build_problem(stats, 0.015)
+        problem = build_problem(np.linspace(0.01, 0.02, 13), np.eye(13), 0.015)
         with pytest.raises(ValueError, match="capped"):
             enumerate_solve(problem, 0.01)
 
@@ -177,16 +175,17 @@ class TestPerSupportSolve:
 
     def test_matches_per_pattern_reference_at_a_tie(self):
         # the support boundary of TestUniqueness, where unique is False
-        stats = AssetStats(mu=TestUniqueness.MU, C=TestUniqueness.C)
         lo, hi = 0.165, 0.170
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            problem = build_problem(stats, mid, allow_out_of_range=True)
+            problem = build_problem(TestUniqueness.MU, TestUniqueness.C, mid,
+                                    allow_out_of_range=True)
             if enumerate_solve(problem, TestUniqueness.LAM).weights[0] > 0:
                 lo = mid
             else:
                 hi = mid
-        problem = build_problem(stats, lo, allow_out_of_range=True)
+        problem = build_problem(TestUniqueness.MU, TestUniqueness.C, lo,
+                                allow_out_of_range=True)
         res = enumerate_solve(problem, TestUniqueness.LAM)
         weights, unique = per_pattern_solve(problem, TestUniqueness.LAM)
         np.testing.assert_allclose(res.weights, weights, rtol=0, atol=1e-12)
@@ -201,8 +200,7 @@ class TestUniqueness:
     LAM = 0.004
 
     def _solve(self, e):
-        stats = AssetStats(mu=self.MU, C=self.C)
-        problem = build_problem(stats, e, allow_out_of_range=True)
+        problem = build_problem(self.MU, self.C, e, allow_out_of_range=True)
         return enumerate_solve(problem, self.LAM)
 
     def test_generic_target_is_unique(self):

@@ -22,11 +22,11 @@ from sparsefolio.suites import SUITES, make_suite_instances
 def acceptance_instances():
     for i in range(100):
         n = 3 + i % 6
-        stats = estimate_stats(generate_synthetic_returns(n, 60, 1000 + i,
+        mu, C = estimate_stats(generate_synthetic_returns(n, 60, 1000 + i,
                                                           noise_scale=0.03))
-        e = 0.5 * (float(stats.mu.min()) + float(stats.mu.max()))
+        e = 0.5 * (float(mu.min()) + float(mu.max()))
         lam0 = initial_lambda(60, n)
-        yield build_problem(stats, e), (0.0, lam0, 10.0 * lam0)[(i // 6) % 3]
+        yield build_problem(mu, C, e), (0.0, lam0, 10.0 * lam0)[(i // 6) % 3]
 
 
 def bench_instances():

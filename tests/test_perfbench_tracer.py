@@ -30,7 +30,7 @@ def test_every_tracer_target_resolves_and_is_called(tmp_path):
                      "-o", str(data)]) == cli.EXIT_OK
     # at the largest asset mean the first run ends with shorts, so lambda
     # moves, and the solve still converges
-    top = float(estimate_stats(load_returns_csv(str(data))).mu.max())
+    top = float(estimate_stats(load_returns_csv(str(data)))[0].max())
     out = tmp_path / "result.json"
 
     tracer = tracing.Tracer()

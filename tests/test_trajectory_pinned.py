@@ -87,10 +87,10 @@ def test_suite_trajectory_is_pinned(case):
 
 @pytest.mark.parametrize("point", list(FRONTIER_TRAJECTORIES))
 def test_adaptive_lambda_frontier_trajectory_is_pinned(point):
-    stats = estimate_stats(generate_synthetic_returns(10, 120, 3))
-    targets = np.linspace(float(stats.mu.min()), float(stats.mu.max()),
+    mu, C = estimate_stats(generate_synthetic_returns(10, 120, 3))
+    targets = np.linspace(float(mu.min()), float(mu.max()),
                           FRONTIER_POINTS)
-    problem = build_problem(stats, float(targets[point]),
+    problem = build_problem(mu, C, float(targets[point]),
                             allow_out_of_range=True)
     cfg = SolverConfig(
         tol=1e-6, max_iter=5000, penalty=PenaltyConfig(kind="rbb"),
