@@ -251,7 +251,6 @@ class TestRbbScalar:
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
             assert all(bb1 - 1e-12 <= v <= bb2 + 1e-12 for v in values)
 
-
     def test_overflowing_denominator_is_rescaled(self):
         # at scale 1e153 the denominator 2e306 + 1e3 * 2e306 overflows; the
         # scalar does not, and matches the unscaled one
