@@ -19,6 +19,26 @@ sparse, and when it raises lambda the next run starts cold at the new
 value, reusing the KKT factorization at rho0 that the first run started
 from.
 
+A run also ends, converged, when a KKT certificate holds (the polish of
+Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
+in finitely many iterations (Liang, Fadili and Peyre 2017), and
+kkt.certify then solves the block of z's support and signs: a solution
+that keeps those signs, with a subgradient in [-1, 1] off the support and
+check_kkt within KKT_TOL, is the optimum, as those conditions are
+sufficient for this convex problem.  The run's last iterate becomes that
+optimum: x = z = the certified x, and y = -lam*g, its dual, which makes
+the iterate a fixed point of the three steps.  An attempt costs an O(k^3)
+block solve, about ceil(n/3) O(n^2) x-steps, so attempts are rationed.
+Iterations ceil(n/3) * 2^j are checkpoints, which bounds a run that never
+certifies to about log2(max_iter) of them; a checkpoint tries only when
+z's sign pattern is the previous iteration's, as the support is then
+settling, and none tries a pattern whose certificate already failed in
+the run, which would fail again.  An iteration that passes the residual
+test tries once too, under the same last rule, so a converged run carries
+certified weights, exactly sparse, wherever a certificate holds.  A run
+that no certificate ends keeps its iterates, iteration count and
+termination bitwise.
+
 Under fixed rho the x-step takes the explicit inverse of the KKT block
 (kkt.invert): one symmetric mat-vec instead of two triangular solves.
 solve inverts its rho0 factorization in place before the first run, and
@@ -69,7 +89,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .kkt import KktFactorization, factorize, invert, solve_x_update
+from .kkt import KktFactorization, certify, factorize, invert, solve_x_update
 from .lambda_controller import LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
 from .penalty import PenaltyConfig, PenaltyState, compute_ybar
@@ -116,6 +136,9 @@ class IterateState(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """How a solve ended.  certified says a KKT certificate ended its last
+    run, so weights is that run's exact optimum and exactly sparse."""
+
     weights: np.ndarray
     objective: float
     iterations: int
@@ -124,6 +147,7 @@ class SolveResult:
     lambda_final: float
     lambda_adjustments: int
     rho_final: float
+    certified: bool
 
 
 def shrink_constants(lam: float, rho: float,
@@ -196,13 +220,18 @@ def feasible_start(problem: PortfolioProblem) -> np.ndarray:
 def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
          factorization: KktFactorization, budget: int,
          callback: Optional[Callable[[IterateState], None]],
-         ) -> tuple[IterateState, str, int, float]:
+         ) -> tuple[IterateState, str, int, float, bool]:
     """One ADMM run at a fixed lam from the cold start, for at most budget
     iterations; factorization is the one at cfg.penalty.rho0.  Iteration k
     is due an update when k equals the value last drawn from PenaltyState.due.
 
-    Returns the last committed state, the termination, the iteration count
-    and the rho in force at the end.
+    Checkpoints and the residual stop try kkt.certify on z by the rule of
+    the module docstring.  A certificate replaces iteration k by the
+    optimum, with that iterate's own residual norms (r_norm 0), which the
+    callback sees, and ends the run converged.
+
+    Returns the last committed state, the termination, the iteration count,
+    the rho in force at the end and whether a certificate ended the run.
     """
     rho = cfg.penalty.rho0
     n = problem.n
@@ -216,6 +245,10 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     next_due = next(due, -1)  # -1 once no update is due any more
     reads_ybar = pen_state.reads_ybar
     tol = cfg.tol
+    # an O(k^3) certificate costs about n/3 O(n^2) x-steps
+    checkpoint = -(-n // 3)
+    failed_signs = None  # z's sign pattern at the last failed certificate
+    certified = False
     # the last committed iterate's IterateState, or None when not built yet
     state = IterateState(x, z, y, rho, lam, -1)
     r_norm = d_norm = math.inf
@@ -236,6 +269,22 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
             y_new = y_update(y, rho_vector, primal)
             ybar = (compute_ybar(y, rho, x_new, z)
                     if reads_ybar and k == next_due else None)
+            stop = stopping_check(r_norm, d_norm, x_new, z_new, y_new, tol)
+            if stop or k == checkpoint:
+                if k == checkpoint:
+                    checkpoint *= 2
+                signs = np.sign(z_new)
+                if ((stop or np.array_equal(signs, np.sign(z)))
+                        and not np.array_equal(signs, failed_signs)):
+                    polish = certify(problem, lam, z_new)
+                    if polish is None:
+                        failed_signs = signs
+                    else:
+                        x_new = z_new = polish[0]
+                        y_new = -lam * polish[2]
+                        r_norm, d_norm = residual_norms(z_new - x_new,
+                                                        z_new - z, rho)
+                        stop = certified = True
             x, z, y = x_new, z_new, y_new
             state = None
 
@@ -243,7 +292,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
                 callback(state)
 
-            if stopping_check(r_norm, d_norm, x, z, y, tol):
+            if stop:
                 termination, used = TERMINATION_CONVERGED, k + 1
                 break
 
@@ -263,12 +312,13 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
         # Not built means no update ran after the last committed iterate, so
         # rho is still the value it ran with.
         state = IterateState(x, z, y, rho, lam, used - 1, r_norm, d_norm, ybar)
-    return state, termination, used, rho
+    return state, termination, used, rho, certified
 
 
 def solve(problem: PortfolioProblem, cfg: SolverConfig,
           callback: Optional[Callable[[IterateState], None]] = None) -> SolveResult:
-    """Run ADMM to the residual tolerance, the iteration cap, or a breakdown.
+    """Run ADMM to a KKT certificate, the residual tolerance, the iteration
+    cap, or a breakdown.
 
     callback, if given, receives each iteration's IterateState; it is the
     only per-iteration output.  Hitting max_iter is reported in the result,
@@ -280,9 +330,9 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     lambda.  It stops when lambda stays put or a run does not converge.
     max_iter bounds the iterations of all runs together; a move that finds
     the budget spent starts no run and ends the solve as max_iter, with
-    the moved lambda as lambda_final.  The callback sees every run, each
-    with k counting from 0.  iterations is the total; weights, final_state
-    and rho_final come from the last run.
+    the moved lambda as lambda_final, and not certified.  The callback sees
+    every run, each with k counting from 0.  iterations is the total;
+    weights, final_state, rho_final and certified come from the last run.
     """
     schedule = cfg.lambda_schedule
     lam = schedule.lambda_current
@@ -292,7 +342,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         factorization = invert(factorization)
     iterations = 0
     while iterations < cfg.max_iter:
-        state, termination, used, rho = _run(
+        state, termination, used, rho, certified = _run(
             problem, cfg, lam, factorization, cfg.max_iter - iterations,
             callback)
         iterations += used
@@ -303,7 +353,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
             break
         lam = schedule.lambda_current
     else:  # lambda moved with the budget spent: the last run's result stands
-        termination = TERMINATION_MAX_ITER
+        termination, certified = TERMINATION_MAX_ITER, False
 
     x = state.x
     return SolveResult(
@@ -315,4 +365,5 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         lambda_final=lam,
         lambda_adjustments=schedule.adjustments_made,
         rho_final=rho,
+        certified=certified,
     )

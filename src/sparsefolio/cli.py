@@ -30,21 +30,24 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
-# Shape of the JSON document emitted by `solve`; the history block appears
-# only when --history is passed, and holds one entry per iteration, of every
-# adaptive-lambda run in order: its residual norms and the rho and lambda it
-# ran with.  Kept importable so tests can validate.
+# Shape of the JSON document emitted by `solve`; certified says whether a KKT
+# certificate ended the last run, which makes the weights its exact optimum.
+# The history block appears only when --history is passed, and holds one
+# entry per iteration, of every adaptive-lambda run in order: its residual
+# norms and the rho and lambda it ran with.  Kept importable so tests can
+# validate.
 RESULT_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["weights", "objective", "iterations", "termination",
-                 "lambda_initial", "lambda_final", "rho_final", "short_count",
-                 "config_echo"],
+                 "certified", "lambda_initial", "lambda_final", "rho_final",
+                 "short_count", "config_echo"],
     "properties": {
         "weights": {"type": "array", "items": {"type": "number"}},
         "objective": {"type": "number"},
         "iterations": {"type": "integer", "minimum": 0},
         "termination": {"enum": ["converged", "max_iter", "numerical_failure"]},
+        "certified": {"type": "boolean"},
         "lambda_initial": {"type": "number", "minimum": 0},
         "lambda_final": {"type": "number", "minimum": 0},
         "rho_final": {"type": "number", "exclusiveMinimum": 0},
@@ -198,6 +201,7 @@ def cmd_solve(args) -> int:
         "objective": result.objective,
         "iterations": result.iterations,
         "termination": result.termination,
+        "certified": result.certified,
         "lambda_initial": cfg.lambda_schedule.lambda_current,
         "lambda_final": result.lambda_final,
         "rho_final": result.rho_final,

@@ -57,6 +57,17 @@ unpenalized, equality-constrained QP.  ``check_kkt`` measures how far a
 candidate (x, nu, g) is from meeting all the optimality conditions, which
 certifies such a solution.  The block is built and solved on each call:
 a support's block shares no factorization with the x-step's.
+
+``certify`` is that polish for one support and sign vector, those of an
+ADMM iterate z (Stellato et al. 2020, OSQP, section 5).  It accepts the
+solution only where the signs on S hold, the subgradient off S lies in
+[-1, 1] and ``check_kkt`` is within KKT_TOL; the conditions are
+sufficient for this convex problem, so an accepted x is its optimum.
+``solve_support`` keeps numpy's solver, which copies the block, as the
+test suite's exhaustive oracle is pinned to its bits; ``certify`` solves
+its one block in place with LAPACK ``gesv``, and both gather C_SS into
+the block a few rows at a time, so that a polish at n=500 holds no second
+block.
 """
 
 from __future__ import annotations
@@ -70,9 +81,14 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .model import PortfolioProblem
 
-_getrf, _getrs, _getri, _getri_lwork = get_lapack_funcs(
-    ("getrf", "getrs", "getri", "getri_lwork"), dtype=np.float64)
+_getrf, _getrs, _getri, _getri_lwork, _gesv = get_lapack_funcs(
+    ("getrf", "getrs", "getri", "getri_lwork", "gesv"), dtype=np.float64)
 _symv = get_blas_funcs("symv", dtype=np.float64)
+
+# check_kkt's bound on a certified solution's worst violation
+KKT_TOL = 1e-9
+# rows of C_SS a support block gathers at a time
+_GATHER_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,21 @@ def solve_x_update(factorization: KktFactorization, z: np.ndarray,
     return solution[:-2]
 
 
+def _support_block(problem: PortfolioProblem,
+                   support: np.ndarray) -> tuple[np.ndarray, int]:
+    """[C_SS D_S'; D_S 0] for a boolean support mask, and its k."""
+    index = np.flatnonzero(support)
+    k = index.size
+    A = np.zeros((k + 2, k + 2))
+    for start in range(0, k, _GATHER_ROWS):
+        rows = index[start:start + _GATHER_ROWS]
+        A[start:start + rows.size, :k] = problem.C[rows][:, index]
+    D_S = problem.D[:, index]
+    A[:k, k:] = D_S.T
+    A[k:, :k] = D_S
+    return A, k
+
+
 def solve_support(problem: PortfolioProblem, support: np.ndarray,
                   head: np.ndarray) -> np.ndarray:
     """Solve the block of C restricted to a support against [head; b].
@@ -163,16 +194,54 @@ def solve_support(problem: PortfolioProblem, support: np.ndarray,
     nonsingular when D_S has rank 2, which needs k >= 2; numpy.linalg.solve
     raises LinAlgError on an exactly singular one.
     """
-    k = int(np.count_nonzero(support))
-    D_S = problem.D[:, support]
-    A = np.zeros((k + 2, k + 2))
-    A[:k, :k] = problem.C[np.ix_(support, support)]
-    A[:k, k:] = D_S.T
-    A[k:, :k] = D_S
+    A, k = _support_block(problem, support)
     rhs = np.empty((k + 2,) + head.shape[1:])
     rhs[:k] = head
     rhs[k:] = problem.b if head.ndim == 1 else problem.b[:, None]
     return np.linalg.solve(A, rhs)
+
+
+def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
+            ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The optimum on z's support S and signs s, with its certificate, or None.
+
+    Solves the support's block against [-lam*s; b] and returns (x, nu, g),
+    the optimum x (exactly zero off S), the multipliers nu of Dx = b and
+    the subgradient g of ||x||_1 (s on S; off S from stationarity, 0 at
+    lam = 0), such that check_kkt(problem, lam, x, nu, g) <= KKT_TOL.
+    Returns None where the support holds fewer than two assets (D_S has
+    rank 1 and the block is singular), the block is singular, a sign on S
+    flips, the subgradient leaves [-1, 1] off S or check_kkt exceeds
+    KKT_TOL.
+
+    The block is symmetric, as PortfolioProblem makes C symmetric up to
+    1e-12, so ``gesv`` factors it in place through its transpose, the
+    Fortran-ordered view of the same memory.
+    """
+    support = z != 0
+    if np.count_nonzero(support) < 2:
+        return None
+    signs = np.sign(z[support])
+    A, k = _support_block(problem, support)
+    rhs = np.empty(k + 2)
+    rhs[:k] = -lam * signs
+    rhs[k:] = problem.b
+    _, _, solution, info = _gesv(A.T, rhs, overwrite_a=True, overwrite_b=True)
+    if info != 0 or not np.all(signs * solution[:k] > 0):
+        return None
+    x = np.zeros(problem.n)
+    x[support] = solution[:k]
+    nu = solution[k:]
+    g = np.zeros(problem.n)
+    g[support] = signs
+    if lam > 0:
+        off = ~support
+        g[off] = (problem.C @ x + problem.D.T @ nu)[off] / -lam
+        if not np.all(np.abs(g[off]) <= 1.0):
+            return None
+    if not check_kkt(problem, lam, x, nu, g) <= KKT_TOL:
+        return None
+    return x, nu, g
 
 
 def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,

@@ -145,13 +145,12 @@ def spectral_rho(prev: IterateState, state: IterateState,
     """
     if cfg.kind not in ("bb", "rbb"):
         raise ValueError(f"spectral update called with kind={cfg.kind!r}")
-    d_ybar = state.ybar - prev.ybar
-    d_y = state.y - prev.y
-    d_psi = state.x - prev.x
-    d_phi = prev.z - state.z
     tau = tau_update(state.r_norm, state.d_norm, cfg.q) if cfg.kind == "rbb" else None
-    alpha = _side_scalar(d_ybar, d_psi, tau)
-    beta = _side_scalar(d_y, d_phi, tau)
+    # A difference or a squared norm beyond the double range is inf (or an
+    # inner product NaN), which the correlation gate rejects: no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _side_scalar(state.ybar - prev.ybar, state.x - prev.x, tau)
+        beta = _side_scalar(state.y - prev.y, prev.z - state.z, tau)
     if alpha is not None and beta is not None:
         curvature = math.sqrt(alpha * beta)
     elif alpha is not None or beta is not None:

@@ -15,7 +15,9 @@ vectors.
 
 soft_threshold is the shrinkage formula the engine's z-step must match
 bitwise, and fixed_rho_reference a textbook fixed-rho ADMM loop with a
-fresh dense KKT solve per iteration.
+fresh dense KKT solve per iteration.  kkt_violation rebuilds a
+certificate from the weights alone, to check a certified solve without
+trusting the certificate the solver found.
 """
 
 from __future__ import annotations
@@ -125,6 +127,24 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
     )
     return OracleResult(weights=best[3], objective=best[0], multiplier=best[4],
                         subgradient=best[5], unique=unique)
+
+
+def kkt_violation(problem: PortfolioProblem, lam: float, x: np.ndarray) -> float:
+    """check_kkt at x, with nu and g rebuilt from x alone.
+
+    On x's support S, g = sign(x) and the stationarity rows
+    C_S x + lam*g_S + D_S' nu = 0 give nu by least squares; off S, g is
+    what the same rows leave, divided by lam (0 at lam = 0, where check_kkt
+    then asks stationarity of every row).
+    """
+    support = x != 0
+    g = np.sign(x)
+    gradient = problem.C @ x + lam * g
+    nu = np.linalg.lstsq(problem.D[:, support].T, -gradient[support],
+                         rcond=None)[0]
+    if lam > 0:
+        g[~support] = -(gradient + problem.D.T @ nu)[~support] / lam
+    return check_kkt(problem, lam, x, nu, g)
 
 
 def soft_threshold(u: np.ndarray, kappa: float) -> np.ndarray:

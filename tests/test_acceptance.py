@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import factor_problem, mean_diag_rho
-from exhaustive_oracle import enumerate_solve, fixed_rho_reference
+from exhaustive_oracle import enumerate_solve, fixed_rho_reference, kkt_violation
 from sparsefolio.admm_engine import (
     IterateState,
     SolverConfig,
@@ -20,6 +20,7 @@ from sparsefolio.admm_engine import (
     stopping_check,
 )
 from sparsefolio.cli import main
+from sparsefolio.kkt import KKT_TOL
 from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
 from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
 from sparsefolio.model import build_problem
@@ -52,7 +53,7 @@ def fixed_lambda_config(problem, kind, lam, tol, max_iter):
 
 def test_1_oracle_equivalence():
     started = time.perf_counter()
-    worst_gap, worst_winf = 0.0, 0.0
+    worst_gap, worst_winf, worst_certified = 0.0, 0.0, 0.0
     for i in range(100):
         n = 3 + i % 6
         problem = midpoint_problem(n, 60, seed=1000 + i)
@@ -67,16 +68,20 @@ def test_1_oracle_equivalence():
             gap = abs(result.objective - oracle.objective) \
                 / max(1.0, abs(oracle.objective))
             worst_gap = max(worst_gap, gap)
+            winf = float(np.abs(result.weights - oracle.weights).max())
             if oracle.unique:
-                winf = float(np.abs(result.weights - oracle.weights).max())
                 worst_winf = max(worst_winf, winf)
+            if result.certified:
+                worst_certified = max(worst_certified, winf)
     elapsed = time.perf_counter() - started
-    ok = worst_gap <= 1e-6 and worst_winf <= 1e-4 and elapsed < 120.0
+    ok = (worst_gap <= 1e-6 and worst_winf <= 1e-4 and worst_certified <= 1e-12
+          and elapsed < 120.0)
     report(1, "oracle equivalence", ok,
            f"worst gap {worst_gap:.2e}, worst winf {worst_winf:.2e}, "
-           f"{elapsed:.1f}s")
+           f"certified {worst_certified:.1e}, {elapsed:.1f}s")
     assert worst_gap <= 1e-6
     assert worst_winf <= 1e-4
+    assert worst_certified <= 1e-12
     assert elapsed < 120.0
 
 
@@ -191,8 +196,11 @@ def test_5_adaptive_lambda_removes_shorts():
 
 
 def test_6_stopping_inequalities_hold_at_convergence():
+    # converged means the residual inequalities hold or a KKT certificate
+    # does; a certified run is re-verified from its weights alone, and
+    # against the oracle
     tol = 1e-8
-    checked = 0
+    checked, certified = 0, 0
     for trial in range(8):
         problem = midpoint_problem(5 + trial % 3, 60, seed=2000 + trial)
         lam = initial_lambda(60, problem.n) * (trial % 4)
@@ -203,16 +211,23 @@ def test_6_stopping_inequalities_hold_at_convergence():
             # every run must converge: a skipped run would let the gate pass
             assert result.termination == "converged", (trial, kind)
             state = result.final_state
+            checked += 1
+            if result.certified:
+                certified += 1
+                assert state.x is state.z is result.weights
+                assert kkt_violation(problem, lam, result.weights) <= KKT_TOL
+                oracle = enumerate_solve(problem, lam)
+                assert np.abs(result.weights - oracle.weights).max() <= 1e-12
+                continue
             r_check = float(np.linalg.norm(state.z - state.x))
             assert r_check <= tol * max(np.linalg.norm(state.x),
                                         np.linalg.norm(state.z))
             assert state.d_norm <= tol * max(np.linalg.norm(state.y), 1.0)
             assert stopping_check(r_check, state.d_norm, state.x, state.z,
                                   state.y, tol)
-            checked += 1
     ok = checked == 32
     report(6, "stopping inequalities at convergence", ok,
-           f"{checked} converged runs re-verified")
+           f"{checked} converged runs re-verified, {certified} by certificate")
     assert checked == 32
 
 
@@ -295,6 +310,7 @@ def test_10_adaptive_frontier_matches_oracle():
                        penalty=PenaltyConfig(kind="rbb"),
                        lambda_schedule=LambdaSchedule.adaptive(lam0, sn=0))
     converged, moved, worst_gap = 0, [], 0.0
+    certified, worst_certified = 0, 0.0
     for point, target in enumerate(targets):
         problem = build_problem(mu, C, float(target), allow_out_of_range=True)
         result = solve(problem, cfg)
@@ -306,10 +322,57 @@ def test_10_adaptive_frontier_matches_oracle():
         oracle = enumerate_solve(problem, result.lambda_final)
         gap = float(np.abs(result.final_state.z - oracle.weights).max())
         worst_gap = max(worst_gap, gap)
-    ok = converged == 20 and not moved and worst_gap <= 1e-5
+        if result.certified:
+            certified += 1
+            worst_certified = max(worst_certified, gap)
+    ok = (converged == 20 and not moved and worst_gap <= 1e-5
+          and certified == 18 and worst_certified <= 1e-12)
     report(10, "adaptive frontier matches oracle", ok,
            f"{converged}/20 converged, lambda moved at {moved}, "
-           f"worst z gap {worst_gap:.1e}")
+           f"worst z gap {worst_gap:.1e}, {certified}/18 certified "
+           f"within {worst_certified:.1e}")
     assert converged == 20
     assert not moved
     assert worst_gap <= 1e-5
+    # the oracle's optima hold 2 or more assets at points 1-18, so each
+    # certifies
+    assert certified == 18
+    assert worst_certified <= 1e-12
+
+
+def certification_instances():
+    """60 seeded instances, n = 3 to 8, each at five lambdas, then the 15
+    bench-suite instances at their own lambda."""
+    for i in range(60):
+        n = 3 + i % 6
+        problem = midpoint_problem(n, 60, seed=3000 + i)
+        for lam in (0.0, 1e-6, initial_lambda(60, n), 1e-3, 1e-2):
+            yield problem, lam
+    from sparsefolio.suites import SUITES, make_suite_instances
+
+    for suite in SUITES:
+        yield from make_suite_instances(suite, trials=5, seed=0)
+
+
+def test_11_certified_solves_are_the_oracle_optimum():
+    # at the CLI defaults (tol 1e-6, rho0 = 1, max_iter 5000), every solve a
+    # certificate ends is the exhaustive oracle's optimum
+    solves, certified, worst = 0, 0, 0.0
+    for problem, lam in certification_instances():
+        oracle = enumerate_solve(problem, lam)
+        for kind in PENALTY_KINDS:
+            result = solve(problem, SolverConfig(
+                penalty=PenaltyConfig(kind=kind),
+                lambda_schedule=LambdaSchedule.fixed(lam)))
+            solves += 1
+            if result.certified:
+                certified += 1
+                assert np.array_equal(result.weights != 0, oracle.weights != 0)
+                worst = max(worst, float(np.abs(result.weights
+                                                - oracle.weights).max()))
+    # a gate that few solves reach would bind on little
+    ok = worst <= 1e-12 and certified >= 0.9 * solves
+    report(11, "certified solves are the oracle optimum", ok,
+           f"{certified}/{solves} certified, worst weight error {worst:.1e}")
+    assert worst <= 1e-12
+    assert certified >= 0.9 * solves

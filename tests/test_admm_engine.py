@@ -10,7 +10,12 @@ from scipy.linalg import lu_factor, lu_solve
 
 import sparsefolio.admm_engine as engine
 from conftest import factor_problem, identity_problem, mean_diag_rho, two_asset_problem
-from exhaustive_oracle import enumerate_solve, fixed_rho_reference, soft_threshold
+from exhaustive_oracle import (
+    enumerate_solve,
+    fixed_rho_reference,
+    kkt_violation,
+    soft_threshold,
+)
 from sparsefolio.admm_engine import (
     SolverConfig,
     feasible_start,
@@ -21,7 +26,7 @@ from sparsefolio.admm_engine import (
     y_update,
     z_update,
 )
-from sparsefolio.kkt import factorize, solve_x_update
+from sparsefolio.kkt import KKT_TOL, certify, factorize, solve_x_update
 from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
 from sparsefolio.model import objective_value
 from sparsefolio.penalty import (
@@ -43,6 +48,30 @@ def solver_config(problem, kind="rbb", lam=0.0, tol=1e-8, max_iter=100000,
         tol=tol, max_iter=max_iter,
         penalty=PenaltyConfig(kind=kind, rho0=mean_diag_rho(problem)),
         lambda_schedule=LambdaSchedule.fixed(lam), **extra)
+
+
+@pytest.fixture
+def no_certificate(monkeypatch):
+    """Every certificate attempt fails, as on a problem whose optimum holds a
+    single asset: runs end by the residual test or max_iter only, and their
+    iterates are those of the engine without certificates."""
+    monkeypatch.setattr(engine, "certify", lambda problem, lam, z: None)
+
+
+def assert_converged_contract(problem, result, lam, tol):
+    """A converged result passes the residual test or is certified; a
+    certified one is, to 1e-12, the oracle's optimum where n <= 12."""
+    assert result.termination == "converged"
+    state = result.final_state
+    if not result.certified:
+        assert stopping_check(state.r_norm, state.d_norm, state.x, state.z,
+                              state.y, tol)
+        return
+    assert state.x is state.z is result.weights
+    assert kkt_violation(problem, lam, result.weights) <= KKT_TOL
+    if problem.n <= 12:
+        oracle = enumerate_solve(problem, lam)
+        assert np.abs(result.weights - oracle.weights).max() <= 1e-12
 
 
 class TestSoftThreshold:
@@ -265,12 +294,18 @@ class TestSolveSmallCases:
 
 class TestSolveContracts:
     def test_converged_implies_stopping_inequalities(self):
+        # converged means the residual test passed or a certificate holds
         problem = factor_problem(n=5, seed=2)
         result = solve(problem, solver_config(problem, kind="rb", lam=0.001))
-        assert result.termination == "converged"
-        state = result.final_state
-        assert stopping_check(state.r_norm, state.d_norm, state.x, state.z,
-                              state.y, 1e-8)
+        assert result.certified
+        assert_converged_contract(problem, result, 0.001, 1e-8)
+
+    def test_converged_without_certificate_passes_the_residual_test(
+            self, no_certificate):
+        problem = factor_problem(n=5, seed=2)
+        result = solve(problem, solver_config(problem, kind="rb", lam=0.001))
+        assert not result.certified
+        assert_converged_contract(problem, result, 0.001, 1e-8)
 
     def test_converged_implies_feasible(self):
         problem = factor_problem(n=6, seed=4)
@@ -345,8 +380,8 @@ class TestSolveContracts:
         assert seen == list(range(result.iterations))
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
-    def test_state_carries_residuals_and_ybar(self, kind):
-        # tol=1e-16 keeps every kind running past the freeze horizon
+    def test_state_carries_residuals_and_ybar(self, no_certificate, kind):
+        # tol=1e-16 keeps every uncertified kind running past the freeze horizon
         problem = factor_problem(n=5, seed=11)
         pen = PenaltyConfig(kind=kind, rho0=mean_diag_rho(problem))
         cfg = SolverConfig(tol=1e-16, max_iter=FREEZE_AFTER + 10, penalty=pen,
@@ -393,9 +428,10 @@ class TestFinalStateWithoutCallback:
         return without
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
-    def test_converged(self, kind):
-        # this instance converges on a cadence iteration under bb and rbb, so
-        # the state built after the loop carries that iteration's ybar
+    def test_converged(self, no_certificate, kind):
+        # without certificates this instance converges on a cadence iteration
+        # under bb and rbb, so the state built after the loop carries that
+        # iteration's ybar
         problem = factor_problem(n=6, seed=4)
         cfg = solver_config(problem, kind=kind, lam=0.001)
         result = self.both(lambda cb: solve(problem, cfg, callback=cb))
@@ -403,8 +439,15 @@ class TestFinalStateWithoutCallback:
         assert (result.final_state.ybar is not None) == (kind in ("bb", "rbb"))
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_certified(self, kind):
+        problem = factor_problem(n=6, seed=4)
+        cfg = solver_config(problem, kind=kind, lam=0.001)
+        result = self.both(lambda cb: solve(problem, cfg, callback=cb))
+        assert result.termination == "converged" and result.certified
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
     @pytest.mark.parametrize("max_iter", [1, 2, 7, FREEZE_AFTER + 10])
-    def test_max_iter(self, kind, max_iter):
+    def test_max_iter(self, no_certificate, kind, max_iter):
         # odd max_iter ends on a cadence iteration, even on one between
         problem = factor_problem(n=5, seed=11)
         cfg = solver_config(problem, kind=kind, lam=0.001, tol=1e-16,
@@ -516,7 +559,7 @@ class TestHistories:
             # change at position k was decided at iteration k-1
             assert (k - 1) % NBAR == 1 % NBAR
 
-    def test_rho_frozen_after_horizon(self, monkeypatch):
+    def test_rho_frozen_after_horizon(self, monkeypatch, no_certificate):
         problem = factor_problem(n=5, seed=11)
         asked = []
         real = PenaltyState.update
@@ -686,7 +729,9 @@ class TestStepsAtTheStatesRhoAndLambda:
     """Along a whole solve, every committed iterate is the scalar steps'
     result at the float rho and lam its state carries, bitwise: the vector
     constants of the x-, z- and y-steps are rebuilt after every rho change
-    and for every run after a lambda move."""
+    and for every run after a lambda move.  The one exception is the last
+    iterate of a run that a certificate ends: it is kkt.certify's optimum
+    on the stepped z, with x = z and y = -lam*g."""
 
     @staticmethod
     def trajectory(problem, cfg):
@@ -694,7 +739,8 @@ class TestStepsAtTheStatesRhoAndLambda:
         result = solve(problem, cfg, callback=seen.append)
         n = problem.n
         factors = {}
-        for state in seen:
+        ends = []  # positions of the iterates a certificate replaced
+        for i, state in enumerate(seen):
             if state.k == 0:
                 z_prev, y_prev = feasible_start(problem), np.zeros(n)
             rho, lam = state.rho, state.lam
@@ -704,12 +750,21 @@ class TestStepsAtTheStatesRhoAndLambda:
                      [problem.D, np.zeros((2, 2))]]))
             x = lu_solve(factors[rho],
                          np.concatenate([rho * z_prev + y_prev, problem.b]))[:n]
+            z = soft_threshold(x - y_prev / rho, lam / rho)
+            if state.z.tobytes() != z.tobytes():
+                ends.append(i)
+                optimum, _, g = certify(problem, lam, z)
+                assert state.x is state.z
+                assert state.x.tobytes() == optimum.tobytes()
+                assert state.y.tobytes() == (-lam * g).tobytes()
+                continue
             assert state.x.tobytes() == x.tobytes()
-            z = soft_threshold(state.x - y_prev / rho, lam / rho)
-            assert state.z.tobytes() == z.tobytes()
             y = y_update(y_prev, rho, state.z - state.x)
             assert state.y.tobytes() == y.tobytes()
             z_prev, y_prev = state.z, state.y
+        # a certificate ends its run: the next iterate, if any, starts a run
+        assert all(i + 1 == len(seen) or seen[i + 1].k == 0 for i in ends)
+        assert (ends[-1:] == [len(seen) - 1]) == result.certified
         return result, seen
 
     @pytest.mark.parametrize("kind", ["rb", "bb", "rbb"])
@@ -749,3 +804,79 @@ class TestTextbookEquivalence:
             assert np.abs(state.x - x).max() <= 1e-12
             assert np.abs(state.z - z).max() <= 1e-12
             assert np.abs(state.y + rho * u).max() <= 1e-12
+
+
+class TestCertifiedStop:
+    """A run tries kkt.certify on z at checkpoints k = ceil(n/3) * 2^j whose
+    sign pattern repeats the previous iteration's, and at the residual stop;
+    a pattern whose certificate failed is not tried again.  A certificate
+    ends the run at the optimum."""
+
+    @staticmethod
+    def attempts(problem, cfg, monkeypatch):
+        """The solve, its states, and the k and outcome of every attempt."""
+        seen, tried = [], []
+
+        def spy(problem, lam, z):
+            polish = certify(problem, lam, z)
+            # certify runs before iteration k reaches the callback
+            tried.append((len(seen), z.copy(), polish is not None))
+            return polish
+
+        monkeypatch.setattr(engine, "certify", spy)
+        result = solve(problem, cfg, callback=seen.append)
+        return result, seen, tried
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    @pytest.mark.parametrize("seed", [1, 4, 10])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4])  # 1e-4: residual stops too
+    def test_attempts_follow_the_checkpoint_rule(self, monkeypatch, kind, seed,
+                                                 tol):
+        problem = factor_problem(n=6, seed=seed)
+        result, seen, tried = self.attempts(
+            problem, solver_config(problem, kind=kind, lam=0.001, tol=tol,
+                                   max_iter=5000), monkeypatch)
+        checkpoints = {2 * 2**j for j in range(12)}  # ceil(6/3) = 2
+        failed = []
+        for k, z, passed in tried:
+            if k + 1 != result.iterations:
+                assert k in checkpoints
+                assert k > 0 and np.array_equal(np.sign(z), np.sign(seen[k - 1].z))
+            assert not any(np.array_equal(np.sign(z), f) for f in failed)
+            if not passed:
+                failed.append(np.sign(z))
+        assert [passed for *_, passed in tried].count(True) == result.certified
+        assert tried[-1][2] == result.certified
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_certified_iterate_is_a_fixed_point(self, kind):
+        # from (z, y) = (x*, -lam*g) the three steps return the same point
+        problem = factor_problem(n=8, m=60, seed=30)
+        lam = initial_lambda(60, 8)
+        seen = []
+        result = solve(problem, solver_config(problem, kind=kind, lam=lam,
+                                              max_iter=5000),
+                       callback=seen.append)
+        assert result.certified
+        state = result.final_state
+        rho = state.rho
+        x = solve_x_update(factorize(problem, rho), state.z, state.y)
+        np.testing.assert_allclose(x, state.x, rtol=0, atol=1e-12)
+        z = soft_threshold(x - state.y / rho, lam / rho)
+        assert np.array_equal(z != 0, state.z != 0)
+        np.testing.assert_allclose(z, state.z, rtol=0, atol=1e-12)
+        assert np.abs(state.y).max() <= lam * (1 + 1e-12)
+        # its residual norms are its own: no consensus gap, and the z-step
+        assert (state.r_norm, state.d_norm) == residual_norms(
+            state.z - state.x, state.z - seen[-2].z, rho)
+        assert state.r_norm == 0.0
+
+    def test_weights_are_exactly_sparse(self):
+        problem = factor_problem(n=8, m=60, seed=30)
+        lam = initial_lambda(60, 8)
+        result = solve(problem, solver_config(problem, kind="bb", lam=lam))
+        oracle = enumerate_solve(problem, lam)
+        assert result.certified
+        assert np.array_equal(result.weights != 0, oracle.weights != 0)
+        assert np.count_nonzero(result.weights) < problem.n
+        assert result.objective == objective_value(problem.C, result.weights, lam)

@@ -93,6 +93,30 @@ class TestSolve:
         assert "history" not in payload
         assert len(payload["weights"]) == 10
 
+    def test_certified_field_is_required(self, returns_csv, tmp_path):
+        code, payload = run_solve(returns_csv, tmp_path)
+        assert code == EXIT_OK
+        assert payload["certified"] is True
+        del payload["certified"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, RESULT_SCHEMA)
+        payload["certified"] = 1
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, RESULT_SCHEMA)
+
+    def test_certified_weights_are_exactly_sparse(self, returns_csv, tmp_path):
+        _, payload = run_solve(returns_csv, tmp_path, "--target-return", "0.016")
+        assert payload["certified"]
+        w = np.array(payload["weights"])
+        assert 0 < np.count_nonzero(w) < w.size
+        assert payload["short_count"] == np.count_nonzero(w < 0) > 0
+
+    def test_uncertified_result(self, returns_csv, tmp_path):
+        code, payload = run_solve(returns_csv, tmp_path, "--max-iter", "2")
+        assert code == EXIT_NO_CONVERGENCE
+        jsonschema.validate(payload, RESULT_SCHEMA)
+        assert payload["certified"] is False
+
     def test_solution_meets_constraints(self, returns_csv, tmp_path):
         code, payload = run_solve(returns_csv, tmp_path)
         assert code == EXIT_OK
@@ -316,12 +340,53 @@ class TestFrontier:
                               "--max-iter", "2", "--tol", "1e-14")
         assert code == EXIT_NO_CONVERGENCE
         assert [r.split(",")[-1] for r in rows[1:]] == ["max_iter"] * 3
-        # one converged point of five is enough for exit 0
+        # one converged point of five is enough for exit 0: within 20
+        # iterations a certificate ends point 3 (after 17) and no other
         code, rows = self.run(returns_csv, tmp_path, "--points", "5",
-                              "--strategy", "rbb", "--max-iter", "60")
+                              "--strategy", "rbb", "--max-iter", "20")
         assert code == EXIT_OK
         statuses = [r.split(",")[-1] for r in rows[1:]]
         assert sorted(statuses) == ["converged"] + ["max_iter"] * 4
+
+    def test_certified_points_count_the_oracle_support(self, tmp_path):
+        # the loop-n10 benchmark frontier: at each certified point the CSV's
+        # nonzeros and shorts, the guard's short count on z and the oracle's
+        # support agree, as the weights are z
+        from exhaustive_oracle import enumerate_solve
+        from sparsefolio.admm_engine import SolverConfig, solve
+        from sparsefolio.lambda_controller import LambdaSchedule, initial_lambda
+        from sparsefolio.model import build_problem, count_short_positions
+        from sparsefolio.penalty import PenaltyConfig
+
+        data = tmp_path / "returns-n10.csv"
+        assert main(["gen", "--assets", "10", "--periods", "120", "--seed", "3",
+                     "-o", str(data)]) == EXIT_OK
+        code, rows = self.run(str(data), tmp_path, "--points", "20",
+                              "--strategy", "rbb", "--adaptive-lambda",
+                              "--sn", "0")
+        assert code == EXIT_OK
+        table = list(csv.DictReader(rows))
+        mu, C = estimate_stats(load_returns_csv(str(data)))
+        cfg = SolverConfig(penalty=PenaltyConfig(kind="rbb"),
+                           lambda_schedule=LambdaSchedule.adaptive(
+                               initial_lambda(120, 10), sn=0))
+        certified = []
+        for point, row in enumerate(table):
+            problem = build_problem(mu, C, float(row["e"]),
+                                    allow_out_of_range=True)
+            result = solve(problem, cfg)
+            if not result.certified:
+                continue
+            certified.append(point)
+            support = enumerate_solve(problem, result.lambda_final).weights != 0
+            z = result.final_state.z
+            assert np.array_equal(z != 0, support)
+            assert int(row["nonzeros"]) == np.count_nonzero(support)
+            assert int(row["shorts"]) == count_short_positions(z)
+        # the endpoints' optima hold one asset, which no certificate covers
+        assert certified == list(range(1, 19))
+        assert [int(row["nonzeros"]) for row in table] == [
+            10, 4, 7, 8, 9, 9, 9, 10, 10, 10, 10, 9, 8, 8, 6, 5, 4, 4, 3, 10]
 
     def test_unallocatable_points_exits_2(self, returns_csv, tmp_path, capsys):
         # 800 TB of targets: numpy refuses it without allocating
@@ -388,8 +453,10 @@ class TestBench:
 
     def test_illcond_regression_values(self, tmp_path):
         # medians recorded from the first run of this configuration, bb and
-        # rbb again when spectral updates began to decline small moves; the
-        # fixed strategy stalls far behind residual balancing here
+        # rbb again when spectral updates began to decline small moves, and
+        # rb, bb and rbb again when certificates began to end runs; no
+        # certificate ends a fixed run here, which stalls far behind
+        # residual balancing
         code, rows = self.run(tmp_path, "--suite", "illcond", "--trials", "3",
                               "--seed", "0")
         assert code == EXIT_OK
@@ -399,9 +466,9 @@ class TestBench:
             if fields[2] == "median":
                 medians[fields[1]] = float(fields[3])
         assert medians["fixed"] == 5000.0
-        assert medians["rb"] == 1101.0
-        assert medians["bb"] == 65.0
-        assert medians["rbb"] == 93.0
+        assert medians["rb"] == 513.0
+        assert medians["bb"] == 17.0
+        assert medians["rbb"] == 33.0
         assert medians["fixed"] >= medians["rb"]
 
     def test_unknown_suite_exits_2(self):

@@ -7,9 +7,9 @@ echoes the flags rather than the solve; it is dumped back with the
 command's own formatting, which reproduces every other byte because a
 float's repr round-trips through JSON.  A ``bench`` row is hashed without
 ``wall_time_s``.  The cases: a solve per strategy, an adaptive-lambda rbb
-solve with its history, an rbb solve whose weights hold shorts, an
-adaptive solve whose guard moves lambda, a 3-point frontier and a 2-trial
-bench.
+solve with its history, an rbb solve whose weights hold shorts, one whose
+x held shorts of noise that its certified weights do not, an adaptive
+solve whose guard moves lambda, a 3-point frontier and a 2-trial bench.
 """
 
 import hashlib
@@ -22,27 +22,31 @@ from sparsefolio.cli import main
 # case: (command line after the input, sha256 of exit code and output)
 CASES = {
     "solve-fixed": (("solve", "--strategy", "fixed"),
-        "248900705995478ee5d3d5c988aafda7753a5d4f0e7cef873c1498413ea842d2"),
+        "8d4000130546aa6bb7d3d0c7e3ff468e30cf8907126c3d1ba3b5a113df5cd5b8"),
     "solve-rb": (("solve", "--strategy", "rb"),
-        "5b8ef68721dc41d5286e4ea5cb7b92d41fccffcc33b3879e6f63804d045ec5f6"),
+        "d4952f6a63cfee0dfab4e0cffe3ec9ddeeaf1a1de80766804f19fd8170dda1f0"),
     "solve-bb": (("solve", "--strategy", "bb"),
-        "c00212c857eb398e11d236d5867205d8fd9e339ca04a735f6fae2b4faf90fcc7"),
+        "8d4000130546aa6bb7d3d0c7e3ff468e30cf8907126c3d1ba3b5a113df5cd5b8"),
     "solve-rbb": (("solve", "--strategy", "rbb"),
-        "7491d9e98af28a8197e144f32aecb324948d1e97971ac1cb88c486e2a6dd36d4"),
+        "8d4000130546aa6bb7d3d0c7e3ff468e30cf8907126c3d1ba3b5a113df5cd5b8"),
     "solve-rbb-adaptive-history": (
         ("solve", "--strategy", "rbb", "--adaptive-lambda", "--history"),
-        "7916d6fb7729bf6dffd94c62694c4959be3b92b5b358e9fa94d76a143fb71d92"),
-    # weights with seven entries below -ZERO_TOL, so short_count is 7
-    "solve-rbb-shorts": (("solve", "--target-return", "0.014"),
-        "6263b807cf8841e21e702b6350561b7ddb4f8caaa0ba0b3098d0b2bf30f91434"),
+        "0f9a37d5f0c10204e50566d84a6c97966f01085fc06dff35d63286525b818137"),
+    # a certified optimum with two shorts, so short_count is 2
+    "solve-rbb-shorts": (("solve", "--target-return", "0.0034"),
+        "90927833b2a7f2b648492de4384994a0d607101a4b82d1982ddddc6eb1c9d047"),
+    # x held seven entries below -ZERO_TOL, noise of about 1e-7; the
+    # certified weights hold none
+    "solve-rbb-noise-shorts": (("solve", "--target-return", "0.014"),
+        "7b0b3326e454c1297d4e5e0bb233f13c5a2b35913d6040ea27bfcca0a5db5235"),
     # the guard moves lambda, then the budget runs out (exit 3)
     "solve-rbb-adaptive-moves": (
         ("solve", "--target-return", "0.0148", "--adaptive-lambda"),
-        "3e6fcb9fc773e020e7d585c4ddbf77f6d911dfe6bfcd0c057c5c1f54f62596a8"),
+        "a590f9e3410cc689aa5c1f82aa814de84b8a3cba8882d7d2d1a3facb352e043b"),
     "frontier-3": (("frontier", "--points", "3"),
-        "ef603395be4edda90ace00c89f0fa8cbd285fdf43bba33c09f81ec13df7a1d7a"),
+        "7e8e919e795fcb6a13daf430904fb6ba55eb20a6ecb4a291cbdc9e562689544b"),
     "bench-2": (("bench", "--trials", "2"),
-        "128c6180410f92935160602ca12a19c771e3cb5b71150df6e74799f2d9825167"),
+        "78ae07aca2ea808a3a3badaf2c8eb7ccd8094d2f1dbe9449fe4ba28237820e49"),
 }
 
 

@@ -6,7 +6,16 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import lu_factor, lu_solve
 
 from conftest import factor_problem, identity_problem, two_asset_problem
-from sparsefolio.kkt import factorize, invert, solve_support, solve_x_update
+from exhaustive_oracle import enumerate_solve
+from sparsefolio.kkt import (
+    KKT_TOL,
+    certify,
+    check_kkt,
+    factorize,
+    invert,
+    solve_support,
+    solve_x_update,
+)
 from sparsefolio.model import PortfolioProblem
 from sparsefolio.penalty import RHO_MAX, RHO_MIN
 from sparsefolio.suites import SUITES, make_suite_instances
@@ -208,6 +217,91 @@ class TestSolveSupport:
         b = problem.b if columns is None else problem.b[:, None]
         np.testing.assert_allclose(C_ss @ x_s + D_s.T @ nu, head, atol=1e-12)
         np.testing.assert_allclose(D_s @ x_s - b, 0.0, atol=1e-12)
+
+    def test_support_wider_than_one_gather(self, rng):
+        # the block gathers C_SS 64 rows at a time
+        problem = random_problem(150, rng, scale=1e-3)
+        support = rng.random(150) < 0.9
+        k = int(support.sum())
+        head = rng.standard_normal(k)
+        solution = solve_support(problem, support, head)
+        C_ss = problem.C[np.ix_(support, support)]
+        D_s = problem.D[:, support]
+        np.testing.assert_allclose(C_ss @ solution[:k] + D_s.T @ solution[k:],
+                                   head, atol=1e-12)
+        np.testing.assert_allclose(D_s @ solution[:k], problem.b, atol=1e-12)
+
+
+class TestCertify:
+    """kkt.certify: the optimum on z's support and signs, or None."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2])
+    def test_oracle_support_certifies_to_the_oracle(self, seed, lam):
+        problem = factor_problem(n=7, seed=seed)
+        oracle = enumerate_solve(problem, lam)
+        # any z with the optimum's support and signs will do
+        x, nu, g = certify(problem, lam, 3.0 * np.sign(oracle.weights))
+        np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
+        assert np.array_equal(x != 0, oracle.weights != 0)
+        assert check_kkt(problem, lam, x, nu, g) <= KKT_TOL
+        assert np.all(np.abs(g) <= 1.0)
+
+    def test_single_asset_support_is_not_certified(self):
+        # at e = the largest mean the lone top asset is feasible, but D_S has
+        # rank 1, so its block is singular
+        mu = factor_problem(n=6, m=60, seed=1).mu
+        problem = factor_problem(n=6, m=60, seed=1, e=float(mu.max()))
+        z = np.zeros(6)
+        z[np.argmax(problem.mu)] = 1.0
+        assert certify(problem, 0.01, z) is None
+        assert certify(problem, 0.01, np.zeros(6)) is None
+
+    def test_equal_means_on_the_support_are_not_certified(self):
+        # D_S has rank 1 on a support whose means are equal: gesv finds the
+        # block singular
+        problem = identity_problem(mu=(0.1, 0.1, 0.3), e=0.2)
+        assert certify(problem, 0.0, np.array([1.0, 1.0, 0.0])) is None
+
+    def test_lambda_zero_gives_the_equality_constrained_qp(self):
+        problem = factor_problem(n=6, seed=3)
+        n = problem.n
+        qp = solve_support(problem, np.ones(n, dtype=bool), np.zeros(n))
+        x, nu, g = certify(problem, 0.0, np.sign(qp[:n]))
+        np.testing.assert_allclose(x, qp[:n], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(nu, qp[n:], rtol=1e-10)
+        assert np.all(x != 0)
+        assert check_kkt(problem, 0.0, x, nu, np.zeros(n)) <= KKT_TOL
+
+    def test_lambda_zero_off_the_qp_support_is_rejected(self):
+        # at lam = 0 an asset held at zero must have zero gradient
+        problem = factor_problem(n=6, seed=3)
+        qp = solve_support(problem, np.ones(6, dtype=bool), np.zeros(6))
+        z = np.sign(qp[:6])
+        z[0] = 0.0
+        assert certify(problem, 0.0, z) is None
+
+    def test_wrong_signs_are_rejected(self):
+        problem = factor_problem(n=7, seed=2)
+        lam = 1e-3
+        signs = np.sign(enumerate_solve(problem, lam).weights)
+        assert certify(problem, lam, signs) is not None
+        for i in np.flatnonzero(signs):
+            flipped = signs.copy()
+            flipped[i] = -flipped[i]
+            assert certify(problem, lam, flipped) is None
+
+    def test_support_missing_an_asset_is_rejected(self):
+        # dropping an asset of the optimum leaves a subgradient beyond 1
+        # or a sign that flips
+        problem = factor_problem(n=7, seed=2)
+        lam = 1e-3
+        signs = np.sign(enumerate_solve(problem, lam).weights)
+        assert np.count_nonzero(signs) > 2
+        for i in np.flatnonzero(signs):
+            dropped = signs.copy()
+            dropped[i] = 0.0
+            assert certify(problem, lam, dropped) is None
 
 
 class TestInvert:

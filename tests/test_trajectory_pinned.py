@@ -7,7 +7,8 @@ folds -0.0 into 0.0 so that only the sign of a zero may differ, then k,
 rho, lam, r_norm and d_norm as IEEE doubles.  A change that claims
 IEEE-equal iterates must pass this file unchanged.  The fixed cases, whose
 x-steps take the inverse of the KKT block, were recorded again when that
-inverse came in.
+inverse came in, and every case a certificate ends (frontier point 0's
+first two runs included) when certificates came in.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -29,26 +30,26 @@ from sparsefolio.suites import SUITES, make_suite_instances
 
 # (suite, strategy): (iterations, sha256 of the trajectory)
 SUITE_TRAJECTORIES = {
-    ("random", "fixed"): (5000, "abb5bdff427663a5444fb92755578626a3c752e06fa3d4df77ed98ddc5f83d73"),
-    ("random", "rb"): (27, "288bae3bfe878465113f36d9c46c0386ac2c31044e838fda126536a46ecb1522"),
-    ("random", "bb"): (9, "907ee7ae5e47f5d0a9c89c4205f176b7994b95208acda6fc5c087f467b799b71"),
-    ("random", "rbb"): (9, "a3ab1dd8898b0d79049404346ab429f8a120265c5dfc64e2c26057191263061a"),
+    ("random", "fixed"): (5, "235c4741aca00909aa16eb668ca3761329917b4ddcec323eea5aea7451326a76"),
+    ("random", "rb"): (5, "b7479c95e97bc3a66d96b0b9186821c46764312c886e47dd19388fcec4d9ddee"),
+    ("random", "bb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
+    ("random", "rbb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("illcond", "fixed"): (5000, "fd48f727d7f446e1916595a7e9dcbf2f2b86f651a71d14eab100a3fbd03203b2"),
-    ("illcond", "rb"): (2448, "ad1559956f81428f7d4fddef8b268e4e49ec77c0252aef8d3797f57b1370b819"),
-    ("illcond", "bb"): (321, "a22c619e82bfaa6d0f8553792f2f9f0f3bb2bf738ec213aba68dee9372ebc40f"),
-    ("illcond", "rbb"): (215, "f09961f1befa45bfd5266b8d591a29a38a2d9e0d72b88eea7ac460da1a89d5e0"),
-    ("shorts", "fixed"): (5000, "97bddc76471dbd475891f965bd691f556f1f1acbbdabf1f49b2f00f09b08e28a"),
-    ("shorts", "rb"): (511, "f89877e76461c984861129141cf5877f8ba9ba75db01fce55cb44293f215857f"),
-    ("shorts", "bb"): (176, "ccb4a49cc8d21d44dce4077678eaab6493075bdee7ea6bd3c71f150ebfb25f2f"),
-    ("shorts", "rbb"): (317, "44f463d826a0bba5447f2f6c906ebe85c89c4fb93f45b17c5ec845d95448c69a"),
+    ("illcond", "rb"): (513, "05613a868e280bf82e91d6205cddc62ff87dde3b3382ffa335c395391dff9817"),
+    ("illcond", "bb"): (33, "6b7533eaba42bd80153ac983ab49374f62c90f21b1e5a120cc4616e0e8298156"),
+    ("illcond", "rbb"): (129, "3e8ffebe50741c234edc846ba0842661b1790b6ab6cbc885932021cb63bdce3a"),
+    ("shorts", "fixed"): (129, "cee9e7ef5eedb65d264fa83d5ae3019849bc55db644769e3590c964bf5794f14"),
+    ("shorts", "rb"): (511, "1092b764f1cd38a0e6c28f117672ec1e9b5b57c397da2a2ccc0740888a979647"),
+    ("shorts", "bb"): (129, "4c72f662ef0bc2b5b76e34fc94bee3fc9075d8e251db7a3b17a564e35df9ca35"),
+    ("shorts", "rbb"): (129, "de0e9d59672e4259855c747c2fda48c25e2f927c6a96b606a97b1ba5f81b7f58"),
 }
 
 # frontier point: (iterations, sha256 of the trajectory)
 FRONTIER_TRAJECTORIES = {
-    0: (1187, "f8c6d9cf46998ec8a3e2fa5bdbce6544e7a53447d25876fd52fca9282d4830e9"),
-    3: (89, "0381fc679e528516f0f9849aa7ef803bee22efaa42aba9663293982c57ce4fca"),
-    4: (60, "8c33d16435dbdeb7cd58984aa23439b73fbcf055320ff441e2035e7207f98e8b"),
-    12: (47, "0900f8eabaf63de324bc2d906ba5f26435589867ba0a036d281f4e162089e83e"),
+    0: (1187, "da34077dceb094c8dafcc98884c738c52e61a3322dedc929cf0f17ffc7265827"),
+    3: (65, "f5b08af0196cac4d0023d8cf7d53235ea51a2ad53498390df37df2acacc24d77"),
+    4: (9, "740562db24da297fac01ba6213c974b4e22c9ee2d0ba2f666e4650ea3c2f7fb4"),
+    12: (17, "f4deb71af33029c2fc413e615bd7b95039d1e656d63447641d3904b8829474f8"),
 }
 FRONTIER_POINTS = 20
 
