@@ -6,12 +6,12 @@ optional short-sale controller that escalates the L1 weight.
 """
 
 from .admm_engine import IterateState, SolveResult, SolverConfig, solve
-from .lambda_controller import LambdaSchedule, initial_lambda, maybe_adjust
+from .lambda_controller import LambdaSchedule, initial_lambda
 from .market_data import (ReturnsFormatError, ReturnsMatrix, estimate_stats,
                           generate_synthetic_returns, load_returns_csv,
                           returns_to_csv)
 from .model import PortfolioProblem, build_problem, count_short_positions
-from .penalty import PenaltyConfig, rb_update, spectral_rho
+from .penalty import PenaltyConfig
 
 __version__ = "0.1.0"
 
@@ -30,10 +30,7 @@ __all__ = [
     "generate_synthetic_returns",
     "initial_lambda",
     "load_returns_csv",
-    "maybe_adjust",
-    "rb_update",
     "returns_to_csv",
     "solve",
-    "spectral_rho",
     "__version__",
 ]

@@ -13,11 +13,11 @@ followed, on each iteration PenaltyState.due lists, by one penalty update
 (PenaltyState owns the cadence; under fixed rho none is due).  The primal
 residual is z - x and the dual residual is -rho*(z - z_prev); both enter
 the relative stopping test below.  One run keeps lambda fixed.  In
-adaptive lambda mode the short-sale guard sits outside the runs: it counts
-the shorts of a converged run's z, which soft thresholding makes exactly
-sparse, and when it raises lambda the next run starts cold at the new
-value, reusing the KKT factorization at rho0 that the first run started
-from.
+adaptive lambda mode (a schedule with an allowance sn) the short-sale
+guard sits outside the runs: it counts the shorts of a converged run's z,
+which soft thresholding makes exactly sparse, and when it raises lambda
+the next run starts cold at the new value, reusing the KKT factorization
+at rho0 that the first run started from.
 
 A run also ends, converged, when a KKT certificate holds (the polish of
 Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
@@ -90,7 +90,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .kkt import KktFactorization, certify, factorize, invert, solve_x_update
-from .lambda_controller import LambdaSchedule, maybe_adjust
+from .lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
 from .penalty import PenaltyConfig, PenaltyState, compute_ybar
 
@@ -327,7 +327,8 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     In adaptive lambda mode the short-sale guard runs between runs, not
     inside one: after a converged run it counts the shorts of that run's z
     and, if lambda moves, starts a new run from the cold start at the new
-    lambda.  It stops when lambda stays put or a run does not converge.
+    lambda.  It stops when lambda stays put, a run does not converge or
+    MAX_ADJUSTMENTS moves are made; lambda_adjustments counts the moves.
     max_iter bounds the iterations of all runs together; a move that finds
     the budget spent starts no run and ends the solve as max_iter, with
     the moved lambda as lambda_final, and not certified.  The callback sees
@@ -340,18 +341,20 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     if cfg.penalty.kind == "fixed":
         # rho never moves, so every run of this solve takes the inverse
         factorization = invert(factorization)
-    iterations = 0
+    iterations = moves = 0
     while iterations < cfg.max_iter:
         state, termination, used, rho, certified = _run(
             problem, cfg, lam, factorization, cfg.max_iter - iterations,
             callback)
         iterations += used
-        if schedule.mode != "adaptive" or termination != TERMINATION_CONVERGED:
+        if (schedule.sn is None or termination != TERMINATION_CONVERGED
+                or moves == MAX_ADJUSTMENTS):
             break
         schedule = maybe_adjust(schedule, count_short_positions(state.z))
         if schedule.lambda_current == lam:
             break
         lam = schedule.lambda_current
+        moves += 1
     else:  # lambda moved with the budget spent: the last run's result stands
         termination, certified = TERMINATION_MAX_ITER, False
 
@@ -363,7 +366,7 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         termination=termination,
         final_state=state,
         lambda_final=lam,
-        lambda_adjustments=schedule.adjustments_made,
+        lambda_adjustments=moves,
         rho_final=rho,
         certified=certified,
     )

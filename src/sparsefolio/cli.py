@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="solve one portfolio selection problem")
     slv.add_argument("--input", required=True, help="returns CSV to load")
     slv.add_argument("--target-return", default="mid",
-                     help="target portfolio return, or 'mid' for the midpoint "
-                          "of the asset means (default: %(default)s)")
+                     help="target portfolio return between the smallest and "
+                          "largest asset mean, or 'mid' for their midpoint "
+                          "(default: %(default)s)")
     _add_solver_flags(slv)
     slv.add_argument("--history", action="store_true",
                      help="include per-iteration residual/rho/lambda arrays "
@@ -171,7 +172,11 @@ def _make_config(args, periods: int, assets: int) -> SolverConfig:
 def _resolve_target(args, mu: np.ndarray) -> float:
     if args.target_return == "mid":
         return 0.5 * (float(mu.min()) + float(mu.max()))
-    return float(args.target_return)
+    target = float(args.target_return)
+    if not mu.min() <= target <= mu.max():
+        raise ValueError(f"target return {target} outside the attainable mean "
+                         f"range [{mu.min()}, {mu.max()}]")
+    return target
 
 
 def cmd_gen(args) -> int:
@@ -249,7 +254,7 @@ def cmd_frontier(args) -> int:
                      "iterations", "status"])
     any_converged = False
     for target in targets:
-        problem = build_problem(mu, C, float(target), allow_out_of_range=True)
+        problem = build_problem(mu, C, float(target))
         result = solve(problem, cfg)
         w = result.weights
         writer.writerow([

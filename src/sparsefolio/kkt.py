@@ -56,18 +56,18 @@ and feasibility conditions on S; head = 0 on the full support gives the
 unpenalized, equality-constrained QP.  ``check_kkt`` measures how far a
 candidate (x, nu, g) is from meeting all the optimality conditions, which
 certifies such a solution.  The block is built and solved on each call:
-a support's block shares no factorization with the x-step's.
+a support's block shares no factorization with the x-step's.  It gathers
+C_SS a few rows at a time and is factored in place by LAPACK ``gesv``,
+so that a solve at n=500 holds no second block.
 
 ``certify`` is that polish for one support and sign vector, those of an
-ADMM iterate z (Stellato et al. 2020, OSQP, section 5).  It accepts the
-solution only where the signs on S hold, the subgradient off S lies in
-[-1, 1] and ``check_kkt`` is within KKT_TOL; the conditions are
-sufficient for this convex problem, so an accepted x is its optimum.
-``solve_support`` keeps numpy's solver, which copies the block, as the
-test suite's exhaustive oracle is pinned to its bits; ``certify`` solves
-its one block in place with LAPACK ``gesv``, and both gather C_SS into
-the block a few rows at a time, so that a polish at n=500 holds no second
-block.
+ADMM iterate z (Stellato et al. 2020, OSQP, section 5): ``solve_support``
+against [-lam*s; b].  It accepts the solution only where the signs on S
+hold, the subgradient off S lies in [-1, 1] and ``check_kkt`` is within
+KKT_TOL; the conditions are sufficient for this convex problem, so an
+accepted x is its optimum.  The test suite's exhaustive oracle solves its
+candidate blocks through ``solve_support`` too, so an oracle support and
+a certified one give the same bits.
 """
 
 from __future__ import annotations
@@ -168,9 +168,21 @@ def solve_x_update(factorization: KktFactorization, z: np.ndarray,
     return solution[:-2]
 
 
-def _support_block(problem: PortfolioProblem,
-                   support: np.ndarray) -> tuple[np.ndarray, int]:
-    """[C_SS D_S'; D_S 0] for a boolean support mask, and its k."""
+def solve_support(problem: PortfolioProblem, support: np.ndarray,
+                  head: np.ndarray) -> np.ndarray:
+    """Solve the block of C restricted to a support against [head; b].
+
+    support is a boolean mask over the n assets with k entries set, and
+    head is (k,) or (k, s), one right-hand side per column.  Returns
+    [x_S; nu] of [C_SS D_S'; D_S 0] [x_S; nu] = [head; b], shaped like the
+    right-hand side.  C_SS is positive definite, so the block is
+    nonsingular when D_S has rank 2, which needs k >= 2; an exactly
+    singular one raises numpy.linalg.LinAlgError.
+
+    The block is symmetric, as PortfolioProblem makes C symmetric up to
+    1e-12, so ``gesv`` factors it in place through its transpose, the
+    Fortran-ordered view of the same memory.
+    """
     index = np.flatnonzero(support)
     k = index.size
     A = np.zeros((k + 2, k + 2))
@@ -180,25 +192,15 @@ def _support_block(problem: PortfolioProblem,
     D_S = problem.D[:, index]
     A[:k, k:] = D_S.T
     A[k:, :k] = D_S
-    return A, k
-
-
-def solve_support(problem: PortfolioProblem, support: np.ndarray,
-                  head: np.ndarray) -> np.ndarray:
-    """Solve the block of C restricted to a support against [head; b].
-
-    support is a boolean mask over the n assets with k entries set, and
-    head is (k,) or (k, s), one right-hand side per column.  Returns
-    [x_S; nu] of [C_SS D_S'; D_S 0] [x_S; nu] = [head; b], shaped like the
-    right-hand side.  C_SS is positive definite, so the block is
-    nonsingular when D_S has rank 2, which needs k >= 2; numpy.linalg.solve
-    raises LinAlgError on an exactly singular one.
-    """
-    A, k = _support_block(problem, support)
-    rhs = np.empty((k + 2,) + head.shape[1:])
+    rhs = np.empty((k + 2,) + head.shape[1:], order="F")
     rhs[:k] = head
     rhs[k:] = problem.b if head.ndim == 1 else problem.b[:, None]
-    return np.linalg.solve(A, rhs)
+    _, _, solution, info = _gesv(A.T, rhs, overwrite_a=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"gesv rejected argument {-info} of the support block")
+    if info > 0:
+        raise np.linalg.LinAlgError("the support block is singular")
+    return solution
 
 
 def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
@@ -213,21 +215,17 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
     rank 1 and the block is singular), the block is singular, a sign on S
     flips, the subgradient leaves [-1, 1] off S or check_kkt exceeds
     KKT_TOL.
-
-    The block is symmetric, as PortfolioProblem makes C symmetric up to
-    1e-12, so ``gesv`` factors it in place through its transpose, the
-    Fortran-ordered view of the same memory.
     """
     support = z != 0
     if np.count_nonzero(support) < 2:
         return None
     signs = np.sign(z[support])
-    A, k = _support_block(problem, support)
-    rhs = np.empty(k + 2)
-    rhs[:k] = -lam * signs
-    rhs[k:] = problem.b
-    _, _, solution, info = _gesv(A.T, rhs, overwrite_a=True, overwrite_b=True)
-    if info != 0 or not np.all(signs * solution[:k] > 0):
+    try:
+        solution = solve_support(problem, support, -lam * signs)
+    except np.linalg.LinAlgError:
+        return None
+    k = signs.size
+    if not np.all(signs * solution[:k] > 0):
         return None
     x = np.zeros(problem.n)
     x[support] = solution[:k]

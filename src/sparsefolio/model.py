@@ -64,17 +64,15 @@ class PortfolioProblem:
             object.__setattr__(self, name, value)
 
 
-def build_problem(mu: np.ndarray, C: np.ndarray, e: float,
-                  allow_out_of_range: bool = False) -> PortfolioProblem:
+def build_problem(mu: np.ndarray, C: np.ndarray, e: float) -> PortfolioProblem:
     """The problem for the mean mu, the covariance C and the target return e.
 
-    The target e must lie between the smallest and largest asset mean unless
-    allow_out_of_range is set.  PortfolioProblem checks the moments: shapes
-    that match, a positive definite C, and means that are not all equal.
+    PortfolioProblem checks the moments: shapes that match, a positive
+    definite C, and means that are not all equal.  Any finite e is a
+    well-posed target, as D has rank 2, also one outside the range of the
+    asset means; only ``sparsefolio solve --target-return`` asks for e
+    within that range.
     """
-    if not allow_out_of_range and not (mu.min() <= e <= mu.max()):
-        raise ValueError(f"target return {e} outside the attainable mean "
-                         f"range [{mu.min()}, {mu.max()}]")
     return PortfolioProblem(C=C, mu=mu, e=float(e))
 
 

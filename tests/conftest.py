@@ -1,9 +1,27 @@
 """Shared builders for the test suite."""
 import numpy as np
 import pytest
+import scipy
 
 from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
 from sparsefolio.model import PortfolioProblem, build_problem
+
+
+def pytest_report_header(config):
+    """The numpy and scipy versions and the BLAS each was built with.
+
+    The four *_pinned.py files compare bytes that depend on these builds;
+    their pins were recorded with numpy 2.4.6 and scipy 1.17.1.
+    """
+    lines = []
+    for module in (np, scipy):
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            build = f"{blas.get('name')} {blas.get('version')}"
+        except (TypeError, KeyError):  # a build without mode="dicts"
+            build = "unknown"
+        lines.append(f"{module.__name__} {module.__version__}, BLAS {build}")
+    return lines
 
 
 def factor_problem(n=6, m=60, seed=0, noise_scale=0.01, e=None):

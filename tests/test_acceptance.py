@@ -312,7 +312,7 @@ def test_10_adaptive_frontier_matches_oracle():
     converged, moved, worst_gap = 0, [], 0.0
     certified, worst_certified = 0, 0.0
     for point, target in enumerate(targets):
-        problem = build_problem(mu, C, float(target), allow_out_of_range=True)
+        problem = build_problem(mu, C, float(target))
         result = solve(problem, cfg)
         converged += result.termination == "converged"
         if not 1 <= point <= 18:

@@ -667,6 +667,30 @@ class TestShortCountSource:
         assert result.final_state.k == (first.iterations if extra == 0 else extra) - 1
 
 
+class TestMoveBudget:
+    def test_solve_stops_lambda_after_max_adjustments(self, monkeypatch):
+        # every run reports one short more than tolerated, so only the
+        # budget ends the moves; lambda0 * 2**50 is about 1e-5, at which
+        # every run still converges
+        sn = 1
+        monkeypatch.setattr(engine, "count_short_positions",
+                            lambda weights: sn + 1)
+        problem = factor_problem(n=5, seed=4)
+        lam0 = 1e-20
+        cfg = SolverConfig(
+            tol=1e-8, max_iter=100000,
+            penalty=PenaltyConfig(kind="bb", rho0=mean_diag_rho(problem)),
+            lambda_schedule=LambdaSchedule.adaptive(lam0, sn=sn))
+        states = []
+        result = solve(problem, cfg, callback=states.append)
+        moves = sum(a.lam != b.lam for a, b in zip(states, states[1:]))
+        assert MAX_ADJUSTMENTS == 50
+        assert moves == MAX_ADJUSTMENTS
+        assert result.lambda_adjustments == MAX_ADJUSTMENTS
+        assert result.lambda_final == lam0 * 2.0**MAX_ADJUSTMENTS
+        assert result.termination == "converged"
+
+
 def runs_of(states):
     """An adaptive solve's callback states, split into its runs."""
     runs = []

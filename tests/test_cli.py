@@ -240,6 +240,24 @@ class TestSolve:
             assert "error:" in err and "attainable mean range [" in err
             assert "allow_out_of_range" not in err
 
+    def test_out_of_range_target_names_the_range(self, returns_csv, capsys):
+        mu, _ = estimate_stats(load_returns_csv(returns_csv))
+        target = float(mu.max()) + 0.5
+        assert main(["solve", "--input", returns_csv,
+                     "--target-return", repr(target)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert (f"target return {target} outside the attainable mean range "
+                f"[{mu.min()}, {mu.max()}]") in err
+
+    @pytest.mark.parametrize("bound", ["min", "max"])
+    def test_target_at_a_bound_is_solved(self, returns_csv, tmp_path, bound):
+        mu, _ = estimate_stats(load_returns_csv(returns_csv))
+        target = float(getattr(mu, bound)())
+        code, payload = run_solve(returns_csv, tmp_path,
+                                  "--target-return", repr(target))
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        assert payload["config_echo"]["target_return"] == target
+
     def test_adaptive_mode_accepts_short_budget(self, returns_csv, tmp_path):
         code, payload = run_solve(returns_csv, tmp_path, "--adaptive-lambda",
                                   "--sn", "0", "--max-iter", "30000")
@@ -372,8 +390,7 @@ class TestFrontier:
                                initial_lambda(120, 10), sn=0))
         certified = []
         for point, row in enumerate(table):
-            problem = build_problem(mu, C, float(row["e"]),
-                                    allow_out_of_range=True)
+            problem = build_problem(mu, C, float(row["e"]))
             result = solve(problem, cfg)
             if not result.certified:
                 continue

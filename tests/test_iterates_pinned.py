@@ -134,8 +134,7 @@ def test_adaptive_lambda_frontier_point_is_pinned(point):
     mu, C = estimate_stats(generate_synthetic_returns(10, 120, 3))
     targets = np.linspace(float(mu.min()), float(mu.max()),
                           FRONTIER_POINTS)
-    problem = build_problem(mu, C, float(targets[point]),
-                            allow_out_of_range=True)
+    problem = build_problem(mu, C, float(targets[point]))
     cfg = SolverConfig(
         tol=1e-6, max_iter=5000, penalty=PenaltyConfig(kind="rbb"),
         lambda_schedule=LambdaSchedule.adaptive(initial_lambda(120, 10), sn=0))

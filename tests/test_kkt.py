@@ -231,6 +231,13 @@ class TestSolveSupport:
                                    head, atol=1e-12)
         np.testing.assert_allclose(D_s @ solution[:k], problem.b, atol=1e-12)
 
+    def test_singular_block_raises_linalg_error(self):
+        # equal means on the support leave D_S rank 1, exactly so with
+        # binary fractions; the oracle skips such a support on this exception
+        problem = identity_problem(mu=(0.25, 0.25, 0.75), e=0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_support(problem, np.array([True, True, False]), np.zeros(2))
+
 
 class TestCertify:
     """kkt.certify: the optimum on z's support and signs, or None."""
@@ -246,6 +253,22 @@ class TestCertify:
         assert np.array_equal(x != 0, oracle.weights != 0)
         assert check_kkt(problem, lam, x, nu, g) <= KKT_TOL
         assert np.all(np.abs(g) <= 1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2])
+    def test_certify_solves_the_block_through_solve_support(self, seed, lam):
+        # one route for the support block: the certified weights are
+        # bitwise the solve_support solution the oracle's enumeration reads
+        # (two solvers of the block differ in the last bits at seed 0)
+        problem = factor_problem(n=8, seed=seed)
+        signs = np.sign(enumerate_solve(problem, lam).weights)
+        support = signs != 0
+        polish = certify(problem, lam, signs)
+        assert polish is not None
+        solution = solve_support(problem, support, -lam * signs[support])
+        k = int(support.sum())
+        assert polish[0][support].tobytes() == solution[:k].tobytes()
+        assert polish[1].tobytes() == solution[k:].tobytes()
 
     def test_single_asset_support_is_not_certified(self):
         # at e = the largest mean the lone top asset is feasible, but D_S has

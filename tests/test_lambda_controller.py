@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sparsefolio.lambda_controller import (
-    MAX_ADJUSTMENTS,
     LambdaSchedule,
     initial_lambda,
     maybe_adjust,
@@ -32,7 +31,7 @@ class TestInitialLambda:
 class TestLambdaSchedule:
     def test_fixed_constructor(self):
         s = LambdaSchedule.fixed(0.01)
-        assert s.mode == "fixed"
+        assert s.sn is None
         assert s.lambda_current == 0.01
 
     def test_fixed_allows_zero(self):
@@ -40,9 +39,8 @@ class TestLambdaSchedule:
 
     def test_adaptive_constructor(self):
         s = LambdaSchedule.adaptive(0.001, sn=2)
-        assert s.mode == "adaptive"
         assert s.sn == 2
-        assert s.adjustments_made == 0
+        assert s.lambda_current == 0.001
 
     def test_adaptive_requires_positive_lambda(self):
         with pytest.raises(ValueError, match="positive"):
@@ -52,22 +50,13 @@ class TestLambdaSchedule:
         with pytest.raises(ValueError, match="nonnegative"):
             LambdaSchedule.fixed(-0.1)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            LambdaSchedule(lambda_current=0.01, mode="annealed")
-
-    def test_adjustment_budget_validated(self):
-        with pytest.raises(ValueError, match="adjustments_made"):
-            LambdaSchedule(lambda_current=0.01, mode="adaptive",
-                           adjustments_made=MAX_ADJUSTMENTS + 1)
-
 
 class TestMaybeAdjust:
     def test_proportional_escalation(self):
         s = LambdaSchedule.adaptive(0.001, sn=2)
         out = maybe_adjust(s, 5)
         assert out.lambda_current == pytest.approx(0.0025)
-        assert out.adjustments_made == 1
+        assert out.sn == 2
 
     def test_boundary_is_strict(self):
         s = LambdaSchedule.adaptive(0.001, sn=2)
@@ -83,20 +72,11 @@ class TestMaybeAdjust:
         s = LambdaSchedule.adaptive(0.001, sn=0)
         out = maybe_adjust(s, 1)
         assert out.lambda_current == 0.002
-        assert out.adjustments_made == 1
 
     def test_factor_is_at_least_two(self):
         s = LambdaSchedule.adaptive(0.001, sn=4)
         assert maybe_adjust(s, 5).lambda_current == 0.002
         assert maybe_adjust(s, 12).lambda_current == pytest.approx(0.003)
-
-    def test_budget_exhaustion_freezes_lambda(self):
-        assert MAX_ADJUSTMENTS == 50
-        s = LambdaSchedule.adaptive(0.001, sn=1)
-        for _ in range(MAX_ADJUSTMENTS + 5):
-            s = maybe_adjust(s, 2)
-        assert s.adjustments_made == MAX_ADJUSTMENTS
-        assert s.lambda_current == 0.001 * 2.0**MAX_ADJUSTMENTS
 
     def test_non_adaptive_mode_rejected(self):
         with pytest.raises(ValueError, match="adaptive"):
@@ -110,4 +90,3 @@ class TestMaybeAdjust:
             s = maybe_adjust(s, int(rng.integers(0, 6)))
             assert s.lambda_current >= previous
             previous = s.lambda_current
-        assert s.adjustments_made <= MAX_ADJUSTMENTS

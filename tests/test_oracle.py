@@ -178,14 +178,12 @@ class TestPerSupportSolve:
         lo, hi = 0.165, 0.170
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            problem = build_problem(TestUniqueness.MU, TestUniqueness.C, mid,
-                                    allow_out_of_range=True)
+            problem = build_problem(TestUniqueness.MU, TestUniqueness.C, mid)
             if enumerate_solve(problem, TestUniqueness.LAM).weights[0] > 0:
                 lo = mid
             else:
                 hi = mid
-        problem = build_problem(TestUniqueness.MU, TestUniqueness.C, lo,
-                                allow_out_of_range=True)
+        problem = build_problem(TestUniqueness.MU, TestUniqueness.C, lo)
         res = enumerate_solve(problem, TestUniqueness.LAM)
         weights, unique = per_pattern_solve(problem, TestUniqueness.LAM)
         np.testing.assert_allclose(res.weights, weights, rtol=0, atol=1e-12)
@@ -200,7 +198,7 @@ class TestUniqueness:
     LAM = 0.004
 
     def _solve(self, e):
-        problem = build_problem(self.MU, self.C, e, allow_out_of_range=True)
+        problem = build_problem(self.MU, self.C, e)
         return enumerate_solve(problem, self.LAM)
 
     def test_generic_target_is_unique(self):

@@ -47,9 +47,9 @@ def digest(instances):
 
 @pytest.mark.parametrize("instances, expected", [
     (acceptance_instances,
-     "2e28975cfa139d425eec96a805ea767d69ed406e183607f514971ae27d9de236"),
+     "877c90f14f223f9475bad2a487721a5dd4ee9b3fe965ef317a2dfd29848e8134"),
     (bench_instances,
-     "2819fcec8602ca9a7baec8b5494df21cc1e536f1998e777d34e7ed659e6c6fd5"),
+     "45cdc5eaa94582023e00813f352a129a0083bd3e86d90c3745d5cd256fed7458"),
 ], ids=["test_1", "bench_suites"])
 def test_oracle_results_are_pinned(instances, expected):
     assert digest(instances()) == expected
