@@ -17,7 +17,8 @@ adaptive lambda mode (a schedule with an allowance sn) the short-sale
 guard sits outside the runs: it counts the shorts of a converged run's z,
 which soft thresholding makes exactly sparse, and when it raises lambda
 the next run starts cold at the new value, reusing the KKT factorization
-at rho0 that the first run started from.
+at rho0 that the first run started from.  solve resolves rho0 once, by
+penalty.initial_rho: cfg.penalty.rho0 when set, else the kind's start.
 
 A run also ends, converged, when a KKT certificate holds (the polish of
 Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
@@ -92,7 +93,7 @@ import numpy as np
 from .kkt import KktFactorization, certify, factorize, invert, solve_x_update
 from .lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
-from .penalty import PenaltyConfig, PenaltyState, compute_ybar
+from .penalty import PenaltyConfig, PenaltyState, compute_ybar, initial_rho
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -218,12 +219,13 @@ def feasible_start(problem: PortfolioProblem) -> np.ndarray:
 
 
 def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
-         factorization: KktFactorization, budget: int,
+         rho: float, factorization: KktFactorization, budget: int,
          callback: Optional[Callable[[IterateState], None]],
          ) -> tuple[IterateState, str, int, float, bool]:
     """One ADMM run at a fixed lam from the cold start, for at most budget
-    iterations; factorization is the one at cfg.penalty.rho0.  Iteration k
-    is due an update when k equals the value last drawn from PenaltyState.due.
+    iterations; it starts at rho, the solve's rho0, and factorization is the
+    one at rho.  Iteration k is due an update when k equals the value last
+    drawn from PenaltyState.due.
 
     Checkpoints and the residual stop try kkt.certify on z by the rule of
     the module docstring.  A certificate replaces iteration k by the
@@ -233,7 +235,6 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     Returns the last committed state, the termination, the iteration count,
     the rho in force at the end and whether a certificate ended the run.
     """
-    rho = cfg.penalty.rho0
     n = problem.n
     rho_vector = factorization.rho_vector
     kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
@@ -337,14 +338,15 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     """
     schedule = cfg.lambda_schedule
     lam = schedule.lambda_current
-    factorization = factorize(problem, cfg.penalty.rho0)
+    rho0 = initial_rho(cfg.penalty, problem.C)
+    factorization = factorize(problem, rho0)
     if cfg.penalty.kind == "fixed":
         # rho never moves, so every run of this solve takes the inverse
         factorization = invert(factorization)
     iterations = moves = 0
     while iterations < cfg.max_iter:
         state, termination, used, rho, certified = _run(
-            problem, cfg, lam, factorization, cfg.max_iter - iterations,
+            problem, cfg, lam, rho0, factorization, cfg.max_iter - iterations,
             callback)
         iterations += used
         if (schedule.sn is None or termination != TERMINATION_CONVERGED

@@ -80,8 +80,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sn", type=int, default=0,
                         help="short positions tolerated in adaptive mode "
                              "(default: %(default)s)")
-    parser.add_argument("--rho0", type=float, default=1.0,
-                        help="initial penalty parameter (default: %(default)s)")
+    parser.add_argument("--rho0", type=float, default=None,
+                        help="initial penalty parameter (default: "
+                             "sqrt(min*max eigenvalue of the covariance) for "
+                             "fixed and rb, 1 for bb and rbb)")
     parser.add_argument("--q", type=float, default=1.0,
                         help="residual-ratio exponent for the rbb strategy "
                              "(default: %(default)s)")

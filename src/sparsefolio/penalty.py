@@ -23,6 +23,13 @@ a proposal strictly between keeps the current rho (the adaptive-rho
 tolerance of OSQP, Stellato et al. 2020).  The curvature memory still
 advances on every spectral update.  ``rb`` is exempt: its every move is a
 factor ETA < REFACTOR_RATIO, which the rule would forbid.
+
+Where a run starts is the policy's too (``initial_rho``).  ``fixed`` never
+moves rho and ``rb`` moves it by a factor ETA per update, so both start at
+sqrt(lambda_min(C) * lambda_max(C)), the optimal fixed penalty of ADMM on a
+strongly convex quadratic program (Ghadimi, Teixeira, Shames and Johansson
+2015).  The spectral rules estimate rho from curvature within two updates
+and start at 1.
 """
 
 from __future__ import annotations
@@ -52,17 +59,41 @@ REFACTOR_RATIO = 5.0  # bb/rbb: smallest factor a new rho must move by
 
 @dataclass(frozen=True)
 class PenaltyConfig:
+    """kind, the starting rho0 (None for the kind's start, see initial_rho)
+    and rbb's exponent q."""
+
     kind: str = "fixed"
-    rho0: float = 1.0
+    rho0: Optional[float] = None
     q: float = 1.0
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
-        if not (RHO_MIN < self.rho0 < RHO_MAX):  # False for NaN and inf too
+        if self.rho0 is not None and not (RHO_MIN < self.rho0 < RHO_MAX):
+            # the comparison is False for NaN and inf too
             raise ValueError(f"need {RHO_MIN} < rho0 < {RHO_MAX}")
         if not (0 < self.q < math.inf):
             raise ValueError("q must be positive and finite")
+
+
+def initial_rho(cfg: PenaltyConfig, C: np.ndarray) -> float:
+    """The rho a run starts at: cfg.rho0 if set, else the kind's start.
+
+    For fixed and rb that is sqrt(lambda_min) * sqrt(lambda_max) of C, a
+    product of square roots, which neither under- nor overflows, clipped to
+    [RHO_MIN, RHO_MAX].  lambda_min is floored at eps * lambda_max, the
+    accuracy of eigvalsh, so that a nearly singular C whose computed
+    lambda_min is 0 or negative by rounding still gives a positive value.
+    For bb and rbb it is 1.
+    """
+    if cfg.rho0 is not None:
+        return cfg.rho0
+    if cfg.kind in ("bb", "rbb"):
+        return 1.0
+    eigenvalues = np.linalg.eigvalsh(C)
+    high = float(eigenvalues[-1])
+    low = max(float(eigenvalues[0]), high * np.finfo(float).eps)
+    return min(max(math.sqrt(low) * math.sqrt(high), RHO_MIN), RHO_MAX)
 
 
 def rb_update(rho: float, r_norm: float, d_norm: float) -> float:

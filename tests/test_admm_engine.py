@@ -38,6 +38,7 @@ from sparsefolio.penalty import (
     RHO_MIN,
     PenaltyConfig,
     PenaltyState,
+    initial_rho,
 )
 from sparsefolio.suites import SUITES, make_suite_instances
 
@@ -728,6 +729,29 @@ class TestSharedRho0Factorization:
             assert len(alone) >= len(run)
             for mine, theirs in zip(run, alone):
                 assert_states_bitwise_equal(mine, theirs)
+
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_unset_rho0_starts_every_run_at_the_kinds_start(self, monkeypatch,
+                                                            kind):
+        problem, cfg = shorting_adaptive_case(9)
+        cfg = replace(cfg, penalty=PenaltyConfig(kind=kind))
+        rho0 = initial_rho(cfg.penalty, problem.C)
+        assert (rho0 == 1.0) == (kind in ("bb", "rbb"))
+        rhos = []
+        real = engine.factorize
+
+        def spy(problem, rho):
+            rhos.append(rho)
+            return real(problem, rho)
+
+        monkeypatch.setattr(engine, "factorize", spy)
+        states = []
+        result = solve(problem, cfg, callback=states.append)
+        assert result.lambda_adjustments >= 1
+        assert rhos[0] == rho0
+        assert [run[0].rho for run in runs_of(states)] == [rho0] * (
+            result.lambda_adjustments + 1)
 
 
 class TestBenchSuiteFeasibility:

@@ -22,9 +22,9 @@ from sparsefolio.cli import main
 # case: (command line after the input, sha256 of exit code and output)
 CASES = {
     "solve-fixed": (("solve", "--strategy", "fixed"),
-        "8d4000130546aa6bb7d3d0c7e3ff468e30cf8907126c3d1ba3b5a113df5cd5b8"),
+        "b8cd88b3d2d63904cf8e022e240caa16eb94c76c622a3a173caf063e773d185a"),
     "solve-rb": (("solve", "--strategy", "rb"),
-        "d4952f6a63cfee0dfab4e0cffe3ec9ddeeaf1a1de80766804f19fd8170dda1f0"),
+        "d64a673e34d98ec4a1c779389a31fa6ccd1e185fc83eb4bc2e70e2b3e2823d2b"),
     "solve-bb": (("solve", "--strategy", "bb"),
         "8d4000130546aa6bb7d3d0c7e3ff468e30cf8907126c3d1ba3b5a113df5cd5b8"),
     "solve-rbb": (("solve", "--strategy", "rbb"),
@@ -46,7 +46,7 @@ CASES = {
     "frontier-3": (("frontier", "--points", "3"),
         "7e8e919e795fcb6a13daf430904fb6ba55eb20a6ecb4a291cbdc9e562689544b"),
     "bench-2": (("bench", "--trials", "2"),
-        "78ae07aca2ea808a3a3badaf2c8eb7ccd8094d2f1dbe9449fe4ba28237820e49"),
+        "fc65b79d7eba7f2ef1cbe9a845f12f0f8ec39b8bf641f7619f51ed07f211943b"),
 }
 
 

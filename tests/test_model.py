@@ -34,9 +34,13 @@ class TestBuildProblem:
         assert problem.e == 0.5
 
     def test_boundary_targets_allowed(self):
+        # at each bound the target is one asset's mean, and b is (e, 1)
         mu, C = np.array([0.1, 0.2]), np.eye(2)
-        build_problem(mu, C, 0.1)
-        build_problem(mu, C, 0.2)
+        for e in (0.1, 0.2):
+            problem = build_problem(mu, C, e)
+            assert problem.e == e
+            np.testing.assert_array_equal(problem.b, [e, 1.0])
+            np.testing.assert_array_equal(problem.D, [[0.1, 0.2], [1.0, 1.0]])
 
 
 class TestPortfolioProblemValidation:

@@ -3,11 +3,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sparsefolio.penalty as penalty
 from sparsefolio.admm_engine import IterateState
+from sparsefolio.model import PortfolioProblem
 from sparsefolio.penalty import (
     EPS_CORR,
     ETA,
@@ -23,6 +24,7 @@ from sparsefolio.penalty import (
     PenaltyState,
     _side_scalar,
     compute_ybar,
+    initial_rho,
     rb_update,
     spectral_rho,
     tau_update,
@@ -66,7 +68,7 @@ class TestPenaltyConfig:
     def test_defaults(self):
         cfg = PenaltyConfig()
         assert cfg.kind == "fixed"
-        assert cfg.rho0 == 1.0
+        assert cfg.rho0 is None
         assert cfg.q == 1.0
 
     def test_safeguard_constants(self):
@@ -98,6 +100,99 @@ class TestPenaltyConfig:
     def test_all_kinds_accepted(self):
         for kind in PENALTY_KINDS:
             assert PenaltyConfig(kind=kind).kind == kind
+
+
+def spectrum_matrix(seed, n, spread, scale):
+    """A symmetric C with eigenvalues scale * 10**(spread * t) for n values
+    t in [0, 1], the two ends included; returns C and its extreme
+    eigenvalues as drawn."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+    eigenvalues = 10.0 ** (spread * t)
+    C = (q * eigenvalues) @ q.T
+    return scale * 0.5 * (C + C.T), scale, scale * 10.0 ** spread
+
+
+class TestInitialRho:
+    @pytest.mark.parametrize("kind", ["bb", "rbb"])
+    def test_spectral_rules_start_at_one(self, kind):
+        assert initial_rho(PenaltyConfig(kind=kind), np.diag([1e-6, 1e-2])) == 1.0
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_explicit_rho0_is_kept(self, kind):
+        cfg = PenaltyConfig(kind=kind, rho0=2.5)
+        assert initial_rho(cfg, np.diag([1e-6, 1e-2])) == 2.5
+
+    @pytest.mark.parametrize("kind", ["fixed", "rb"])
+    def test_geometric_mean_of_the_extreme_eigenvalues(self, kind):
+        C = np.diag([1e-6, 3e-4, 1e-2])
+        assert initial_rho(PenaltyConfig(kind=kind), C) == pytest.approx(1e-4)
+
+    def test_clipped_to_the_rho_range(self):
+        assert initial_rho(PenaltyConfig(), 1e-20 * np.eye(2)) == RHO_MIN
+        assert initial_rho(PenaltyConfig(), 1e20 * np.eye(2)) == RHO_MAX
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["fixed", "rb"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           spread=st.floats(0.0, 6.0), log_scale=st.integers(-150, 150),
+           log_factor=st.integers(-20, 20))
+    @example(kind="fixed", seed=0, n=3, spread=6.0, log_scale=-150,
+             log_factor=20)
+    @example(kind="fixed", seed=0, n=3, spread=6.0, log_scale=150,
+             log_factor=-20)
+    def test_positive_definite_in_range_and_scale_equivariant(
+            self, kind, seed, n, spread, log_scale, log_factor):
+        # the condition number is at most 1e6, so the computed extreme
+        # eigenvalues, and the start from them, are good to about 1e-9
+        cfg = PenaltyConfig(kind=kind)
+        C, low, high = spectrum_matrix(seed, n, spread, 10.0 ** log_scale)
+        rho = initial_rho(cfg, C)
+        assert type(rho) is float and RHO_MIN <= rho <= RHO_MAX
+        exact = math.sqrt(low) * math.sqrt(high)
+        if RHO_MIN < exact < RHO_MAX:
+            assert rho == pytest.approx(exact, rel=1e-8)
+        factor = 10.0 ** log_factor
+        scaled = initial_rho(cfg, factor * C)
+        assert type(scaled) is float and RHO_MIN <= scaled <= RHO_MAX
+        if RHO_MIN < rho < RHO_MAX and RHO_MIN < scaled < RHO_MAX:
+            assert scaled == pytest.approx(factor * rho, rel=1e-8)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["fixed", "rb"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           rank=st.integers(1, 5), log_ridge=st.floats(-20.0, -8.0),
+           log_scale=st.integers(-150, 150))
+    # eigvalsh puts the smallest eigenvalue of this C at -4.1e-17
+    @example(kind="fixed", seed=0, n=6, rank=5, log_ridge=-17.0, log_scale=0)
+    def test_nearly_singular_covariance_in_range(
+            self, kind, seed, n, rank, log_ridge, log_scale):
+        # a rank-deficient Gram matrix plus a ridge of 1e-20 to 1e-8, kept
+        # where PortfolioProblem's Cholesky test accepts it
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, min(rank, n - 1)))
+        C = 10.0 ** log_scale * (B @ B.T + 10.0 ** log_ridge * np.eye(n))
+        C = 0.5 * (C + C.T)
+        try:
+            PortfolioProblem(C, np.arange(n, dtype=float), 1.0)
+        except ValueError:
+            assume(False)
+        rho = initial_rho(PenaltyConfig(kind=kind), C)
+        assert type(rho) is float and RHO_MIN <= rho <= RHO_MAX
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rho0=st.one_of(st.none(), st.floats()))
+    @example(rho0=math.nan)
+    @example(rho0=math.inf)
+    @example(rho0=RHO_MIN)
+    @example(rho0=RHO_MAX)
+    def test_config_accepts_none_and_open_range_only(self, rho0):
+        if rho0 is None or RHO_MIN < rho0 < RHO_MAX:
+            assert PenaltyConfig(rho0=rho0).rho0 is rho0
+        else:
+            with pytest.raises(ValueError):
+                PenaltyConfig(rho0=rho0)
 
 
 class TestRbUpdate:

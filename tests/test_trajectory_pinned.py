@@ -7,8 +7,9 @@ folds -0.0 into 0.0 so that only the sign of a zero may differ, then k,
 rho, lam, r_norm and d_norm as IEEE doubles.  A change that claims
 IEEE-equal iterates must pass this file unchanged.  The fixed cases, whose
 x-steps take the inverse of the KKT block, were recorded again when that
-inverse came in, and every case a certificate ends (frontier point 0's
-first two runs included) when certificates came in.
+inverse came in, every case a certificate ends (frontier point 0's
+first two runs included) when certificates came in, and the fixed and rb
+cases when those two began to start at sqrt(lambda_min * lambda_max) of C.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -30,16 +31,16 @@ from sparsefolio.suites import SUITES, make_suite_instances
 
 # (suite, strategy): (iterations, sha256 of the trajectory)
 SUITE_TRAJECTORIES = {
-    ("random", "fixed"): (5, "235c4741aca00909aa16eb668ca3761329917b4ddcec323eea5aea7451326a76"),
-    ("random", "rb"): (5, "b7479c95e97bc3a66d96b0b9186821c46764312c886e47dd19388fcec4d9ddee"),
+    ("random", "fixed"): (33, "37b5f87d23bf4d1ca1462f2787224dba3a45a6f25fbdb0e9625104814406d0f6"),
+    ("random", "rb"): (9, "44eae12fa5ead941d218e98dd51b59a2c1a92b0f46b6ab71a2b41a234079bf25"),
     ("random", "bb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("random", "rbb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
-    ("illcond", "fixed"): (5000, "fd48f727d7f446e1916595a7e9dcbf2f2b86f651a71d14eab100a3fbd03203b2"),
-    ("illcond", "rb"): (513, "05613a868e280bf82e91d6205cddc62ff87dde3b3382ffa335c395391dff9817"),
+    ("illcond", "fixed"): (257, "9a15d7c47cab09ad25707b2b7456469d2b0c1abaf5fa9ff3dd8cd3d2a9ac14d1"),
+    ("illcond", "rb"): (257, "5f08fba0b55ad4b60f3bcf572d5c91f8c8990f9627400ec1e3389248fc7f8849"),
     ("illcond", "bb"): (33, "6b7533eaba42bd80153ac983ab49374f62c90f21b1e5a120cc4616e0e8298156"),
     ("illcond", "rbb"): (129, "3e8ffebe50741c234edc846ba0842661b1790b6ab6cbc885932021cb63bdce3a"),
-    ("shorts", "fixed"): (129, "cee9e7ef5eedb65d264fa83d5ae3019849bc55db644769e3590c964bf5794f14"),
-    ("shorts", "rb"): (511, "1092b764f1cd38a0e6c28f117672ec1e9b5b57c397da2a2ccc0740888a979647"),
+    ("shorts", "fixed"): (707, "12fbd64a40dcee07c44676d2e61861515b436f8f03595751ed9d2fb185798729"),
+    ("shorts", "rb"): (257, "401b0528688f0a95445f0152a60acbd74d6cfdd994c2d0ef882aa9fe54ecf2af"),
     ("shorts", "bb"): (129, "4c72f662ef0bc2b5b76e34fc94bee3fc9075d8e251db7a3b17a564e35df9ca35"),
     ("shorts", "rbb"): (129, "de0e9d59672e4259855c747c2fda48c25e2f927c6a96b606a97b1ba5f81b7f58"),
 }
