@@ -22,23 +22,27 @@ penalty.initial_rho: cfg.penalty.rho0 when set, else the kind's start.
 
 A run also ends, converged, when a KKT certificate holds (the polish of
 Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
-in finitely many iterations (Liang, Fadili and Peyre 2017), and
-kkt.certify then solves the block of z's support and signs: a solution
-that keeps those signs, with a subgradient in [-1, 1] off the support and
-check_kkt within KKT_TOL, is the optimum, as those conditions are
-sufficient for this convex problem.  The run's last iterate becomes that
-optimum: x = z = the certified x, and y = -lam*g, its dual, which makes
-the iterate a fixed point of the three steps.  An attempt costs an O(k^3)
-block solve, about ceil(n/3) O(n^2) x-steps, so attempts are rationed.
+in finitely many iterations (Liang, Fadili and Peyre 2017), and long
+before that z's support is one or two assets from it.  kkt.certify starts
+from z's support and signs and corrects them by an active-set finish of
+a bounded number of block solves: a solution that keeps its signs, with
+a subgradient in [-1, 1] off the support and check_kkt within KKT_TOL,
+is the optimum, as those conditions are sufficient for this convex
+problem.  The run's last iterate becomes that optimum: x = z = the
+certified x, and y = -lam*g, its dual, which makes the iterate a fixed
+point of the three steps.  A block solve costs O(k^3), about ceil(n/3)
+O(n^2) x-steps, so attempts and their block solves are rationed.
 Iterations ceil(n/3) * 2^j are checkpoints, which bounds a run that never
 certifies to about log2(max_iter) of them; a checkpoint tries only when
 z's sign pattern is the previous iteration's, as the support is then
 settling, and none tries a pattern whose certificate already failed in
-the run, which would fail again.  An iteration that passes the residual
-test tries once too, under the same last rule, so a converged run carries
-certified weights, exactly sparse, wherever a certificate holds.  A run
-that no certificate ends keeps its iterates, iteration count and
-termination bitwise.
+the run.  An iteration that passes the residual test tries once too,
+under the same last rule, so a converged run carries certified weights,
+exactly sparse, wherever a certificate holds.  An attempt at iteration k
+may make max(1, (k + 1) // ceil(n/3)) block solves, so the finish never
+spends more than the run's x-steps have: 1, 2, 4, 8, ... at the
+checkpoints.  A run that no certificate ends keeps its iterates,
+iteration count and termination bitwise.
 
 Under fixed rho the x-step takes the explicit inverse of the KKT block
 (kkt.invert): one symmetric mat-vec instead of two triangular solves.
@@ -246,8 +250,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     next_due = next(due, -1)  # -1 once no update is due any more
     reads_ybar = pen_state.reads_ybar
     tol = cfg.tol
-    # an O(k^3) certificate costs about n/3 O(n^2) x-steps
-    checkpoint = -(-n // 3)
+    # an O(k^3) block solve costs about n/3 O(n^2) x-steps
+    cost = checkpoint = -(-n // 3)
     failed_signs = None  # z's sign pattern at the last failed certificate
     certified = False
     # the last committed iterate's IterateState, or None when not built yet
@@ -277,7 +281,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 signs = np.sign(z_new)
                 if ((stop or np.array_equal(signs, np.sign(z)))
                         and not np.array_equal(signs, failed_signs)):
-                    polish = certify(problem, lam, z_new)
+                    polish = certify(problem, lam, z_new,
+                                     max(1, (k + 1) // cost))
                     if polish is None:
                         failed_signs = signs
                     else:

@@ -60,14 +60,21 @@ a support's block shares no factorization with the x-step's.  It gathers
 C_SS a few rows at a time and is factored in place by LAPACK ``gesv``,
 so that a solve at n=500 holds no second block.
 
-``certify`` is that polish for one support and sign vector, those of an
-ADMM iterate z (Stellato et al. 2020, OSQP, section 5): ``solve_support``
-against [-lam*s; b].  It accepts the solution only where the signs on S
-hold, the subgradient off S lies in [-1, 1] and ``check_kkt`` is within
-KKT_TOL; the conditions are sufficient for this convex problem, so an
-accepted x is its optimum.  The test suite's exhaustive oracle solves its
-candidate blocks through ``solve_support`` too, so an oracle support and
-a certified one give the same bits.
+``certify`` is that polish (Stellato et al. 2020, OSQP, section 5) as a
+bounded active-set finish from the support and signs of an ADMM iterate
+z: each step is one ``solve_support`` against [-lam*s; b].  It accepts a
+solution only where the signs on S hold, the subgradient off S lies in
+[-1, 1] and ``check_kkt`` is within KKT_TOL; the conditions are
+sufficient for this convex problem, so an accepted x is its optimum.
+Where a check fails and steps remain, it corrects S by feature-sign
+search (Lee, Battle, Raina and Ng, NIPS 2007): a sign that flips drops
+its asset after a line search along a segment that keeps Dx = b, and
+otherwise the worst subgradient violator joins S.  With one step it tests
+z's own pattern.  A support of one asset j has a singular block; where
+mu_j = e, ``single_asset_multipliers`` certifies it by an interval on the
+multipliers.  The test suite's exhaustive oracle solves its candidate
+blocks through ``solve_support`` and ``single_asset_multipliers`` too, so
+an oracle support and a certified one give the same bits.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .model import PortfolioProblem
+from .model import PortfolioProblem, objective_value
 
 _getrf, _getrs, _getri, _getri_lwork, _gesv = get_lapack_funcs(
     ("getrf", "getrs", "getri", "getri_lwork", "gesv"), dtype=np.float64)
@@ -203,43 +210,127 @@ def solve_support(problem: PortfolioProblem, support: np.ndarray,
     return solution
 
 
-def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
-            ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The optimum on z's support S and signs s, with its certificate, or None.
+def single_asset_multipliers(problem: PortfolioProblem, lam: float,
+                             j: int) -> Optional[np.ndarray]:
+    """The multipliers nu that certify x = e_j, asset j alone, or None.
 
-    Solves the support's block against [-lam*s; b] and returns (x, nu, g),
-    the optimum x (exactly zero off S), the multipliers nu of Dx = b and
-    the subgradient g of ||x||_1 (s on S; off S from stationarity, 0 at
-    lam = 0), such that check_kkt(problem, lam, x, nu, g) <= KKT_TOL.
-    Returns None where the support holds fewer than two assets (D_S has
-    rank 1 and the block is singular), the block is singular, a sign on S
-    flips, the subgradient leaves [-1, 1] off S or check_kkt exceeds
-    KKT_TOL.
+    x = e_j meets Dx = b only where mu_j = e, and its block is singular, so
+    nu is a family: stationarity on row j, C_jj + lam + mu_j nu_1 + nu_2 = 0,
+    fixes nu_2 given nu_1, and off S each |g_i| <= 1 is the interval
+    (mu_i - mu_j) nu_1 in [C_jj - C_ij, C_jj - C_ij + 2 lam].  Returns nu at
+    the middle of the intervals' intersection; None where lam = 0, mu_j is
+    not e or the intersection is empty.  As not all means are equal, some
+    interval is bounded, and so is the intersection.
     """
+    mu, C = problem.mu, problem.C
+    if not (lam > 0 and mu[j] == problem.b[0]):
+        return None
+    slope = mu - mu[j]
+    ends = C[j, j] - C[j] + np.array([[0.0], [2 * lam]])
+    tied = slope == 0
+    if np.any(tied & ((ends[0] > 0) | (ends[1] < 0))):
+        return None
+    bounds = np.sort(ends[:, ~tied] / slope[~tied], axis=0)
+    low, high = bounds[0].max(), bounds[1].min()
+    if not low <= high:
+        return None
+    nu_1 = 0.5 * (low + high)
+    return np.array([nu_1, -C[j, j] - lam - mu[j] * nu_1])
+
+
+def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
+            steps: int = 1,
+            ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The optimum found from z's support S and signs s in at most steps
+    block solves, with its certificate, or None.
+
+    Each step solves the block of S against [-lam*s; b] (solve_support;
+    a lone asset through single_asset_multipliers, with no block solve).
+    Where the solution keeps the signs s and, off S, the subgradient
+    g = -(Cx + D'nu)/lam lies in [-1, 1], it returns (x, nu, g): the
+    optimum x (exactly zero off S), the multipliers nu of Dx = b and g (s
+    on S, 0 off S at lam = 0), provided check_kkt(problem, lam, x, nu, g)
+    <= KKT_TOL.  Otherwise, while steps remain, it corrects S
+    (feature-sign search, Lee, Battle, Raina and Ng 2007):
+    - the signs hold but some |g_j| > 1: add the worst such j, with
+      s_j = sign(g_j), and take the solution as the current point;
+    - a sign flips: take the point of lowest objective among the zero
+      crossings of the segment from the current point to the solution and
+      the solution itself, and let S and s be its support and signs, so
+      the coordinates that reach zero drop; the first step has no current
+      point and takes the solution.
+    Every point on the segments keeps Dx = b.  It returns None where S is
+    empty, a block is singular, a check fails with no step left or the
+    final check_kkt exceeds KKT_TOL.  So it accepts only a certified
+    optimum, and with steps=1 it tests z's own pattern.
+    """
+    n = problem.n
     support = z != 0
-    if np.count_nonzero(support) < 2:
-        return None
-    signs = np.sign(z[support])
-    try:
-        solution = solve_support(problem, support, -lam * signs)
-    except np.linalg.LinAlgError:
-        return None
-    k = signs.size
-    if not np.all(signs * solution[:k] > 0):
-        return None
-    x = np.zeros(problem.n)
-    x[support] = solution[:k]
-    nu = solution[k:]
-    g = np.zeros(problem.n)
-    g[support] = signs
-    if lam > 0:
-        off = ~support
-        g[off] = (problem.C @ x + problem.D.T @ nu)[off] / -lam
-        if not np.all(np.abs(g[off]) <= 1.0):
+    signs = np.sign(z)
+    current = None
+    for step in range(steps):
+        index = np.flatnonzero(support)
+        k = index.size
+        if k == 0:
             return None
-    if not check_kkt(problem, lam, x, nu, g) <= KKT_TOL:
-        return None
-    return x, nu, g
+        if k == 1:
+            nu = single_asset_multipliers(problem, lam, index[0])
+            if nu is None:
+                return None
+            solution = np.concatenate(([1.0], nu))
+        else:
+            try:
+                solution = solve_support(problem, support, -lam * signs[support])
+            except np.linalg.LinAlgError:
+                return None
+        x = np.zeros(n)
+        x[support] = solution[:k]
+        nu = solution[k:]
+        last = step + 1 == steps
+        if np.all(signs[support] * solution[:k] > 0):
+            g = np.zeros(n)
+            g[support] = signs[support]
+            if lam > 0:
+                off = np.flatnonzero(~support)
+                g[off] = (problem.C @ x + problem.D.T @ nu)[off] / -lam
+                if not np.all(np.abs(g[off]) <= 1.0):
+                    if last:
+                        return None
+                    j = off[np.argmax(np.abs(g[off]))]
+                    support[j] = True
+                    signs[j] = np.sign(g[j])
+                    current = x
+                    continue
+            if not check_kkt(problem, lam, x, nu, g) <= KKT_TOL:
+                return None
+            return x, nu, g
+        if last:
+            return None
+        if current is not None:
+            x = _line_search(problem, lam, current, x)
+        current = x
+        support = x != 0
+        signs = np.sign(x)
+    return None
+
+
+def _line_search(problem: PortfolioProblem, lam: float, current: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """The point of lowest objective on the segment from current to x among
+    x and the points where a coordinate crosses zero, with the coordinates
+    that cross there set to exactly zero; the first lowest wins."""
+    direction = x - current
+    crossing = np.flatnonzero(current * x < 0)
+    at = current[crossing] / -direction[crossing]
+    candidates = np.append(np.unique(at), 1.0)
+    values = [objective_value(problem.C, current + t * direction, lam)
+              for t in candidates]
+    t = candidates[int(np.argmin(values))]
+    if t == 1.0:
+        return x
+    point = current + t * direction
+    point[crossing[at == t]] = 0.0
+    return point
 
 
 def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,

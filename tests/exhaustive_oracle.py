@@ -11,7 +11,8 @@ iterative machinery.
 The system's matrix depends only on the support, and the sign vector only
 enters its right-hand side, so each support's block is solved once, by
 kkt.solve_support, against the right-hand sides of all its 2^k sign
-vectors.
+vectors.  A one-asset support's block is singular; its candidate x = e_j,
+where mu_j = e, takes its multipliers from kkt.single_asset_multipliers.
 
 soft_threshold is the shrinkage formula the engine's z-step must match
 bitwise, and fixed_rho_reference a textbook fixed-rho ADMM loop with a
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsefolio.admm_engine import feasible_start
-from sparsefolio.kkt import check_kkt, solve_support
+from sparsefolio.kkt import check_kkt, single_asset_multipliers, solve_support
 from sparsefolio.model import PortfolioProblem, objective_value
 
 MAX_ENUM_ASSETS = 12
@@ -85,18 +86,26 @@ def enumerate_solve(problem: PortfolioProblem, lam: float,
     place = 3 ** np.arange(n - 1, -1, -1)
     # the 2^k sign vectors of a k-asset support, one per row, in that order
     sign_vectors = {k: np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
-                    for k in range(2, n + 1)}
+                    for k in range(1, n + 1)}
     candidates = []
     for mask in itertools.product((False, True), repeat=n):
         support = np.array(mask)
         k = int(support.sum())
-        if k < 2:
+        if k == 0:
             continue
         signs = sign_vectors[k]
-        try:
-            solutions = solve_support(problem, support, -lam * signs.T)
-        except np.linalg.LinAlgError:
-            continue
+        if k == 1:
+            # x = e_j for either sign; the sign test keeps s_j = +1 only
+            asset = int(np.flatnonzero(support)[0])
+            nu = single_asset_multipliers(problem, lam, asset)
+            if nu is None:
+                continue
+            solutions = np.repeat(np.append(1.0, nu)[:, None], 2, axis=1)
+        else:
+            try:
+                solutions = solve_support(problem, support, -lam * signs.T)
+            except np.linalg.LinAlgError:
+                continue
         consistent = np.all(signs.T * solutions[:k] > 0, axis=0)
         off_support_place = int(place[~support].sum())
         for j in np.flatnonzero(consistent):

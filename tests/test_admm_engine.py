@@ -53,10 +53,11 @@ def solver_config(problem, kind="rbb", lam=0.0, tol=1e-8, max_iter=100000,
 
 @pytest.fixture
 def no_certificate(monkeypatch):
-    """Every certificate attempt fails, as on a problem whose optimum holds a
-    single asset: runs end by the residual test or max_iter only, and their
-    iterates are those of the engine without certificates."""
-    monkeypatch.setattr(engine, "certify", lambda problem, lam, z: None)
+    """Every certificate attempt fails, as where z's pattern stays more block
+    solves from the optimum's than the budget allows: runs end by the
+    residual test or max_iter only, and their iterates are those of the
+    engine without certificates."""
+    monkeypatch.setattr(engine, "certify", lambda problem, lam, z, steps: None)
 
 
 def assert_converged_contract(problem, result, lam, tol):
@@ -779,7 +780,8 @@ class TestStepsAtTheStatesRhoAndLambda:
     constants of the x-, z- and y-steps are rebuilt after every rho change
     and for every run after a lambda move.  The one exception is the last
     iterate of a run that a certificate ends: it is kkt.certify's optimum
-    on the stepped z, with x = z and y = -lam*g."""
+    on the stepped z at iteration k's budget of max(1, (k + 1) // ceil(n/3))
+    block solves, with x = z and y = -lam*g."""
 
     @staticmethod
     def trajectory(problem, cfg):
@@ -801,7 +803,8 @@ class TestStepsAtTheStatesRhoAndLambda:
             z = soft_threshold(x - y_prev / rho, lam / rho)
             if state.z.tobytes() != z.tobytes():
                 ends.append(i)
-                optimum, _, g = certify(problem, lam, z)
+                steps = max(1, (state.k + 1) // -(-n // 3))
+                optimum, _, g = certify(problem, lam, z, steps)
                 assert state.x is state.z
                 assert state.x.tobytes() == optimum.tobytes()
                 assert state.y.tobytes() == (-lam * g).tobytes()
@@ -857,18 +860,20 @@ class TestTextbookEquivalence:
 class TestCertifiedStop:
     """A run tries kkt.certify on z at checkpoints k = ceil(n/3) * 2^j whose
     sign pattern repeats the previous iteration's, and at the residual stop;
-    a pattern whose certificate failed is not tried again.  A certificate
-    ends the run at the optimum."""
+    a pattern whose certificate failed is not tried again.  An attempt at
+    iteration k may make max(1, (k + 1) // ceil(n/3)) block solves.  A
+    certificate ends the run at the optimum."""
 
     @staticmethod
     def attempts(problem, cfg, monkeypatch):
         """The solve, its states, and the k and outcome of every attempt."""
         seen, tried = [], []
 
-        def spy(problem, lam, z):
-            polish = certify(problem, lam, z)
-            # certify runs before iteration k reaches the callback
-            tried.append((len(seen), z.copy(), polish is not None))
+        def spy(problem, lam, z, steps):
+            k = len(seen)  # certify runs before iteration k reaches the callback
+            assert steps == max(1, (k + 1) // -(-problem.n // 3))
+            polish = certify(problem, lam, z, steps)
+            tried.append((k, z.copy(), polish is not None))
             return polish
 
         monkeypatch.setattr(engine, "certify", spy)

@@ -360,10 +360,10 @@ class TestFrontier:
                               "--max-iter", "2", "--tol", "1e-14")
         assert code == EXIT_NO_CONVERGENCE
         assert [r.split(",")[-1] for r in rows[1:]] == ["max_iter"] * 3
-        # one converged point of five is enough for exit 0: within 20
-        # iterations a certificate ends point 3 (after 17) and no other
+        # one converged point of five is enough for exit 0: within 9
+        # iterations a certificate ends point 0 (after 9) and no other
         code, rows = self.run(returns_csv, tmp_path, "--points", "5",
-                              "--strategy", "rbb", "--max-iter", "20")
+                              "--strategy", "fixed", "--max-iter", "9")
         assert code == EXIT_OK
         statuses = [r.split(",")[-1] for r in rows[1:]]
         assert sorted(statuses) == ["converged"] + ["max_iter"] * 4
@@ -402,10 +402,10 @@ class TestFrontier:
             assert np.array_equal(z != 0, support)
             assert int(row["nonzeros"]) == np.count_nonzero(support)
             assert int(row["shorts"]) == count_short_positions(z)
-        # the endpoints' optima hold one asset, which no certificate covers
-        assert certified == list(range(1, 19))
+        # the endpoints' optima hold one asset, the extreme-mean one
+        assert certified == list(range(20))
         assert [int(row["nonzeros"]) for row in table] == [
-            10, 4, 7, 8, 9, 9, 9, 10, 10, 10, 10, 9, 8, 8, 6, 5, 4, 4, 3, 10]
+            1, 4, 7, 8, 9, 9, 9, 10, 10, 10, 10, 9, 8, 8, 6, 5, 4, 4, 3, 1]
 
     def test_unallocatable_points_exits_2(self, returns_csv, tmp_path, capsys):
         # 800 TB of targets: numpy refuses it without allocating
@@ -473,10 +473,10 @@ class TestBench:
     def test_illcond_regression_values(self, tmp_path):
         # medians recorded from the first run of this configuration, bb and
         # rbb again when spectral updates began to decline small moves, rb,
-        # bb and rbb again when certificates began to end runs, and fixed
-        # and rb again when they began to start at sqrt(lambda_min *
-        # lambda_max) of C; from that start fixed converges on all three
-        # trials, ahead of residual balancing
+        # bb and rbb again when certificates began to end runs, fixed and rb
+        # again when they began to start at sqrt(lambda_min * lambda_max) of
+        # C, and fixed, rb and rbb again when each certificate attempt began
+        # to correct z's support; the spectral rules stay ahead of fixed
         code, rows = self.run(tmp_path, "--suite", "illcond", "--trials", "3",
                               "--seed", "0")
         assert code == EXIT_OK
@@ -485,11 +485,11 @@ class TestBench:
             fields = row.split(",")
             if fields[2] == "median":
                 medians[fields[1]] = float(fields[3])
-        assert medians["fixed"] == 230.0
-        assert medians["rb"] == 257.0
+        assert medians["fixed"] == 65.0
+        assert medians["rb"] == 33.0
         assert medians["bb"] == 17.0
-        assert medians["rbb"] == 33.0
-        assert medians["fixed"] < medians["rb"]
+        assert medians["rbb"] == 17.0
+        assert max(medians["bb"], medians["rbb"]) < medians["fixed"]
 
     def test_unknown_suite_exits_2(self):
         assert main(["bench", "--suite", "weird"]) == EXIT_INPUT

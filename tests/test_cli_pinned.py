@@ -34,7 +34,7 @@ CASES = {
         "0f9a37d5f0c10204e50566d84a6c97966f01085fc06dff35d63286525b818137"),
     # a certified optimum with two shorts, so short_count is 2
     "solve-rbb-shorts": (("solve", "--target-return", "0.0034"),
-        "90927833b2a7f2b648492de4384994a0d607101a4b82d1982ddddc6eb1c9d047"),
+        "7b070f8d9352a0f2e1a297595364307d25d1c4b414762f7296f7d5c213595cb2"),
     # x held seven entries below -ZERO_TOL, noise of about 1e-7; the
     # certified weights hold none
     "solve-rbb-noise-shorts": (("solve", "--target-return", "0.014"),
@@ -42,11 +42,11 @@ CASES = {
     # the guard moves lambda, then the budget runs out (exit 3)
     "solve-rbb-adaptive-moves": (
         ("solve", "--target-return", "0.0148", "--adaptive-lambda"),
-        "a590f9e3410cc689aa5c1f82aa814de84b8a3cba8882d7d2d1a3facb352e043b"),
+        "4f52265e12cb527fbafb89773373200684f2c2aec84f859796c31712e75ed29f"),
     "frontier-3": (("frontier", "--points", "3"),
-        "7e8e919e795fcb6a13daf430904fb6ba55eb20a6ecb4a291cbdc9e562689544b"),
+        "f906cfee5024207cf9f636a88a00fc33b2c4cfa89dd9c72711f9d229b9ff8932"),
     "bench-2": (("bench", "--trials", "2"),
-        "fc65b79d7eba7f2ef1cbe9a845f12f0f8ec39b8bf641f7619f51ed07f211943b"),
+        "8a89ce07f2f5f2517eb4c491679a1039a5f766bd38c4781189ef49dfc2e0d7fe"),
 }
 
 

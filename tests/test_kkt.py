@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import lu_factor, lu_solve
 
+import sparsefolio.kkt as kkt
 from conftest import factor_problem, identity_problem, two_asset_problem
 from exhaustive_oracle import enumerate_solve
 from sparsefolio.kkt import (
@@ -13,6 +16,7 @@ from sparsefolio.kkt import (
     check_kkt,
     factorize,
     invert,
+    single_asset_multipliers,
     solve_support,
     solve_x_update,
 )
@@ -271,14 +275,39 @@ class TestCertify:
         assert polish[1].tobytes() == solution[k:].tobytes()
 
     def test_single_asset_support_is_not_certified(self):
-        # at e = the largest mean the lone top asset is feasible, but D_S has
-        # rank 1, so its block is singular
+        # at e = the largest mean the lone top asset is feasible, but at lam
+        # 0.01 the optimum holds three assets: no multipliers keep every
+        # |g_i| <= 1 off the top asset
         mu = factor_problem(n=6, m=60, seed=1).mu
         problem = factor_problem(n=6, m=60, seed=1, e=float(mu.max()))
+        top = np.argmax(problem.mu)
         z = np.zeros(6)
-        z[np.argmax(problem.mu)] = 1.0
+        z[top] = 1.0
+        assert np.count_nonzero(enumerate_solve(problem, 0.01).weights) == 3
+        assert single_asset_multipliers(problem, 0.01, top) is None
         assert certify(problem, 0.01, z) is None
         assert certify(problem, 0.01, np.zeros(6)) is None
+
+    @pytest.mark.parametrize("end", ["min", "max"])
+    def test_single_asset_optimum_is_certified(self, end):
+        # at lam 0.1 the extreme-mean asset alone is the optimum: its block
+        # is singular, and an interval of nu_1 certifies it
+        mu = factor_problem(n=6, m=60, seed=1).mu
+        e = float(getattr(mu, end)())
+        problem = factor_problem(n=6, m=60, seed=1, e=e)
+        j = int(np.flatnonzero(problem.mu == e)[0])
+        lone = np.eye(6)[j]
+        oracle = enumerate_solve(problem, 0.1)
+        np.testing.assert_array_equal(oracle.weights, lone)
+        x, nu, g = certify(problem, 0.1, 2.0 * lone)
+        np.testing.assert_array_equal(x, lone)
+        assert check_kkt(problem, 0.1, x, nu, g) <= KKT_TOL
+        # no lone asset at lam = 0, and none whose mean is not the target
+        assert certify(problem, 0.0, lone) is None
+        assert certify(problem, 0.1, np.eye(6)[(j + 1) % 6]) is None
+        # a negative sign flips: one step fails, a second takes x's own sign
+        assert certify(problem, 0.1, -lone) is None
+        np.testing.assert_array_equal(certify(problem, 0.1, -lone, 2)[0], lone)
 
     def test_equal_means_on_the_support_are_not_certified(self):
         # D_S has rank 1 on a support whose means are equal: gesv finds the
@@ -325,6 +354,62 @@ class TestCertify:
             dropped = signs.copy()
             dropped[i] = 0.0
             assert certify(problem, lam, dropped) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_finish_corrects_one_wrong_asset(self, seed):
+        # one dropped, flipped or added asset fails the one-shot certificate,
+        # and the finish reaches the oracle's optimum within 2n block solves
+        # (at most 12 on these 74 patterns)
+        problem = factor_problem(n=7, seed=seed)
+        lam = 1e-3
+        oracle = enumerate_solve(problem, lam)
+        signs = np.sign(oracle.weights)
+        for i in range(7):
+            for value in {0.0, -signs[i] or 1.0} - {signs[i]}:
+                z = signs.copy()
+                z[i] = value
+                assert certify(problem, lam, z) is None
+                x = certify(problem, lam, z, 14)[0]
+                np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
+                assert np.array_equal(x != 0, signs != 0)
+
+
+class TestCertifyProperty:
+    """For any sign vector z, certify(problem, lam, z, steps) is the optimum
+    or None, and makes at most steps block solves."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def instance(n, seed, point, lam):
+        # points 0 and 4 are the extreme means, where one asset can be optimal
+        mu = factor_problem(n=n, m=60, seed=seed).mu
+        e = float(np.linspace(mu.min(), mu.max(), 5)[point])
+        problem = factor_problem(n=n, m=60, seed=seed, e=e)
+        return problem, enumerate_solve(problem, lam)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 3),
+           point=st.integers(0, 4), lam=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+           steps=st.integers(1, 6), data=st.data())
+    def test_none_or_the_optimum_within_the_budget(self, n, seed, point, lam,
+                                                   steps, data):
+        problem, oracle = self.instance(n, seed, point, lam)
+        z = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                        min_size=n, max_size=n)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_support(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kkt, "solve_support", counted)
+            polish = certify(problem, lam, z, steps)
+        assert len(calls) <= steps
+        if polish is not None:
+            x, nu, g = polish
+            np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
+            assert check_kkt(problem, lam, x, nu, g) <= KKT_TOL
 
 
 class TestInvert:

@@ -8,8 +8,10 @@ rho, lam, r_norm and d_norm as IEEE doubles.  A change that claims
 IEEE-equal iterates must pass this file unchanged.  The fixed cases, whose
 x-steps take the inverse of the KKT block, were recorded again when that
 inverse came in, every case a certificate ends (frontier point 0's
-first two runs included) when certificates came in, and the fixed and rb
-cases when those two began to start at sqrt(lambda_min * lambda_max) of C.
+first two runs included) when certificates came in, the fixed and rb
+cases when those two began to start at sqrt(lambda_min * lambda_max) of C,
+and the nine cases a certificate ends sooner when each attempt began to
+correct z's support.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -35,20 +37,20 @@ SUITE_TRAJECTORIES = {
     ("random", "rb"): (9, "44eae12fa5ead941d218e98dd51b59a2c1a92b0f46b6ab71a2b41a234079bf25"),
     ("random", "bb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("random", "rbb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
-    ("illcond", "fixed"): (257, "9a15d7c47cab09ad25707b2b7456469d2b0c1abaf5fa9ff3dd8cd3d2a9ac14d1"),
-    ("illcond", "rb"): (257, "5f08fba0b55ad4b60f3bcf572d5c91f8c8990f9627400ec1e3389248fc7f8849"),
-    ("illcond", "bb"): (33, "6b7533eaba42bd80153ac983ab49374f62c90f21b1e5a120cc4616e0e8298156"),
-    ("illcond", "rbb"): (129, "3e8ffebe50741c234edc846ba0842661b1790b6ab6cbc885932021cb63bdce3a"),
-    ("shorts", "fixed"): (707, "12fbd64a40dcee07c44676d2e61861515b436f8f03595751ed9d2fb185798729"),
-    ("shorts", "rb"): (257, "401b0528688f0a95445f0152a60acbd74d6cfdd994c2d0ef882aa9fe54ecf2af"),
-    ("shorts", "bb"): (129, "4c72f662ef0bc2b5b76e34fc94bee3fc9075d8e251db7a3b17a564e35df9ca35"),
+    ("illcond", "fixed"): (129, "3005df5bebf93e259a0ca859d9f4916648eacff39b99e1f520b0149453560ebc"),
+    ("illcond", "rb"): (33, "7e0c2e8a8c87043542293f6d24c6f51fb368e29475290ab44079857802de83ce"),
+    ("illcond", "bb"): (17, "546ae7680c4756da49c3f3a193bd2d5c041256f429cd7bd22748ec8c706b8876"),
+    ("illcond", "rbb"): (17, "742e6b310553fd732e82eb1367daaa3b2587033de9709768f949604cab99256e"),
+    ("shorts", "fixed"): (65, "3cb292e2992d0dbd4f9cb268c612b2beddf863c58af89c252ad3a126bcdd0c12"),
+    ("shorts", "rb"): (33, "c3e2b8ccc03feb4d41aacf3402e5feb18b849feace9c488e8f554bcc0515fb45"),
+    ("shorts", "bb"): (33, "34ba45be16ec858b8be8ffe28390532969e182b86d779ece31b006fd0dd65b15"),
     ("shorts", "rbb"): (129, "de0e9d59672e4259855c747c2fda48c25e2f927c6a96b606a97b1ba5f81b7f58"),
 }
 
 # frontier point: (iterations, sha256 of the trajectory)
 FRONTIER_TRAJECTORIES = {
-    0: (1187, "da34077dceb094c8dafcc98884c738c52e61a3322dedc929cf0f17ffc7265827"),
-    3: (65, "f5b08af0196cac4d0023d8cf7d53235ea51a2ad53498390df37df2acacc24d77"),
+    0: (798, "fc3ae86b08a19356d9b10247f6d3685c224af152fb2e7c3d3b1b662bbb05f109"),
+    3: (33, "b5d954b416177d1336f5c9d8ca82bef192e0ef59c104345fe32076699ca4714e"),
     4: (9, "740562db24da297fac01ba6213c974b4e22c9ee2d0ba2f666e4650ea3c2f7fb4"),
     12: (17, "f4deb71af33029c2fc413e615bd7b95039d1e656d63447641d3904b8829474f8"),
 }
