@@ -35,14 +35,17 @@ O(n^2) x-steps, so attempts and their block solves are rationed.
 Iterations ceil(n/3) * 2^j are checkpoints, which bounds a run that never
 certifies to about log2(max_iter) of them; a checkpoint tries only when
 z's sign pattern is the previous iteration's, as the support is then
-settling, and none tries a pattern whose certificate already failed in
-the run.  An iteration that passes the residual test tries once too,
-under the same last rule, so a converged run carries certified weights,
-exactly sparse, wherever a certificate holds.  An attempt at iteration k
-may make max(1, (k + 1) // ceil(n/3)) block solves, so the finish never
-spends more than the run's x-steps have: 1, 2, 4, 8, ... at the
-checkpoints.  A run that no certificate ends keeps its iterates,
-iteration count and termination bitwise.
+settling.  An iteration that passes the residual test tries once too, so
+a converged run carries certified weights, exactly sparse, wherever a
+certificate holds.  An attempt at iteration k may make
+max(1, (k + 1) // ceil(n/3)) block solves, so the finish never spends
+more than the run's x-steps have: 1, 2, 4, 8, ... at the checkpoints.
+Neither kind of attempt retries the pattern of the last failed attempt
+unless its budget has grown since: a pattern one block solve short of a
+certificate gets it at the next checkpoint.  Each checkpoint could
+already spend its full budget on a new pattern, so the retry leaves the
+worst-case work of a run as it was.  A run that no certificate ends keeps
+its iterates, iteration count and termination bitwise.
 
 Under fixed rho the x-step takes the explicit inverse of the KKT block
 (kkt.invert): one symmetric mat-vec instead of two triangular solves.
@@ -232,7 +235,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     drawn from PenaltyState.due.
 
     Checkpoints and the residual stop try kkt.certify on z by the rule of
-    the module docstring.  A certificate replaces iteration k by the
+    the module docstring, which keeps the pattern and budget of the last
+    failed attempt.  A certificate replaces iteration k by the
     optimum, with that iterate's own residual norms (r_norm 0), which the
     callback sees, and ends the run converged.
 
@@ -252,7 +256,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     tol = cfg.tol
     # an O(k^3) block solve costs about n/3 O(n^2) x-steps
     cost = checkpoint = -(-n // 3)
-    failed_signs = None  # z's sign pattern at the last failed certificate
+    # z's sign pattern at the last failed certificate, and its budget
+    failed_signs, failed_budget = None, 0
     certified = False
     # the last committed iterate's IterateState, or None when not built yet
     state = IterateState(x, z, y, rho, lam, -1)
@@ -279,12 +284,13 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if k == checkpoint:
                     checkpoint *= 2
                 signs = np.sign(z_new)
+                steps = max(1, (k + 1) // cost)
                 if ((stop or np.array_equal(signs, np.sign(z)))
-                        and not np.array_equal(signs, failed_signs)):
-                    polish = certify(problem, lam, z_new,
-                                     max(1, (k + 1) // cost))
+                        and not (failed_budget >= steps
+                                 and np.array_equal(signs, failed_signs))):
+                    polish = certify(problem, lam, z_new, steps)
                     if polish is None:
-                        failed_signs = signs
+                        failed_signs, failed_budget = signs, steps
                     else:
                         x_new = z_new = polish[0]
                         y_new = -lam * polish[2]

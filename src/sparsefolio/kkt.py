@@ -72,9 +72,12 @@ its asset after a line search along a segment that keeps Dx = b, and
 otherwise the worst subgradient violator joins S.  With one step it tests
 z's own pattern.  A support of one asset j has a singular block; where
 mu_j = e, ``single_asset_multipliers`` certifies it by an interval on the
-multipliers.  The test suite's exhaustive oracle solves its candidate
-blocks through ``solve_support`` and ``single_asset_multipliers`` too, so
-an oracle support and a certified one give the same bits.
+multipliers, and where mu_j != e no x on it meets Dx = b, so a step that
+is not the last moves to the feasible pair {j, i} of lowest objective
+and goes on from there.  The test suite's exhaustive oracle solves its
+candidate blocks through ``solve_support`` and
+``single_asset_multipliers`` too, so an oracle support and a certified
+one give the same bits.
 """
 
 from __future__ import annotations
@@ -246,6 +249,9 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
 
     Each step solves the block of S against [-lam*s; b] (solve_support;
     a lone asset through single_asset_multipliers, with no block solve).
+    A lone asset j with mu_j != e is infeasible: a step that is not the
+    last takes the cheapest feasible pair {j, i} (_cheapest_pair) as the
+    current point, with its support and signs, and makes no block solve.
     Where the solution keeps the signs s and, off S, the subgradient
     g = -(Cx + D'nu)/lam lies in [-1, 1], it returns (x, nu, g): the
     optimum x (exactly zero off S), the multipliers nu of Dx = b and g (s
@@ -260,9 +266,10 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
       the coordinates that reach zero drop; the first step has no current
       point and takes the solution.
     Every point on the segments keeps Dx = b.  It returns None where S is
-    empty, a block is singular, a check fails with no step left or the
-    final check_kkt exceeds KKT_TOL.  So it accepts only a certified
-    optimum, and with steps=1 it tests z's own pattern.
+    empty, a block is singular, a lone asset whose mean is e is not
+    certified, a check fails with no step left or the final check_kkt
+    exceeds KKT_TOL.  So it accepts only a certified optimum, and with
+    steps=1 it tests z's own pattern.
     """
     n = problem.n
     support = z != 0
@@ -271,12 +278,20 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
     for step in range(steps):
         index = np.flatnonzero(support)
         k = index.size
+        last = step + 1 == steps
         if k == 0:
             return None
         if k == 1:
-            nu = single_asset_multipliers(problem, lam, index[0])
+            j = index[0]
+            nu = single_asset_multipliers(problem, lam, j)
             if nu is None:
-                return None
+                if last or problem.mu[j] == problem.b[0]:
+                    return None
+                # e_j misses the target: go on from the cheapest pair instead
+                current = _cheapest_pair(problem, lam, j)
+                support = current != 0
+                signs = np.sign(current)
+                continue
             solution = np.concatenate(([1.0], nu))
         else:
             try:
@@ -286,7 +301,6 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
         x = np.zeros(n)
         x[support] = solution[:k]
         nu = solution[k:]
-        last = step + 1 == steps
         if np.all(signs[support] * solution[:k] > 0):
             g = np.zeros(n)
             g[support] = signs[support]
@@ -312,6 +326,31 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
         support = x != 0
         signs = np.sign(x)
     return None
+
+
+def _cheapest_pair(problem: PortfolioProblem, lam: float,
+                   j: int) -> np.ndarray:
+    """The point of lowest objective among those that hold two assets, j and
+    one i with mu_i != mu_j, and meet Dx = b: x_i = t, x_j = 1 - t with
+    t = (e - mu_j)/(mu_i - mu_j); the first lowest wins.
+
+    The quadratic is taken along x = e_j + t(e_i - e_j), whose curvature
+    (e_i - e_j)'C(e_i - e_j) is positive, so an overflow gives an infinite
+    cost; the one NaN, lam * inf at lam = 0, counts as infinite too.
+    """
+    mu, C = problem.mu, problem.C
+    others = np.flatnonzero(mu != mu[j])
+    c_jj, c_ij = C[j, j], C[others, j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (problem.b[0] - mu[j]) / (mu[others] - mu[j])
+        cost = (0.5 * (c_jj + t * (2 * (c_ij - c_jj)
+                                   + t * (C[others, others] - 2 * c_ij + c_jj)))
+                + lam * (np.abs(t) + np.abs(1 - t)))
+    best = int(np.argmin(np.where(np.isnan(cost), np.inf, cost)))
+    x = np.zeros(problem.n)
+    x[others[best]] = t[best]
+    x[j] = 1 - t[best]
+    return x
 
 
 def _line_search(problem: PortfolioProblem, lam: float, current: np.ndarray,

@@ -28,7 +28,8 @@ from sparsefolio.admm_engine import (
 )
 from sparsefolio.kkt import KKT_TOL, certify, factorize, solve_x_update
 from sparsefolio.lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, initial_lambda
-from sparsefolio.model import objective_value
+from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
+from sparsefolio.model import build_problem, objective_value
 from sparsefolio.penalty import (
     FREEZE_AFTER,
     NBAR,
@@ -838,7 +839,8 @@ class TestStepsAtTheStatesRhoAndLambda:
 
 
 class TestTextbookEquivalence:
-    def test_fixed_rho_matches_scaled_reference(self):
+    def test_fixed_rho_matches_scaled_reference(self, no_certificate):
+        # a certificate would end this run before its 20th iterate
         problem = factor_problem(n=6, m=60, seed=77)
         lam, rho = 0.002, 0.5
         iters = 20
@@ -859,21 +861,22 @@ class TestTextbookEquivalence:
 
 class TestCertifiedStop:
     """A run tries kkt.certify on z at checkpoints k = ceil(n/3) * 2^j whose
-    sign pattern repeats the previous iteration's, and at the residual stop;
-    a pattern whose certificate failed is not tried again.  An attempt at
-    iteration k may make max(1, (k + 1) // ceil(n/3)) block solves.  A
-    certificate ends the run at the optimum."""
+    sign pattern repeats the previous iteration's, and at the residual stop.
+    An attempt at iteration k may make max(1, (k + 1) // ceil(n/3)) block
+    solves, and it is skipped where z's pattern is that of the last failed
+    attempt and that attempt's budget was at least as large.  A certificate
+    ends the run at the optimum."""
 
     @staticmethod
     def attempts(problem, cfg, monkeypatch):
-        """The solve, its states, and the k and outcome of every attempt."""
+        """The solve, its states, and the k, z, budget and outcome of every
+        attempt."""
         seen, tried = [], []
 
         def spy(problem, lam, z, steps):
             k = len(seen)  # certify runs before iteration k reaches the callback
-            assert steps == max(1, (k + 1) // -(-problem.n // 3))
             polish = certify(problem, lam, z, steps)
-            tried.append((k, z.copy(), polish is not None))
+            tried.append((k, z.copy(), steps, polish is not None))
             return polish
 
         monkeypatch.setattr(engine, "certify", spy)
@@ -890,16 +893,53 @@ class TestCertifiedStop:
             problem, solver_config(problem, kind=kind, lam=0.001, tol=tol,
                                    max_iter=5000), monkeypatch)
         checkpoints = {2 * 2**j for j in range(12)}  # ceil(6/3) = 2
-        failed = []
-        for k, z, passed in tried:
-            if k + 1 != result.iterations:
+        last = result.iterations - 1
+        failed = None  # pattern and budget of the last failed attempt
+        attempted = {}
+        for k, z, steps, passed in tried:
+            assert steps == max(1, (k + 1) // 2)
+            pattern = np.sign(z)
+            if k != last:
                 assert k in checkpoints
-                assert k > 0 and np.array_equal(np.sign(z), np.sign(seen[k - 1].z))
-            assert not any(np.array_equal(np.sign(z), f) for f in failed)
+                assert np.array_equal(pattern, np.sign(seen[k - 1].z))
+            # a pattern that failed is tried again only on a larger budget
+            if failed is not None and np.array_equal(pattern, failed[0]):
+                assert steps > failed[1]
             if not passed:
-                failed.append(np.sign(z))
+                failed = pattern, steps
+            attempted[k] = failed
+        # and every other checkpoint with a repeated pattern tries
+        failed = None
+        for k in range(1, last):
+            pattern = np.sign(seen[k].z)
+            due = (k in checkpoints
+                   and np.array_equal(pattern, np.sign(seen[k - 1].z))
+                   and not (failed is not None and failed[1] >= (k + 1) // 2
+                            and np.array_equal(pattern, failed[0])))
+            assert (k in attempted) == due
+            failed = attempted.get(k, failed)
         assert [passed for *_, passed in tried].count(True) == result.certified
-        assert tried[-1][2] == result.certified
+        assert tried[-1][3] == result.certified
+
+    def test_a_failed_pattern_is_retried_on_a_larger_budget(self, monkeypatch):
+        # acceptance test 11's instance 80 (n=7, lam 0, fixed): z's pattern
+        # at the checkpoint k=3 fails on one block solve, as one weight's
+        # sign is wrong, and the next checkpoint certifies the same pattern
+        # on two; before retries the run went on to its residual stop at
+        # k=15, uncertified and 2.4e-6 (relative) above the optimum
+        mu, C = estimate_stats(generate_synthetic_returns(7, 60, 3016,
+                                                          noise_scale=0.03))
+        problem = build_problem(mu, C, 0.5 * (float(mu.min()) + float(mu.max())))
+        cfg = SolverConfig(penalty=PenaltyConfig(kind="fixed"),
+                           lambda_schedule=LambdaSchedule.fixed(0.0))
+        result, seen, tried = self.attempts(problem, cfg, monkeypatch)
+        assert [(k, steps, passed) for k, _, steps, passed in tried] == [
+            (3, 1, False), (6, 2, True)]
+        assert np.array_equal(np.sign(tried[0][1]), np.sign(tried[1][1]))
+        assert result.termination == "converged" and result.certified
+        oracle = enumerate_solve(problem, 0.0)
+        np.testing.assert_allclose(result.weights, oracle.weights, rtol=0,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_certified_iterate_is_a_fixed_point(self, kind):

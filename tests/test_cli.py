@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sparsefolio.cli as cli
+from exhaustive_oracle import enumerate_solve
 from sparsefolio.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -19,6 +20,7 @@ from sparsefolio.cli import (
 )
 from sparsefolio.market_data import (estimate_stats, generate_synthetic_returns,
                                      load_returns_csv)
+from sparsefolio.model import build_problem
 from sparsefolio.penalty import PENALTY_KINDS
 
 
@@ -193,6 +195,26 @@ class TestSolve:
         assert code == EXIT_NO_CONVERGENCE
         assert payload["termination"] == "max_iter"
         assert payload["iterations"] == 2
+
+    def test_lone_asset_off_the_target_is_finished(self, tmp_path):
+        # after four lambda moves this run's z settles on asset 2 alone, whose
+        # mean 0.014820 misses the target; the finish goes on from the
+        # cheapest feasible pair and certifies the optimum {2, 8} (before,
+        # rbb stalled on that z until max_iter, 5000 iterations, exit 3)
+        data = tmp_path / "returns.csv"
+        assert main(["gen", "--assets", "10", "--periods", "120", "--seed",
+                     "3", "-o", str(data)]) == EXIT_OK
+        code, payload = run_solve(str(data), tmp_path, "--target-return",
+                                  "0.0148", "--adaptive-lambda")
+        assert code == EXIT_OK
+        assert payload["termination"] == "converged" and payload["certified"]
+        assert payload["iterations"] < 100
+        mu, C = estimate_stats(load_returns_csv(str(data)))
+        oracle = enumerate_solve(build_problem(mu, C, 0.0148),
+                                 payload["lambda_final"])
+        np.testing.assert_allclose(payload["weights"], oracle.weights, rtol=0,
+                                   atol=1e-12)
+        assert list(np.flatnonzero(oracle.weights)) == [2, 8]
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["solve", "--input", str(tmp_path / "absent.csv")]) \

@@ -15,10 +15,14 @@ no bb, rbb or frontier case moved.  When each certificate attempt began to
 correct z's support by an active-set finish, the 34 suite cases and the
 two frontier points it ends sooner were recorded again: every converged
 case stayed converged, and illcond fixed 2, rb 2 and rb 3 and frontier
-point 0 became certified.  A change to the arithmetic of any iterate (operation
-order, a different norm routine, a skipped or added step) moves at least
-one of these floats, so a change that claims identical iterates must pass
-this file unchanged.
+point 0 became certified.  When a failed certificate pattern began to be
+tried again on a larger budget, and a one-asset support that misses the
+target to be left by its cheapest feasible pair, illcond fixed 0, shorts
+fixed 2 and rbb 0 and frontier point 0, which these end sooner, were
+recorded again; their certified objectives did not move.  A change to the
+arithmetic of any iterate (operation order, a different norm routine, a
+skipped or added step) moves at least one of these floats, so a change
+that claims identical iterates must pass this file unchanged.
 
 Suite cases use the ``bench`` command's configuration: suite seed 0, trials
 0-4, default penalty settings, tol 1e-6 and max_iter 5000.  Frontier cases
@@ -61,7 +65,7 @@ SUITE_CASES = {
     ("random", "rb", 4): (17, "converged", 0, 0.02280403816439599, 0.0008333333333333334, 0.0008475613981918813, True),
     ("random", "bb", 4): (17, "converged", 0, 0.0010126744791254022, 0.0008333333333333334, 0.0008475613981918813, True),
     ("random", "rbb", 4): (17, "converged", 0, 0.00010921461012628551, 0.0008333333333333334, 0.0008475613981918813, True),
-    ("illcond", "fixed", 0): (129, "converged", 0, 9.999999999921576e-05, 0.0008333333333333334, 0.0008413696036479542, True),
+    ("illcond", "fixed", 0): (65, "converged", 0, 9.999999999921576e-05, 0.0008333333333333334, 0.0008413696036479542, True),
     ("illcond", "rb", 0): (33, "converged", 0, 0.10239999999919694, 0.0008333333333333334, 0.0008413696036479542, True),
     ("illcond", "bb", 0): (17, "converged", 0, 5.4283044867755744e-06, 0.0008333333333333334, 0.0008413696036479542, True),
     ("illcond", "rbb", 0): (17, "converged", 0, 1.2612420762353573e-06, 0.0008333333333333334, 0.0008413696036479542, True),
@@ -84,12 +88,12 @@ SUITE_CASES = {
     ("shorts", "fixed", 0): (65, "converged", 0, 0.0006470304439901399, 0.008333333333333333, 0.008344094904358463, True),
     ("shorts", "rb", 0): (33, "converged", 0, 0.020704974207684478, 0.008333333333333333, 0.008344094904358463, True),
     ("shorts", "bb", 0): (33, "converged", 0, 0.007582240721384707, 0.008333333333333333, 0.008344094904358463, True),
-    ("shorts", "rbb", 0): (129, "converged", 0, 9.39975909465963e-05, 0.008333333333333333, 0.008344094904358463, True),
+    ("shorts", "rbb", 0): (65, "converged", 0, 0.004328525827965202, 0.008333333333333333, 0.008344094904358463, True),
     ("shorts", "fixed", 1): (65, "converged", 0, 0.0006818201723713386, 0.008333333333333333, 0.008351271627684375, True),
     ("shorts", "rb", 1): (33, "converged", 0, 0.021818245515882836, 0.008333333333333333, 0.008351271627684375, True),
     ("shorts", "bb", 1): (33, "converged", 0, 0.036470691135619265, 0.008333333333333333, 0.008351271627684375, True),
     ("shorts", "rbb", 1): (33, "converged", 0, 0.0007784268445719158, 0.008333333333333333, 0.008351271627684375, True),
-    ("shorts", "fixed", 2): (513, "converged", 0, 0.0005469143524445613, 0.008333333333333333, 0.008406277626561286, True),
+    ("shorts", "fixed", 2): (65, "converged", 0, 0.0005469143524445613, 0.008333333333333333, 0.008406277626561286, True),
     ("shorts", "rb", 2): (65, "converged", 0, 0.03500251855645192, 0.008333333333333333, 0.008406277626561286, True),
     ("shorts", "bb", 2): (65, "converged", 0, 0.02650769131741392, 0.008333333333333333, 0.008406277626561286, True),
     ("shorts", "rbb", 2): (65, "converged", 0, 0.0005232843353582652, 0.008333333333333333, 0.008406277626561286, True),
@@ -105,7 +109,7 @@ SUITE_CASES = {
 
 # frontier point: same layout as SUITE_CASES
 FRONTIER_CASES = {
-    0: (798, "converged", 2, 0.0001271455182613717, 0.0033333333333333335, 0.0034248806605636337, True),
+    0: (99, "converged", 2, 0.0001271455182613717, 0.0033333333333333335, 0.0034248806605636337, True),
     3: (33, "converged", 0, 0.0007689355875545938, 0.0008333333333333334, 0.0008428777161561389, True),
     4: (9, "converged", 0, 0.004938714688543736, 0.0008333333333333334, 0.0008412162157772466, True),
     12: (17, "converged", 0, 7.2503133436907e-05, 0.0008333333333333334, 0.0008415608348689496, True),

@@ -20,7 +20,7 @@ from sparsefolio.kkt import (
     solve_support,
     solve_x_update,
 )
-from sparsefolio.model import PortfolioProblem
+from sparsefolio.model import PortfolioProblem, objective_value
 from sparsefolio.penalty import RHO_MAX, RHO_MIN
 from sparsefolio.suites import SUITES, make_suite_instances
 
@@ -308,6 +308,50 @@ class TestCertify:
         # a negative sign flips: one step fails, a second takes x's own sign
         assert certify(problem, 0.1, -lone) is None
         np.testing.assert_array_equal(certify(problem, 0.1, -lone, 2)[0], lone)
+        # another lone asset misses the target; with a step left the finish
+        # goes on from the cheapest feasible pair, here the optimum's asset
+        # at weight 1 beside it at 0, which the next step certifies
+        other = (j + 1) % 6
+        np.testing.assert_array_equal(kkt._cheapest_pair(problem, 0.1, other),
+                                      lone)
+        np.testing.assert_array_equal(
+            certify(problem, 0.1, np.eye(6)[other], 2)[0], lone)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.1])
+    def test_cheapest_pair_is_the_lowest_feasible_pair(self, seed, lam):
+        # against the objective of every pair {j, i} with mu_i != mu_j that
+        # meets Dx = b
+        problem = factor_problem(n=6, seed=seed)
+        e = problem.b[0]
+        for j in range(6):
+            x = kkt._cheapest_pair(problem, lam, j)
+            assert x[j] != 0 and 1 <= np.count_nonzero(x) <= 2
+            np.testing.assert_allclose(problem.D @ x, problem.b, rtol=0,
+                                       atol=1e-15)
+            values = []
+            for i in np.flatnonzero(problem.mu != problem.mu[j]):
+                pair = np.zeros(6)
+                pair[i] = (e - problem.mu[j]) / (problem.mu[i] - problem.mu[j])
+                pair[j] = 1 - pair[i]
+                values.append(objective_value(problem.C, pair, lam))
+            assert objective_value(problem.C, x, lam) == pytest.approx(
+                min(values), rel=1e-12)
+
+    def test_lone_asset_off_the_target_needs_a_step_left(self):
+        # at a midpoint target no lone asset is feasible: one step gives
+        # None, and the finish from the pair gives None or the optimum
+        problem = factor_problem(n=6, seed=2)
+        lam = 1e-3
+        oracle = enumerate_solve(problem, lam)
+        for j in range(6):
+            lone = np.eye(6)[j]
+            assert problem.mu[j] != problem.b[0]
+            assert certify(problem, lam, lone) is None
+            polish = certify(problem, lam, lone, 12)
+            assert polish is not None
+            np.testing.assert_allclose(polish[0], oracle.weights, rtol=0,
+                                       atol=1e-12)
 
     def test_equal_means_on_the_support_are_not_certified(self):
         # D_S has rank 1 on a support whose means are equal: gesv finds the
@@ -410,6 +454,26 @@ class TestCertifyProperty:
             x, nu, g = polish
             np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
             assert check_kkt(problem, lam, x, nu, g) <= KKT_TOL
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 3),
+           point=st.integers(0, 4), lam=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+           steps=st.integers(1, 6), data=st.data())
+    def test_a_larger_budget_keeps_a_certificate(self, n, seed, point, lam,
+                                                 steps, data):
+        # the finish takes the same steps whatever is left of its budget,
+        # so a certificate found within steps is found, bitwise, within more
+        problem, _ = self.instance(n, seed, point, lam)
+        z = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                        min_size=n, max_size=n)))
+        polish = certify(problem, lam, z, steps)
+        if polish is None:
+            return
+        for more in range(steps + 1, 13):
+            again = certify(problem, lam, z, more)
+            assert again is not None
+            for a, b in zip(polish, again):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestInvert:
