@@ -30,22 +30,32 @@ a subgradient in [-1, 1] off the support and check_kkt within KKT_TOL,
 is the optimum, as those conditions are sufficient for this convex
 problem.  The run's last iterate becomes that optimum: x = z = the
 certified x, and y = -lam*g, its dual, which makes the iterate a fixed
-point of the three steps.  A block solve costs O(k^3), about ceil(n/3)
-O(n^2) x-steps, so attempts and their block solves are rationed.
-Iterations ceil(n/3) * 2^j are checkpoints, which bounds a run that never
-certifies to about log2(max_iter) of them; a checkpoint tries only when
-z's sign pattern is the previous iteration's, as the support is then
-settling.  An iteration that passes the residual test tries once too, so
-a converged run carries certified weights, exactly sparse, wherever a
-certificate holds.  An attempt at iteration k may make
-max(1, (k + 1) // ceil(n/3)) block solves, so the finish never spends
-more than the run's x-steps have: 1, 2, 4, 8, ... at the checkpoints.
-Neither kind of attempt retries the pattern of the last failed attempt
-unless its budget has grown since: a pattern one block solve short of a
-certificate gets it at the next checkpoint.  Each checkpoint could
-already spend its full budget on a new pattern, so the retry leaves the
-worst-case work of a run as it was.  A run that no certificate ends keeps
-its iterates, iteration count and termination bitwise.
+point of the three steps.  Attempts are rationed by the work they model,
+counted in O(n^2) x-steps and decided without a timer (kkt.finish_steps):
+a finish's first block solve on z's k-asset support costs
+max(kkt.attempt_floor(n), k^3/(3n^2)), where the floor min(ceil(n/3), 4)
+is 4, the interpreter cost of an attempt, from n = 10 on; each further
+step costs kkt.STEP_COST = 2, as it updates one kept factorization in
+O(n^2) (kkt).
+Iterations attempt_floor(n) * 2^j are checkpoints, which bounds a run
+that never certifies to about log2(max_iter) of them; a checkpoint tries
+only when z's sign pattern is the previous iteration's, as the support is
+then settling.  An iteration that passes the residual test tries once
+too, so a converged run carries certified weights, exactly sparse,
+wherever a certificate holds.  An attempt at iteration k gets the steps
+that the run's own work pays for: its k + 1 x-steps, and at the residual
+stop also (n + 2)/3 per refactorization, the price of one against an
+x-step; the run ends there either way, so that budget cannot delay it.
+A checkpoint that cannot pay for one step is skipped.  So a finish never
+spends more than the run has done.  Neither kind of attempt retries the
+pattern of the last failed attempt unless its budget has grown since: a
+pattern a few steps short of a certificate gets it at the next
+checkpoint.  Each checkpoint could already spend its full budget on a new
+pattern, so the retry leaves the worst-case work of a run as it was.
+SolveResult.finish counts the attempts, the failed ones, the fresh
+factorizations of a support block and the steps solved on a kept one.
+A run that no certificate ends keeps its iterates, iteration count and
+termination bitwise.
 
 Under fixed rho the x-step takes the explicit inverse of the KKT block
 (kkt.invert): one symmetric mat-vec instead of two triangular solves.
@@ -97,7 +107,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .kkt import KktFactorization, certify, factorize, invert, solve_x_update
+from .kkt import (FinishCounts, KktFactorization, attempt_floor, certify,
+                  factorize, finish_steps, invert, solve_x_update)
 from .lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
 from .penalty import PenaltyConfig, PenaltyState, compute_ybar, initial_rho
@@ -145,7 +156,9 @@ class IterateState(NamedTuple):
 @dataclass(frozen=True)
 class SolveResult:
     """How a solve ended.  certified says a KKT certificate ended its last
-    run, so weights is that run's exact optimum and exactly sparse."""
+    run, so weights is that run's exact optimum and exactly sparse.  finish
+    counts the certificate attempts of all runs, the failed ones, the fresh
+    support-block factorizations and the steps solved on a kept one."""
 
     weights: np.ndarray
     objective: float
@@ -156,6 +169,7 @@ class SolveResult:
     lambda_adjustments: int
     rho_final: float
     certified: bool
+    finish: FinishCounts
 
 
 def shrink_constants(lam: float, rho: float,
@@ -228,15 +242,18 @@ def feasible_start(problem: PortfolioProblem) -> np.ndarray:
 def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
          rho: float, factorization: KktFactorization, budget: int,
          callback: Optional[Callable[[IterateState], None]],
-         ) -> tuple[IterateState, str, int, float, bool]:
+         counts: FinishCounts) -> tuple[IterateState, str, int, float, bool]:
     """One ADMM run at a fixed lam from the cold start, for at most budget
     iterations; it starts at rho, the solve's rho0, and factorization is the
     one at rho.  Iteration k is due an update when k equals the value last
     drawn from PenaltyState.due.
 
     Checkpoints and the residual stop try kkt.certify on z by the rule of
-    the module docstring, which keeps the pattern and budget of the last
-    failed attempt.  A certificate replaces iteration k by the
+    the module docstring: the budget is the run's k + 1 x-steps, and at the
+    stop its refactorizations' (n + 2)/3 each too, priced by
+    kkt.finish_steps; the run keeps the pattern and budget of the last
+    failed attempt, and counts attempts, failures and the finish's solves
+    in counts.  A certificate replaces iteration k by the
     optimum, with that iterate's own residual norms (r_norm 0), which the
     callback sees, and ends the run converged.
 
@@ -254,8 +271,9 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     next_due = next(due, -1)  # -1 once no update is due any more
     reads_ybar = pen_state.reads_ybar
     tol = cfg.tol
-    # an O(k^3) block solve costs about n/3 O(n^2) x-steps
-    cost = checkpoint = -(-n // 3)
+    # the x-steps' worth of the run's refactorizations, (n + 2)/3 each
+    factor_work = 0.0
+    checkpoint = attempt_floor(n)
     # z's sign pattern at the last failed certificate, and its budget
     failed_signs, failed_budget = None, 0
     certified = False
@@ -284,12 +302,16 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if k == checkpoint:
                     checkpoint *= 2
                 signs = np.sign(z_new)
-                steps = max(1, (k + 1) // cost)
-                if ((stop or np.array_equal(signs, np.sign(z)))
+                # the run's work so far; its refactorizations count at the stop
+                work = k + 1 + (factor_work if stop else 0.0)
+                steps = finish_steps(n, np.count_nonzero(signs), work)
+                if (steps and (stop or np.array_equal(signs, np.sign(z)))
                         and not (failed_budget >= steps
                                  and np.array_equal(signs, failed_signs))):
-                    polish = certify(problem, lam, z_new, steps)
+                    counts.attempts += 1
+                    polish = certify(problem, lam, z_new, steps, counts)
                     if polish is None:
+                        counts.failed += 1
                         failed_signs, failed_budget = signs, steps
                     else:
                         x_new = z_new = polish[0]
@@ -317,6 +339,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if rho_new != rho:
                     rho = rho_new
                     factorization = factorize(problem, rho)
+                    factor_work += (n + 2) / 3
                     rho_vector = factorization.rho_vector
                     kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
 
@@ -355,10 +378,11 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         # rho never moves, so every run of this solve takes the inverse
         factorization = invert(factorization)
     iterations = moves = 0
+    counts = FinishCounts()
     while iterations < cfg.max_iter:
         state, termination, used, rho, certified = _run(
             problem, cfg, lam, rho0, factorization, cfg.max_iter - iterations,
-            callback)
+            callback, counts)
         iterations += used
         if (schedule.sn is None or termination != TERMINATION_CONVERGED
                 or moves == MAX_ADJUSTMENTS):
@@ -382,4 +406,5 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
         lambda_adjustments=moves,
         rho_final=rho,
         certified=certified,
+        finish=counts,
     )

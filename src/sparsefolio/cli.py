@@ -193,6 +193,7 @@ def cmd_solve(args) -> int:
     target = _resolve_target(args, mu)
     problem = build_problem(mu, C, target)
     cfg = _make_config(args, returns.periods, returns.assets)
+    del returns  # the solve needs only the moments; free the sample first
     history = {"r_norm": [], "d_norm": [], "rho": [], "lambda": []}
 
     def record(state) -> None:
@@ -249,6 +250,7 @@ def cmd_frontier(args) -> int:
                          f"narrow the range")
     targets = np.linspace(e_min, e_max, args.points)
     cfg = _make_config(args, returns.periods, returns.assets)
+    del returns  # the solves need only the moments; free the sample first
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -55,14 +55,14 @@ signs s on S, its solution meets the penalized problem's stationarity
 and feasibility conditions on S; head = 0 on the full support gives the
 unpenalized, equality-constrained QP.  ``check_kkt`` measures how far a
 candidate (x, nu, g) is from meeting all the optimality conditions, which
-certifies such a solution.  The block is built and solved on each call:
-a support's block shares no factorization with the x-step's.  It gathers
-C_SS a few rows at a time and is factored in place by LAPACK ``gesv``,
-so that a solve at n=500 holds no second block.
+certifies such a solution.  Each ``solve_support`` call builds and
+factors its block afresh, sharing no factorization with the x-step's: it
+gathers C_SS a few rows at a time and factors it in place by LAPACK
+``gesv``, so that a solve at n=500 holds no second block.
 
 ``certify`` is that polish (Stellato et al. 2020, OSQP, section 5) as a
 bounded active-set finish from the support and signs of an ADMM iterate
-z: each step is one ``solve_support`` against [-lam*s; b].  It accepts a
+z: each step solves the block of S against [-lam*s; b].  It accepts a
 solution only where the signs on S hold, the subgradient off S lies in
 [-1, 1] and ``check_kkt`` is within KKT_TOL; the conditions are
 sufficient for this convex problem, so an accepted x is its optimum.
@@ -78,6 +78,21 @@ and goes on from there.  The test suite's exhaustive oracle solves its
 candidate blocks through ``solve_support`` and
 ``single_asset_multipliers`` too, so an oracle support and a certified
 one give the same bits.
+
+The first step of a finish is one ``solve_support``; the later ones keep
+C_SS^-1 in one buffer for the finish (``_SupportInverse``) and update it
+by a rank-one term as an asset joins or leaves, as active-set methods
+update their factorizations (Gill, Golub, Murray and Saunders 1974;
+Nocedal and Wright 2006, section 16.5).  The buffer is n x n, so a step
+costs O(n^2), like an x-step, against O(k^3) for a fresh factorization;
+a support so small that its fresh factorization costs less than an
+attempt's interpreter overhead (``attempt_floor``) is solved afresh at
+every step instead.  An x the kept inverse would accept is solved once
+more by ``solve_support`` and checked as that, so certified weights are
+``solve_support``'s on their support, bitwise.  The line search takes the
+quadratic along the segment in closed form, so a candidate costs its
+O(n) L1 term.  ``finish_steps`` prices a finish in
+x-steps for the engine's rationing.
 """
 
 from __future__ import annotations
@@ -89,14 +104,23 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .model import PortfolioProblem, objective_value
+from .model import PortfolioProblem
 
 _getrf, _getrs, _getri, _getri_lwork, _gesv = get_lapack_funcs(
     ("getrf", "getrs", "getri", "getri_lwork", "gesv"), dtype=np.float64)
-_symv = get_blas_funcs("symv", dtype=np.float64)
+_potrf, _potri = get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
+_symv, _syr = get_blas_funcs(("symv", "syr"), dtype=np.float64)
 
 # check_kkt's bound on a certified solution's worst violation
 KKT_TOL = 1e-9
+# a finish's modelled cost in x-steps (finish_steps): the most the cheapest
+# attempt costs, and the price of each step after an attempt's first
+ATTEMPT_FLOOR = 4
+STEP_COST = 2
+_EPS = np.finfo(float).eps
+# entries of the candidates-by-assets block a line search's L1 term takes
+# at a time
+_L1_ENTRIES = 1 << 16
 # rows of C_SS a support block gathers at a time
 _GATHER_ROWS = 64
 
@@ -241,14 +265,31 @@ def single_asset_multipliers(problem: PortfolioProblem, lam: float,
     return np.array([nu_1, -C[j, j] - lam - mu[j] * nu_1])
 
 
+@dataclass
+class FinishCounts:
+    """What a solve's certificate attempts did: attempts made and failed, fresh
+    O(k^3) factorizations of a support block (solve_support calls and
+    _SupportInverse builds) and finish steps solved on a kept one."""
+
+    attempts: int = 0
+    failed: int = 0
+    factorizations: int = 0
+    updates: int = 0
+
+
 def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
-            steps: int = 1,
+            steps: int = 1, counts: Optional[FinishCounts] = None,
             ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The optimum found from z's support S and signs s in at most steps
     block solves, with its certificate, or None.
 
-    Each step solves the block of S against [-lam*s; b] (solve_support;
-    a lone asset through single_asset_multipliers, with no block solve).
+    Each step solves the block of S against [-lam*s; b]: the first by
+    solve_support, the later ones on a _SupportInverse that the second
+    step builds and every further step updates for the assets that joined
+    or left S (a lone asset through single_asset_multipliers, with no block
+    solve).  A solution from the kept inverse that would be accepted is
+    solved again by solve_support, and that solution is the one checked, so
+    an accepted x is solve_support's on its support.
     A lone asset j with mu_j != e is infeasible: a step that is not the
     last takes the cheapest feasible pair {j, i} (_cheapest_pair) as the
     current point, with its support and signs, and makes no block solve.
@@ -262,27 +303,29 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
       s_j = sign(g_j), and take the solution as the current point;
     - a sign flips: take the point of lowest objective among the zero
       crossings of the segment from the current point to the solution and
-      the solution itself, and let S and s be its support and signs, so
-      the coordinates that reach zero drop; the first step has no current
-      point and takes the solution.
+      the solution itself (_line_search), and let S and s be its support
+      and signs, so the coordinates that reach zero drop; the first step
+      has no current point and takes the solution.
     Every point on the segments keeps Dx = b.  It returns None where S is
     empty, a block is singular, a lone asset whose mean is e is not
     certified, a check fails with no step left or the final check_kkt
     exceeds KKT_TOL.  So it accepts only a certified optimum, and with
-    steps=1 it tests z's own pattern.
+    steps=1 it tests z's own pattern.  counts, when given, gains the
+    factorizations and kept-inverse steps the call made.
     """
+    counts = FinishCounts() if counts is None else counts
     n = problem.n
     support = z != 0
     signs = np.sign(z)
     current = None
+    kept = None  # the _SupportInverse of the steps after the first
     for step in range(steps):
-        index = np.flatnonzero(support)
-        k = index.size
+        k = np.count_nonzero(support)
         last = step + 1 == steps
         if k == 0:
             return None
         if k == 1:
-            j = index[0]
+            j = int(np.argmax(support))
             nu = single_asset_multipliers(problem, lam, j)
             if nu is None:
                 if last or problem.mu[j] == problem.b[0]:
@@ -292,32 +335,42 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
                 support = current != 0
                 signs = np.sign(current)
                 continue
-            solution = np.concatenate(([1.0], nu))
+            x = np.zeros(n)
+            x[j] = 1.0
+            g, worst = _subgradient(problem, lam, support, signs, x, nu)
         else:
+            fresh = step == 0 or _factor_cost(n, k) < attempt_floor(n)
             try:
-                solution = solve_support(problem, support, -lam * signs[support])
+                if fresh:
+                    x, nu = _solve_fresh(problem, lam, support, signs, counts)
+                else:
+                    if kept is None:
+                        kept = _SupportInverse(problem, support)
+                        counts.factorizations += 1
+                    else:
+                        counts.factorizations += kept.move_to(support)
+                    counts.updates += 1
+                    x, nu = kept.solve(-lam * signs * support)
+                g, worst = _subgradient(problem, lam, support, signs, x, nu)
+                if not fresh and g is not None and worst is None:
+                    # accepted on the kept inverse: check solve_support's x,
+                    # with the inverse's memory given back first
+                    kept = None
+                    x, nu = _solve_fresh(problem, lam, support, signs, counts)
+                    g, worst = _subgradient(problem, lam, support, signs, x, nu)
             except np.linalg.LinAlgError:
                 return None
-        x = np.zeros(n)
-        x[support] = solution[:k]
-        nu = solution[k:]
-        if np.all(signs[support] * solution[:k] > 0):
-            g = np.zeros(n)
-            g[support] = signs[support]
-            if lam > 0:
-                off = np.flatnonzero(~support)
-                g[off] = (problem.C @ x + problem.D.T @ nu)[off] / -lam
-                if not np.all(np.abs(g[off]) <= 1.0):
-                    if last:
-                        return None
-                    j = off[np.argmax(np.abs(g[off]))]
-                    support[j] = True
-                    signs[j] = np.sign(g[j])
-                    current = x
-                    continue
-            if not check_kkt(problem, lam, x, nu, g) <= KKT_TOL:
+        if g is not None:
+            if worst is None:
+                if not check_kkt(problem, lam, x, nu, g) <= KKT_TOL:
+                    return None
+                return x, nu, g
+            if last:
                 return None
-            return x, nu, g
+            support[worst] = True
+            signs[worst] = np.sign(g[worst])
+            current = x
+            continue
         if last:
             return None
         if current is not None:
@@ -326,6 +379,155 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
         support = x != 0
         signs = np.sign(x)
     return None
+
+
+def finish_steps(n: int, k: int, work: float) -> int:
+    """The block solves that work x-steps pay for in a finish from a support
+    of k of n assets: 0 where work is below the first solve's price
+    max(attempt_floor(n), k^3/(3n^2)), else one plus one per STEP_COST of
+    what is left."""
+    first = max(attempt_floor(n), _factor_cost(n, k))
+    if work < first:
+        return 0
+    return 1 + int((work - first) // STEP_COST)
+
+
+def attempt_floor(n: int) -> int:
+    """The price of the cheapest attempt in x-steps: min(ceil(n/3),
+    ATTEMPT_FLOOR).  ceil(n/3) is a full-support factorization's price, and
+    ATTEMPT_FLOOR the interpreter cost of an attempt, which is what a
+    factorization costs at n = 10 and what stays of its cost below that."""
+    return min(-(-n // 3), ATTEMPT_FLOOR)
+
+
+def _factor_cost(n: int, k: int) -> float:
+    """A fresh factorization of a k-asset support block in x-steps: its
+    k^3/3 flops against the 3n^2 or so of one x-step's solve."""
+    return k ** 3 / (3 * n * n)
+
+
+def _solve_fresh(problem: PortfolioProblem, lam: float, support: np.ndarray,
+                 signs: np.ndarray, counts: FinishCounts,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """x (zero off S) and nu: one solve_support of S against [-lam*s; b]."""
+    counts.factorizations += 1
+    solution = solve_support(problem, support, -lam * signs[support])
+    k = solution.size - 2
+    x = np.zeros(problem.n)
+    x[support] = solution[:k]
+    return x, solution[k:]
+
+
+def _subgradient(problem: PortfolioProblem, lam: float, support: np.ndarray,
+                 signs: np.ndarray, x: np.ndarray, nu: np.ndarray,
+                 ) -> tuple[Optional[np.ndarray], Optional[int]]:
+    """certify's test of a solution on S: (None, None) where a sign on S
+    flips, else g (s on S, -(Cx + D'nu)/lam off S, 0 there at lam = 0) and
+    the worst off-support asset with |g_j| > 1, or None if there is none."""
+    if not np.all(signs[support] * x[support] > 0):
+        return None, None
+    if not lam > 0:
+        return np.where(support, signs, 0.0), None
+    g = np.where(support, signs,
+                 (problem.C @ x + problem.D.T @ nu) / -lam)
+    worst = int(np.argmax(np.where(support, 0.0, np.abs(g))))
+    return g, (None if abs(g[worst]) <= 1.0 else worst)
+
+
+class _SupportInverse:
+    """H = C_SS^-1 for a support S, kept n x n with exact zeros off S, so
+    that an asset joins or leaves S by one rank-one update of the whole
+    buffer in place instead of a fresh factorization.  Only the upper
+    triangle is stored and read: BLAS symv and syr.
+
+    With H, the block [C_SS D_S'; D_S 0] [x_S; nu] = [h; b] is solved
+    through the 2 x 2 Schur complement D_S H D_S'.  Asset j joins by the
+    bordering formula: with c = C_Sj, u = Hc and sigma = C_jj - c'u, the
+    inverse on S + j is H + w w'/sigma with w = u - e_j.  It leaves by the
+    downdate H - w w'/H_jj with w = H e_j, after which row and column j
+    are set to exact zero.  A pivot sigma or H_jj that is not positive and
+    finite, which rounding can give on a nearly singular C_SS, or more
+    changes than two, makes it factor S afresh (LAPACK potrf and potri).
+    The buffer belongs to one finish.
+    """
+
+    def __init__(self, problem: PortfolioProblem, support: np.ndarray):
+        self.C, self.mu, self.b = problem.C, problem.mu, problem.b
+        self.H = np.zeros((problem.n, problem.n), order="F")
+        # the right-hand sides [h, mu_S, 1_S] of a solve, zero off S
+        self.R = np.zeros((problem.n, 3), order="F")
+        self.support = support.copy()
+        self._factor()
+
+    def _factor(self) -> None:
+        index = np.flatnonzero(self.support)
+        # C_SS is symmetric, so its transpose is the Fortran-ordered copy
+        block = self.C[np.ix_(index, index)].T
+        # clean zeroes the strict lower triangle, which potri leaves alone
+        upper, info = _potrf(block, lower=False, overwrite_a=True, clean=True)
+        if info == 0:
+            upper, info = _potri(upper, lower=False, overwrite_c=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("C_SS is not positive definite")
+        self.H.fill(0.0)
+        self.H[np.ix_(index, index)] = upper
+        self.R[:, 1] = np.where(self.support, self.mu, 0.0)
+        self.R[:, 2] = self.support
+
+    def move_to(self, support: np.ndarray) -> int:
+        """Make H the inverse for support; returns the fresh factorizations
+        that took (0 or 1)."""
+        changed = np.flatnonzero(support != self.support)
+        if changed.size > 2:
+            self.support = support.copy()
+            self._factor()
+            return 1
+        for j in changed:
+            if not (self._join(j) if support[j] else self._leave(j)):
+                self.support = support.copy()
+                self._factor()
+                return 1
+        return 0
+
+    def _join(self, j: int) -> bool:
+        c = np.where(self.support, self.C[:, j], 0.0)
+        u = _symv(1.0, self.H, c)
+        sigma = self.C[j, j] - c @ u
+        if not 0 < sigma < math.inf:
+            return False
+        u[j] = -1.0
+        self.H = _syr(1.0 / sigma, u, a=self.H, overwrite_a=True)
+        self.support[j] = True
+        self.R[j, 1:] = self.mu[j], 1.0
+        return True
+
+    def _leave(self, j: int) -> bool:
+        H = self.H
+        w = np.concatenate((H[:j, j], H[j, j:]))  # column j, from the upper
+        if not 0 < w[j] < math.inf:
+            return False
+        self.H = H = _syr(-1.0 / w[j], w, a=H, overwrite_a=True)
+        H[j, :] = 0.0
+        H[:, j] = 0.0
+        self.support[j] = False
+        self.R[j, 1:] = 0.0
+        return True
+
+    def solve(self, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x (zero off S) and nu of the block of S against [head_S; b];
+        head is an n-vector, zero off S."""
+        self.R[:, 0] = head
+        # one symv a column: at n=500 a three-column symm took nine times
+        # as long as one symv (OpenBLAS, one thread)
+        HR = np.column_stack([_symv(1.0, self.H, r) for r in self.R.T])
+        # [h, mu_S, 1_S]' H [h, mu_S, 1_S] holds D_S H h and D_S H D_S'
+        (_, p, q), (_, a, c), (_, _, d) = (self.R.T @ HR).tolist()
+        det = a * d - c * c
+        if not det > 0:
+            raise np.linalg.LinAlgError("D_S H D_S' is singular")
+        r, s = p - self.b[0], q - self.b[1]
+        nu = np.array(((d * r - c * s) / det, (a * s - c * r) / det))
+        return HR @ np.array((1.0, -nu[0], -nu[1])), nu
 
 
 def _cheapest_pair(problem: PortfolioProblem, lam: float,
@@ -357,14 +559,26 @@ def _line_search(problem: PortfolioProblem, lam: float, current: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
     """The point of lowest objective on the segment from current to x among
     x and the points where a coordinate crosses zero, with the coordinates
-    that cross there set to exactly zero; the first lowest wins."""
+    that cross there set to exactly zero; the first lowest wins, where
+    values within rounding of the lowest count as equal.
+
+    Along current + t*d the quadratic is c'Cc/2 + t c'Cd + t^2 d'Cd/2, from
+    one product of C with [current, d], so a candidate costs only its O(n)
+    L1 term, taken for a block of candidates at a time."""
     direction = x - current
     crossing = np.flatnonzero(current * x < 0)
     at = current[crossing] / -direction[crossing]
     candidates = np.append(np.unique(at), 1.0)
-    values = [objective_value(problem.C, current + t * direction, lam)
-              for t in candidates]
-    t = candidates[int(np.argmin(values))]
+    ends = np.array((current, direction))
+    (cc, cd), (_, dd) = (ends @ problem.C) @ ends.T
+    rows = max(1, _L1_ENTRIES // current.size)
+    penalty = lam * np.concatenate([
+        np.abs(current + candidates[i:i + rows, None] * direction).sum(axis=1)
+        for i in range(0, candidates.size, rows)])
+    values = 0.5 * (cc + candidates * (2 * cd + candidates * dd)) + penalty
+    # values within rounding of the lowest tie, and the first of them wins
+    scale = 0.5 * (abs(cc) + 2 * abs(cd) + abs(dd)) + penalty.max()
+    t = candidates[int(np.argmax(values <= values.min() + 8 * _EPS * scale))]
     if t == 1.0:
         return x
     point = current + t * direction

@@ -497,8 +497,9 @@ class TestBench:
         # rbb again when spectral updates began to decline small moves, rb,
         # bb and rbb again when certificates began to end runs, fixed and rb
         # again when they began to start at sqrt(lambda_min * lambda_max) of
-        # C, and fixed, rb and rbb again when each certificate attempt began
-        # to correct z's support; the spectral rules stay ahead of fixed
+        # C, fixed, rb and rbb again when each certificate attempt began to
+        # correct z's support, and rb again when attempts began to be priced
+        # by the support they solve; the spectral rules stay ahead of fixed
         code, rows = self.run(tmp_path, "--suite", "illcond", "--trials", "3",
                               "--seed", "0")
         assert code == EXIT_OK
@@ -508,7 +509,7 @@ class TestBench:
             if fields[2] == "median":
                 medians[fields[1]] = float(fields[3])
         assert medians["fixed"] == 65.0
-        assert medians["rb"] == 33.0
+        assert medians["rb"] == 17.0
         assert medians["bb"] == 17.0
         assert medians["rbb"] == 17.0
         assert max(medians["bb"], medians["rbb"]) < medians["fixed"]

@@ -46,9 +46,9 @@ CASES = {
         ("solve", "--target-return", "0.0148", "--adaptive-lambda"),
         "f3e7073138ed539ee7dd51a016eac6e78bf7aeb74b8ccb0c20e6d4b725ba9112"),
     "frontier-3": (("frontier", "--points", "3"),
-        "df9f9a5826d355a9eefb3f0ebe9d6aa1b8c058a7d2764aa238be704b8f917548"),
+        "2419a8c81022cda307aa89442ad2f3b395c0136fceb118af1e76f58d571cc1a7"),
     "bench-2": (("bench", "--trials", "2"),
-        "8a89ce07f2f5f2517eb4c491679a1039a5f766bd38c4781189ef49dfc2e0d7fe"),
+        "47720c8e6a777f05cb970f78995183ec30b7946f239be5b1d970f4ef781d00be"),
 }
 
 

@@ -10,18 +10,22 @@ from scipy.linalg import lu_factor, lu_solve
 import sparsefolio.kkt as kkt
 from conftest import factor_problem, identity_problem, two_asset_problem
 from exhaustive_oracle import enumerate_solve
+from sparsefolio.admm_engine import SolverConfig, solve
 from sparsefolio.kkt import (
     KKT_TOL,
+    attempt_floor,
     certify,
     check_kkt,
     factorize,
+    finish_steps,
     invert,
     single_asset_multipliers,
     solve_support,
     solve_x_update,
 )
+from sparsefolio.lambda_controller import LambdaSchedule, initial_lambda
 from sparsefolio.model import PortfolioProblem, objective_value
-from sparsefolio.penalty import RHO_MAX, RHO_MIN
+from sparsefolio.penalty import RHO_MAX, RHO_MIN, PenaltyConfig
 from sparsefolio.suites import SUITES, make_suite_instances
 
 
@@ -420,7 +424,8 @@ class TestCertify:
 
 class TestCertifyProperty:
     """For any sign vector z, certify(problem, lam, z, steps) is the optimum
-    or None, and makes at most steps block solves."""
+    or None, and makes at most steps block solves; the optimum's weights are
+    solve_support's on its support, bitwise."""
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -454,6 +459,13 @@ class TestCertifyProperty:
             x, nu, g = polish
             np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
             assert check_kkt(problem, lam, x, nu, g) <= KKT_TOL
+            # the weights are solve_support's on their support and signs,
+            # bitwise (a lone asset is e_j, with no block solve)
+            support = x != 0
+            if np.count_nonzero(support) > 1:
+                solution = solve_support(problem, support,
+                                         -lam * np.sign(x[support]))
+                assert x[support].tobytes() == solution[:-2].tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 8), seed=st.integers(0, 3),
@@ -474,6 +486,136 @@ class TestCertifyProperty:
             assert again is not None
             for a, b in zip(polish, again):
                 assert a.tobytes() == b.tobytes()
+
+
+class TestKeptInverse:
+    """The steps after a finish's first on a support block large enough to
+    pay for it: kkt._SupportInverse, updated as assets join and leave."""
+
+    def test_joins_and_leaves_match_fresh_solves(self, rng):
+        # about 60 of 100 assets, one change at a time: each is a rank-one
+        # update, and the solve agrees with solve_support to 1e-10
+        n = 100
+        problem = factor_problem(n=n, m=200, seed=5)
+        support = np.zeros(n, dtype=bool)
+        support[rng.choice(n, 60, replace=False)] = True
+        kept = kkt._SupportInverse(problem, support)
+        for _ in range(40):
+            support = support.copy()
+            j = rng.integers(n)
+            support[j] = not support[j]
+            assert kept.move_to(support) == 0
+            head = np.where(support, rng.choice([-1e-3, 1e-3], n), 0.0)
+            x, nu = kept.solve(head)
+            expected = solve_support(problem, support, head[support])
+            np.testing.assert_allclose(x[support], expected[:-2], rtol=0,
+                                       atol=1e-10)
+            assert not x[~support].any()
+            np.testing.assert_allclose(nu, expected[-2:], rtol=1e-10)
+
+    def test_more_than_two_changes_refactor(self, rng):
+        n = 40
+        problem = factor_problem(n=n, m=120, seed=2)
+        support = rng.random(n) < 0.5
+        kept = kkt._SupportInverse(problem, support)
+        moved = support.copy()
+        moved[:3] = ~moved[:3]
+        assert kept.move_to(moved) == 1
+        head = np.where(moved, 1e-3, 0.0)
+        x, _ = kept.solve(head)
+        expected = solve_support(problem, moved, head[moved])
+        np.testing.assert_allclose(x[moved], expected[:-2], rtol=0, atol=1e-12)
+
+    def test_finish_on_the_kept_inverse_is_the_optimum(self):
+        # n=120, a 104-asset optimum: one asset dropped or added takes a
+        # finish of 2 to 8 steps, all but the first on the kept inverse, and
+        # the certificate is bitwise the one of the optimum's own pattern;
+        # the counts are those of the solves the finish made
+        n, m = 120, 240
+        problem = factor_problem(n=n, m=m, seed=0)
+        lam = initial_lambda(m, n)
+        optimum = certify(problem, lam, np.sign(solve(problem, SolverConfig(
+            penalty=PenaltyConfig(kind="bb"),
+            lambda_schedule=LambdaSchedule.fixed(lam))).weights))
+        signs = np.sign(optimum[0])
+        assert np.count_nonzero(signs) == 104
+        for i in range(0, n, 7):
+            z = signs.copy()
+            z[i] = 0.0 if signs[i] else 1.0
+            fresh, kept_solves = [], []
+            counts = kkt.FinishCounts()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kkt, "solve_support",
+                              counting(fresh, kkt.solve_support))
+                patch.setattr(kkt._SupportInverse, "_factor",
+                              counting(fresh, kkt._SupportInverse._factor))
+                patch.setattr(kkt._SupportInverse, "solve",
+                              counting(kept_solves, kkt._SupportInverse.solve))
+                polish = certify(problem, lam, z, 12, counts)
+            assert polish is not None
+            assert counts.updates == len(kept_solves) >= 1
+            assert counts.factorizations == len(fresh)
+            for a, b in zip(polish, optimum):
+                assert a.tobytes() == b.tobytes()
+
+
+def counting(calls, function):
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+    return counted
+
+
+class TestLineSearch:
+    """kkt._line_search's closed form against an objective_value scan."""
+
+    def test_picks_the_scan_minimum(self, rng):
+        # on segments whose lowest candidate is not tied (to 1e-9), the
+        # point is the one the scan of the candidates picks, bitwise
+        problem = factor_problem(n=12, m=60, seed=3)
+        checked = 0
+        for _ in range(300):
+            current = rng.standard_normal(12) * (rng.random(12) < 0.7)
+            x = rng.standard_normal(12) * (rng.random(12) < 0.7)
+            lam = float(rng.choice([0.0, 1e-3, 0.1, 1.0]))
+            direction = x - current
+            crossing = np.flatnonzero(current * x < 0)
+            at = current[crossing] / -direction[crossing]
+            candidates = np.append(np.unique(at), 1.0)
+            values = np.array([objective_value(problem.C,
+                                               current + t * direction, lam)
+                               for t in candidates])
+            lowest = np.sort(values)[:2]
+            if lowest.size == 2 and lowest[1] - lowest[0] <= 1e-9 * lowest[0]:
+                continue
+            t = candidates[np.argmin(values)]
+            expected = current + t * direction
+            expected[crossing[at == t]] = 0.0
+            if t == 1.0:
+                expected = x
+            point = kkt._line_search(problem, lam, current, x)
+            assert point.tobytes() == expected.tobytes()
+            checked += t < 1.0
+        assert checked >= 50
+
+
+class TestFinishSteps:
+    """The attempt price that admm_engine rations certificates by."""
+
+    def test_floor_is_todays_price_up_to_n_10(self):
+        assert [attempt_floor(n) for n in (3, 6, 7, 9, 10, 12, 200, 500)] == [
+            1, 2, 3, 3, 4, 4, 4, 4]
+
+    def test_prices(self):
+        # n=10: the floor of 4 x-steps, then STEP_COST per further step
+        assert [finish_steps(10, 10, w) for w in (3, 4, 5, 6, 9, 17)] == [
+            0, 1, 1, 2, 3, 7]
+        # n=500, the 430-asset optimum: a first solve of 430^3/(3 * 500^2)
+        # = 106 x-steps, then one step per STEP_COST x-steps
+        assert finish_steps(500, 430, 106) == 0
+        assert finish_steps(500, 430, 107) == 1
+        assert finish_steps(500, 430, 107 + 2 * 57) == 58
+        assert kkt.STEP_COST == 2
 
 
 class TestInvert:

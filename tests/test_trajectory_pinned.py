@@ -13,7 +13,9 @@ cases when those two began to start at sqrt(lambda_min * lambda_max) of C,
 the nine cases a certificate ends sooner when each attempt began to
 correct z's support, and illcond fixed, shorts rbb and frontier point 0
 when a failed pattern began to be tried again on a larger budget and a
-lone asset that misses the target to be left by its cheapest pair.
+lone asset that misses the target to be left by its cheapest pair, and
+illcond rb, shorts rbb and frontier point 0 when attempts began to be
+priced by the support they solve.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -40,18 +42,18 @@ SUITE_TRAJECTORIES = {
     ("random", "bb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("random", "rbb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("illcond", "fixed"): (65, "e0047ff96aaf10f969ea39832cfe059f9a5f8d200363e095be5d8d1dac7aec17"),
-    ("illcond", "rb"): (33, "7e0c2e8a8c87043542293f6d24c6f51fb368e29475290ab44079857802de83ce"),
+    ("illcond", "rb"): (17, "ef0686d2096862bd92df9f4eabe87ec35690188786757e37060fe6758ed946ea"),
     ("illcond", "bb"): (17, "546ae7680c4756da49c3f3a193bd2d5c041256f429cd7bd22748ec8c706b8876"),
     ("illcond", "rbb"): (17, "742e6b310553fd732e82eb1367daaa3b2587033de9709768f949604cab99256e"),
     ("shorts", "fixed"): (65, "3cb292e2992d0dbd4f9cb268c612b2beddf863c58af89c252ad3a126bcdd0c12"),
     ("shorts", "rb"): (33, "c3e2b8ccc03feb4d41aacf3402e5feb18b849feace9c488e8f554bcc0515fb45"),
     ("shorts", "bb"): (33, "34ba45be16ec858b8be8ffe28390532969e182b86d779ece31b006fd0dd65b15"),
-    ("shorts", "rbb"): (65, "dcf19d01207b051ec9f49f19f5f485185ba996d478624730d3e23f70eadbf9ed"),
+    ("shorts", "rbb"): (33, "e177788c587bcccff5d395ee88aabdaccddbdc11afd8b8767c2105101fda10e3"),
 }
 
 # frontier point: (iterations, sha256 of the trajectory)
 FRONTIER_TRAJECTORIES = {
-    0: (99, "70ea5777149bbd8cc3d7464b38f74d391089c37a62829028be3b599737cc2b67"),
+    0: (83, "23b0096194822449165824423d210e683689829834e3e7b9cbed4e0db4d044b6"),
     3: (33, "b5d954b416177d1336f5c9d8ca82bef192e0ef59c104345fe32076699ca4714e"),
     4: (9, "740562db24da297fac01ba6213c974b4e22c9ee2d0ba2f666e4650ea3c2f7fb4"),
     12: (17, "f4deb71af33029c2fc413e615bd7b95039d1e656d63447641d3904b8829474f8"),
