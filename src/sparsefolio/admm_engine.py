@@ -57,13 +57,6 @@ factorizations of a support block and the steps solved on a kept one.
 A run that no certificate ends keeps its iterates, iteration count and
 termination bitwise.
 
-Under fixed rho the x-step takes the explicit inverse of the KKT block
-(kkt.invert): one symmetric mat-vec instead of two triangular solves.
-solve inverts its rho0 factorization in place before the first run, and
-every run of an adaptive solve shares the inverse.  Under rb, bb and rbb
-the runs keep the LU, as an inverse costs more than a factorization
-(kkt); an adaptive solve hands every run the same rho0 LU.
-
 An iteration builds its IterateState only when something reads it: the
 callback, a due penalty update, or the return of the run.  With a
 callback, the run returns the very state the callback last received;
@@ -108,7 +101,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .kkt import (FinishCounts, KktFactorization, attempt_floor, certify,
-                  factorize, finish_steps, invert, solve_x_update)
+                  factorize, finish_steps, solve_x_update)
 from .lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
 from .penalty import PenaltyConfig, PenaltyState, compute_ybar, initial_rho
@@ -374,9 +367,6 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     lam = schedule.lambda_current
     rho0 = initial_rho(cfg.penalty, problem.C)
     factorization = factorize(problem, rho0)
-    if cfg.penalty.kind == "fixed":
-        # rho never moves, so every run of this solve takes the inverse
-        factorization = invert(factorization)
     iterations = moves = 0
     counts = FinishCounts()
     while iterations < cfg.max_iter:

@@ -17,34 +17,18 @@ import.  PortfolioProblem has checked C and mu and factorize checks rho;
 the right-hand side is finite unless rho*z + y overflows, and then the
 engine's test on the next iterate ends the solve.
 
-An x-step takes one of two forms:
-
-- on the LU factors, ``getrs`` solves the block: these are the routine
-  and arrays ``lu_solve`` uses, so the x is bitwise theirs, without their
-  copies, finiteness scans and dispatch;
-- once ``invert`` has replaced the factors by the explicit inverse K^-1
-  (LAPACK ``getri`` on the same LU, in place), x is the head of the
-  product K^-1 [rho*z + y; b], one BLAS ``symv`` that reads the upper
-  triangle of the inverse, where ``getrs`` streams the whole LU twice.
-  The inverse is symmetric up to rounding and to the 1e-12 of asymmetry
-  PortfolioProblem lets C keep.
-
-The LU stays while rho can still move: ``getri`` costs more than a
-factorization, and a rho that moves again would discard the inverse
-before its x-steps have paid for it.  So the engine inverts only a
-factorization whose rho never moves, under fixed rho.
-
-On the LU, Dx = b holds exactly but for the last bits of the triangular
-solves; through the inverse it holds to rounding, as the product adds
-the inverse's own error, which grows with the condition of the block.
+An x-step is one ``getrs`` on the LU factors: these are the routine and
+arrays ``lu_solve`` uses, so the x is bitwise theirs, without their
+copies, finiteness scans and dispatch.  Dx = b holds exactly but for the
+last bits of the triangular solves.
 
 Each factorization also owns a scratch right-hand side of length n+2 and
 its rho as an n-vector.  factorize writes b into the scratch's tail once; a
 solve writes rho*z + y into its head in place (one multiply and one add,
 the same IEEE operations as the expression) and hands the whole vector to
-LAPACK or BLAS, which write the solution to a fresh vector: the tail keeps
-b, and the returned x shares no memory with the scratch or with an
-earlier x.
+LAPACK, which writes the solution to a fresh vector: the tail keeps b,
+and the returned x shares no memory with the scratch or with an earlier
+x.
 Because of the scratch, a factorization belongs to one run at a time and
 must not be shared across threads.
 
@@ -98,7 +82,7 @@ x-steps for the engine's rationing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -106,8 +90,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .model import PortfolioProblem
 
-_getrf, _getrs, _getri, _getri_lwork, _gesv = get_lapack_funcs(
-    ("getrf", "getrs", "getri", "getri_lwork", "gesv"), dtype=np.float64)
+_getrf, _getrs, _gesv = get_lapack_funcs(("getrf", "getrs", "gesv"),
+                                         dtype=np.float64)
 _potrf, _potri = get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
 _symv, _syr = get_blas_funcs(("symv", "syr"), dtype=np.float64)
 
@@ -129,19 +113,18 @@ _GATHER_ROWS = 64
 class KktFactorization:
     """The block system in solvable form, with what its solves need.
 
-    lu holds the LU factors with their pivots piv or, after ``invert``,
-    the inverse of the block, and then piv is None; either way lu is
-    (n+2) x (n+2).  rho_vector is the rho the block was built at, as an
-    n-vector.  rhs is the solves' scratch right-hand side, whose tail is the
-    right-hand side b of the two equality rows, so every solve uses the rho
-    and b it was factored for, and x is the solution without its last two
-    entries.  head is the view of the first n entries of rhs; solves
-    overwrite it, so one factorization serves one thread.
+    lu holds the (n+2) x (n+2) LU factors and piv their pivots.
+    rho_vector is the rho the block was built at, as an n-vector.  rhs is
+    the solves' scratch right-hand side, whose tail is the right-hand side
+    b of the two equality rows, so every solve uses the rho and b it was
+    factored for, and x is the solution without its last two entries.
+    head is the view of the first n entries of rhs; solves overwrite it, so
+    one factorization serves one thread.
     """
 
     rho_vector: np.ndarray = field(repr=False)
     lu: np.ndarray = field(repr=False)
-    piv: Optional[np.ndarray] = field(repr=False)
+    piv: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     head: np.ndarray = field(repr=False)
 
@@ -170,31 +153,12 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
                             rhs=rhs, head=rhs[:n])
 
 
-def invert(factorization: KktFactorization) -> KktFactorization:
-    """The factorization's block as its explicit inverse, for the same x-steps.
-
-    ``getri`` writes the inverse over factorization's LU, which leaves
-    factorization unusable; the result shares rho_vector and the scratch
-    rhs with it.
-    """
-    # the blocked getri needs the workspace size LAPACK asks for; the
-    # wrapper's default of 3(n+2) makes it fall back to the unblocked code
-    work, _ = _getri_lwork(factorization.lu.shape[0])
-    inverse, info = _getri(factorization.lu, factorization.piv,
-                           lwork=int(work), overwrite_lu=True)
-    if info != 0:
-        raise ValueError(f"getri failed with info {info} on the KKT block")
-    return replace(factorization, lu=inverse, piv=None)
-
-
 def solve_x_update(factorization: KktFactorization, z: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     """The x-step: the minimizer for the current (z, y) subject to Dx = b."""
     head = factorization.head
     np.multiply(z, factorization.rho_vector, out=head)
     np.add(head, y, out=head)
-    if factorization.piv is None:
-        return _symv(1.0, factorization.lu, factorization.rhs)[:-2]
     solution, info = _getrs(factorization.lu, factorization.piv,
                             factorization.rhs)
     if info != 0:

@@ -721,9 +721,9 @@ def assert_states_bitwise_equal(mine, theirs):
 
 
 class TestSharedRho0Factorization:
-    """solve factors the block at rho0 once and hands it to every run of an
-    adaptive solve; under fixed rho it inverts it in place before the first
-    run, and each run is, bitwise, the fixed-lambda solve at its lambda."""
+    """solve factors the block at rho0 once and hands its LU to every run of
+    an adaptive solve, under every penalty kind, and each run is, bitwise,
+    the fixed-lambda solve at its lambda."""
 
     def test_each_run_is_the_fixed_lambda_solve(self):
         problem, cfg = shorting_adaptive_case(9)
@@ -765,11 +765,10 @@ class TestSharedRho0Factorization:
 
 
 class TestBenchSuiteFeasibility:
-    """Under fixed rho the x-step takes the inverse of the KKT block, so
-    Dx = b holds to rounding rather than to the LU solve's backward error.
-    The worst |Dx - b| over the bench suites' solves was 3.3e-16 (illcond
-    trial 1, fixed), against 2.2e-16 with the LU alone; the bound leaves a
-    factor of about 300."""
+    """Every x-step is one getrs on the LU of the KKT block, so Dx = b holds
+    to the LU solve's backward error.  The worst |Dx - b| over the bench
+    suites' 60 solves is 2.2e-16 (illcond trial 0, rbb); the bound leaves a
+    factor of about 45."""
 
     @pytest.mark.parametrize("suite", SUITES)
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
@@ -780,7 +779,7 @@ class TestBenchSuiteFeasibility:
                                penalty=PenaltyConfig(kind=kind),
                                lambda_schedule=LambdaSchedule.fixed(instance.lam))
             weights = solve(problem, cfg).weights
-            assert np.abs(problem.D @ weights - problem.b).max() <= 1e-13
+            assert np.abs(problem.D @ weights - problem.b).max() <= 1e-14
 
 
 class TestStepsAtTheStatesRhoAndLambda:

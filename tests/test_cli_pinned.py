@@ -48,7 +48,7 @@ CASES = {
     "frontier-3": (("frontier", "--points", "3"),
         "2419a8c81022cda307aa89442ad2f3b395c0136fceb118af1e76f58d571cc1a7"),
     "bench-2": (("bench", "--trials", "2"),
-        "47720c8e6a777f05cb970f78995183ec30b7946f239be5b1d970f4ef781d00be"),
+        "6d007a3a69714d23af64d9ee6169358f602bdc8a886e1803e5cbd5e4353a2653"),
 }
 
 

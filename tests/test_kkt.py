@@ -18,7 +18,6 @@ from sparsefolio.kkt import (
     check_kkt,
     factorize,
     finish_steps,
-    invert,
     single_asset_multipliers,
     solve_support,
     solve_x_update,
@@ -26,7 +25,6 @@ from sparsefolio.kkt import (
 from sparsefolio.lambda_controller import LambdaSchedule, initial_lambda
 from sparsefolio.model import PortfolioProblem, objective_value
 from sparsefolio.penalty import RHO_MAX, RHO_MIN, PenaltyConfig
-from sparsefolio.suites import SUITES, make_suite_instances
 
 
 def random_problem(n, rng, scale=1.0):
@@ -205,10 +203,6 @@ class TestSolveXUpdate:
             solve_x_update(fact, z, y)
             expected = rho * z + y
         assert fact.head.tobytes() == expected.tobytes()
-
-
-# rho from RHO_MIN to 5e7 in steps of 5 and 2
-RHO_GRID = [m * 10.0 ** p for p in range(-8, 8) for m in (1, 5)]
 
 
 class TestSolveSupport:
@@ -617,73 +611,3 @@ class TestFinishSteps:
         assert finish_steps(500, 430, 107 + 2 * 57) == 58
         assert kkt.STEP_COST == 2
 
-
-class TestInvert:
-    """The x-step on the explicit inverse of the block (kkt.invert)."""
-
-    def test_matches_lu_xstep_on_bench_instances(self, rng):
-        # the bench suites' 15 instances, over the whole rho range; the
-        # worst relative gap of these draws is 4.1e-12 (illcond trial 4,
-        # rho 1e-7), and 7.1e-12 over other draws
-        for suite in SUITES:
-            for instance in make_suite_instances(suite, 5, 0):
-                problem = instance.problem
-                for rho in RHO_GRID:
-                    lu = factorize(problem, rho)
-                    inverse = invert(factorize(problem, rho))
-                    for _ in range(3):
-                        z = rng.standard_normal(problem.n)
-                        y = rng.standard_normal(problem.n)
-                        expected = solve_x_update(lu, z, y)
-                        x = solve_x_update(inverse, z, y)
-                        gap = np.abs(x - expected).max() / np.abs(expected).max()
-                        assert gap <= 1e-10, (suite, rho)
-
-    def test_block_equations_hold(self, rng):
-        problem = random_problem(8, rng)
-        for rho in (0.3, 1.0, 7.5):
-            fact = invert(factorize(problem, rho))
-            z = rng.standard_normal(8)
-            y = rng.standard_normal(8)
-            x = solve_x_update(fact, z, y)
-            nu = recover_multiplier(problem, rho, z, y, x)
-            stationarity, feasibility = kkt_residuals(problem, rho, z, y, x, nu)
-            assert stationarity <= 1e-10
-            assert feasibility <= 1e-10
-
-    def test_feasibility_at_extreme_rho(self, rng):
-        problem = factor_problem(n=6, m=60, seed=3)
-        for rho in (1e-8, 1e-4, 1.0, 1e4, 1e8):
-            fact = invert(factorize(problem, rho))
-            z = rng.standard_normal(6)
-            y = rng.standard_normal(6)
-            x = solve_x_update(fact, z, y)
-            assert np.abs(problem.D @ x - problem.b).max() <= 1e-10
-
-    def test_takes_the_lu_storage(self, rng):
-        # the inverse replaces the LU: no second (n+2) x (n+2) array
-        problem = random_problem(7, rng)
-        lu = factorize(problem, 1.3)
-        inverse = invert(lu)
-        assert np.shares_memory(inverse.lu, lu.lu)
-        assert inverse.rhs is lu.rhs and inverse.rho_vector is lu.rho_vector
-
-    def test_is_the_inverse_of_the_block(self, rng):
-        problem = random_problem(9, rng)
-        rho = 0.8
-        K = np.block([[problem.C + rho * np.eye(9), problem.D.T],
-                      [problem.D, np.zeros((2, 2))]])
-        inverse = invert(factorize(problem, rho)).lu
-        np.testing.assert_allclose(inverse @ K, np.eye(11), atol=1e-12)
-
-    def test_results_do_not_alias_scratch_or_each_other(self, rng):
-        problem = random_problem(6, rng)
-        fact = invert(factorize(problem, 0.7))
-        z, y = rng.standard_normal(6), rng.standard_normal(6)
-        first = solve_x_update(fact, z, y)
-        kept = first.copy()
-        second = solve_x_update(fact, y, z)
-        np.testing.assert_array_equal(first, kept)
-        assert not np.shares_memory(first, second)
-        assert not np.shares_memory(first, fact.rhs)
-        np.testing.assert_array_equal(fact.rhs[6:], problem.b)

@@ -5,17 +5,18 @@ path to it.  Through ``callback``, each case hashes every IterateState in
 order: x, z, y and ybar (when set) as the bytes of ``v + 0.0``, which
 folds -0.0 into 0.0 so that only the sign of a zero may differ, then k,
 rho, lam, r_norm and d_norm as IEEE doubles.  A change that claims
-IEEE-equal iterates must pass this file unchanged.  The fixed cases, whose
-x-steps take the inverse of the KKT block, were recorded again when that
-inverse came in, every case a certificate ends (frontier point 0's
-first two runs included) when certificates came in, the fixed and rb
+IEEE-equal iterates must pass this file unchanged.  The fixed cases were
+recorded again when their x-steps began to take the inverse of the KKT
+block, every case a certificate ends (frontier point 0's first two runs
+included) when certificates came in, the fixed and rb
 cases when those two began to start at sqrt(lambda_min * lambda_max) of C,
 the nine cases a certificate ends sooner when each attempt began to
 correct z's support, and illcond fixed, shorts rbb and frontier point 0
 when a failed pattern began to be tried again on a larger budget and a
 lone asset that misses the target to be left by its cheapest pair, and
 illcond rb, shorts rbb and frontier point 0 when attempts began to be
-priced by the support they solve.
+priced by the support they solve, and the fixed cases again when their
+x-steps went back to the LU, as every strategy's do.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -37,15 +38,15 @@ from sparsefolio.suites import SUITES, make_suite_instances
 
 # (suite, strategy): (iterations, sha256 of the trajectory)
 SUITE_TRAJECTORIES = {
-    ("random", "fixed"): (33, "37b5f87d23bf4d1ca1462f2787224dba3a45a6f25fbdb0e9625104814406d0f6"),
+    ("random", "fixed"): (33, "9bb5f61c46a0f53b5f545799bc76cc392ce59d998e12834c92a19d8bf01af116"),
     ("random", "rb"): (9, "44eae12fa5ead941d218e98dd51b59a2c1a92b0f46b6ab71a2b41a234079bf25"),
     ("random", "bb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("random", "rbb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
-    ("illcond", "fixed"): (65, "e0047ff96aaf10f969ea39832cfe059f9a5f8d200363e095be5d8d1dac7aec17"),
+    ("illcond", "fixed"): (65, "75e07ba1065b297a33b3a91450130e030e4b6f7acc1489b182cd0206364ada3e"),
     ("illcond", "rb"): (17, "ef0686d2096862bd92df9f4eabe87ec35690188786757e37060fe6758ed946ea"),
     ("illcond", "bb"): (17, "546ae7680c4756da49c3f3a193bd2d5c041256f429cd7bd22748ec8c706b8876"),
     ("illcond", "rbb"): (17, "742e6b310553fd732e82eb1367daaa3b2587033de9709768f949604cab99256e"),
-    ("shorts", "fixed"): (65, "3cb292e2992d0dbd4f9cb268c612b2beddf863c58af89c252ad3a126bcdd0c12"),
+    ("shorts", "fixed"): (65, "14a04e7c2359774525936c8e9105153ca7f951518aedcbe1345af61f1562c469"),
     ("shorts", "rb"): (33, "c3e2b8ccc03feb4d41aacf3402e5feb18b849feace9c488e8f554bcc0515fb45"),
     ("shorts", "bb"): (33, "34ba45be16ec858b8be8ffe28390532969e182b86d779ece31b006fd0dd65b15"),
     ("shorts", "rbb"): (33, "e177788c587bcccff5d395ee88aabdaccddbdc11afd8b8767c2105101fda10e3"),
