@@ -611,3 +611,58 @@ class TestFinishSteps:
         assert finish_steps(500, 430, 107 + 2 * 57) == 58
         assert kkt.STEP_COST == 2
 
+
+
+class TestInvert:
+    """The fixed-rho x-step, which took the explicit inverse (kkt.invert)
+    and now solves on the rho0 LU that every run of a solve shares.
+
+    Each test hands the x-step a factorization that earlier solves have
+    already used, as a later run finds it, and checks it against a fresh
+    one.
+    """
+
+    @staticmethod
+    def used(problem, rho, rng, solves=40):
+        fact = factorize(problem, rho)
+        for _ in range(solves):
+            solve_x_update(fact, rng.standard_normal(problem.n),
+                           rng.standard_normal(problem.n))
+        return fact
+
+    def test_block_equations_hold(self, rng):
+        problem = random_problem(8, rng)
+        for rho in (0.3, 1.0, 7.5):
+            fact = self.used(problem, rho, rng)
+            z = rng.standard_normal(8)
+            y = rng.standard_normal(8)
+            x = solve_x_update(fact, z, y)
+            nu = recover_multiplier(problem, rho, z, y, x)
+            stationarity, feasibility = kkt_residuals(problem, rho, z, y, x, nu)
+            assert stationarity <= 1e-10
+            assert feasibility <= 1e-10
+            fresh = solve_x_update(factorize(problem, rho), z, y)
+            assert x.tobytes() == fresh.tobytes()
+
+    def test_feasibility_at_extreme_rho(self, rng):
+        problem = factor_problem(n=6, m=60, seed=3)
+        for rho in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            fact = self.used(problem, rho, rng)
+            z = rng.standard_normal(6)
+            y = rng.standard_normal(6)
+            x = solve_x_update(fact, z, y)
+            assert np.abs(problem.D @ x - problem.b).max() <= 1e-10
+            fresh = solve_x_update(factorize(problem, rho), z, y)
+            assert x.tobytes() == fresh.tobytes()
+
+    def test_results_do_not_alias_scratch_or_each_other(self, rng):
+        problem = random_problem(6, rng)
+        fact = self.used(problem, 0.7, rng)
+        z, y = rng.standard_normal(6), rng.standard_normal(6)
+        first = solve_x_update(fact, z, y)
+        kept = first.copy()
+        second = solve_x_update(fact, y, z)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, fact.rhs)
+        np.testing.assert_array_equal(fact.rhs[6:], problem.b)
