@@ -18,7 +18,10 @@ guard sits outside the runs: it counts the shorts of a converged run's z,
 which soft thresholding makes exactly sparse, and when it raises lambda
 the next run starts cold at the new value, reusing the KKT factorization
 at rho0 that the first run started from.  solve resolves rho0 once, by
-penalty.initial_rho: cfg.penalty.rho0 when set, else the kind's start.
+penalty.initial_rho (cfg.penalty.rho0 when set, else the kind's start),
+unless its caller hands it that factorization, made once for all targets
+of a C and mu.  A rho change back to the rho the run just left (rb's
+doubling and halving) or to rho0 takes the LU kept there.
 
 A run also ends, converged, when a KKT certificate holds (the polish of
 Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
@@ -44,13 +47,13 @@ then settling.  An iteration that passes the residual test tries once
 too, so a converged run carries certified weights, exactly sparse,
 wherever a certificate holds.  An attempt at iteration k gets the steps
 that the run's own work pays for: its k + 1 x-steps, and at the residual
-stop also (n + 2)/3 per refactorization, the price of one against an
-x-step; the run ends there either way, so that budget cannot delay it.
-A checkpoint that cannot pay for one step is skipped.  So a finish never
-spends more than the run has done.  Neither kind of attempt retries the
-pattern of the last failed attempt unless its budget has grown since: a
-pattern a few steps short of a certificate gets it at the next
-checkpoint.  Each checkpoint could already spend its full budget on a new
+stop also (n + 2)/3 per rho change, a refactorization's price in x-steps,
+kept LU or not; the run ends there either way, so that budget cannot
+delay it.  A checkpoint that cannot pay for one step is skipped.  So a
+finish never spends more than the run has done.  Neither kind of attempt
+retries the pattern of the last failed attempt unless its budget has
+grown since: a pattern a few steps short of a certificate gets it at the
+next checkpoint.  Each checkpoint could already spend its full budget on a new
 pattern, so the retry leaves the worst-case work of a run as it was.
 SolveResult.finish counts the attempts, the failed ones, the fresh
 factorizations of a support block and the steps solved on a kept one.
@@ -79,13 +82,12 @@ per pair, not once per iteration.  The x- and y-steps take rho as the
 n-vector the KKT factorization keeps (KktFactorization.rho_vector); the
 z-step takes kappa = lam/rho and -kappa as n-vectors plus one scratch
 vector (shrink_constants).  A run builds them at its start and again right
-after each refactorization a rho change triggers; a lambda move starts a
-new run, which builds its own.  So every ufunc of the three steps has
-array operands only, and each step makes the same IEEE operations in the
-same order as its scalar formula: the iterates are bitwise those of the
-scalar steps.  Everything outside the steps keeps the float rho: the
-IterateState's rho and lam, the residual norms, ybar, the penalty update
-and SolveResult.rho_final.
+after each rho change; a lambda move starts a new run, which builds its
+own.  So every ufunc of the three steps has array operands only, and each
+step makes the same IEEE operations in the same order as its scalar
+formula: the iterates are bitwise those of the scalar steps.  Everything
+outside the steps keeps the float rho: the IterateState's rho and lam,
+the residual norms, ybar, the penalty update and SolveResult.rho_final.
 
 Vector norms are written as sqrt(v.dot(v)), which is the formula
 numpy.linalg.norm uses for a 1-D float vector, without its argument
@@ -233,17 +235,17 @@ def feasible_start(problem: PortfolioProblem) -> np.ndarray:
 
 
 def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
-         rho: float, factorization: KktFactorization, budget: int,
+         start: KktFactorization, budget: int,
          callback: Optional[Callable[[IterateState], None]],
          counts: FinishCounts) -> tuple[IterateState, str, int, float, bool]:
     """One ADMM run at a fixed lam from the cold start, for at most budget
-    iterations; it starts at rho, the solve's rho0, and factorization is the
-    one at rho.  Iteration k is due an update when k equals the value last
-    drawn from PenaltyState.due.
+    iterations, from rho0 on start, the LU there, whose scratch takes
+    problem's b; it keeps the LU at the rho it left last.  Iteration k is
+    due an update when k equals the value last drawn from PenaltyState.due.
 
     Checkpoints and the residual stop try kkt.certify on z by the rule of
     the module docstring: the budget is the run's k + 1 x-steps, and at the
-    stop its refactorizations' (n + 2)/3 each too, priced by
+    stop (n + 2)/3 for each of its rho changes too, priced by
     kkt.finish_steps; the run keeps the pattern and budget of the last
     failed attempt, and counts attempts, failures and the finish's solves
     in counts.  A certificate replaces iteration k by the
@@ -254,7 +256,9 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     the rho in force at the end and whether a certificate ended the run.
     """
     n = problem.n
-    rho_vector = factorization.rho_vector
+    start.rhs[n:] = problem.b
+    factorization = left = start  # left: the LU at the rho left last
+    rho, rho_vector = start.rho, start.rho_vector
     kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
     x = feasible_start(problem)
     z = x.copy()
@@ -264,7 +268,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     next_due = next(due, -1)  # -1 once no update is due any more
     reads_ybar = pen_state.reads_ybar
     tol = cfg.tol
-    # the x-steps' worth of the run's refactorizations, (n + 2)/3 each
+    # the x-steps' worth of the run's rho changes, (n + 2)/3 each
     factor_work = 0.0
     checkpoint = attempt_floor(n)
     # z's sign pattern at the last failed certificate, and its budget
@@ -295,7 +299,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if k == checkpoint:
                     checkpoint *= 2
                 signs = np.sign(z_new)
-                # the run's work so far; its refactorizations count at the stop
+                # the run's work so far; its rho changes count at the stop
                 work = k + 1 + (factor_work if stop else 0.0)
                 steps = finish_steps(n, np.count_nonzero(signs), work)
                 if (steps and (stop or np.array_equal(signs, np.sign(z)))
@@ -331,7 +335,11 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 rho_new = pen_state.update(state)
                 if rho_new != rho:
                     rho = rho_new
-                    factorization = factorize(problem, rho)
+                    if left.rho != rho:
+                        left = start  # an older LU goes before a new one
+                    if left.rho != rho:
+                        left = factorize(problem, rho)
+                    factorization, left = left, factorization
                     factor_work += (n + 2) / 3
                     rho_vector = factorization.rho_vector
                     kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
@@ -344,7 +352,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
 
 
 def solve(problem: PortfolioProblem, cfg: SolverConfig,
-          callback: Optional[Callable[[IterateState], None]] = None) -> SolveResult:
+          callback: Optional[Callable[[IterateState], None]] = None, *,
+          start: Optional[KktFactorization] = None) -> SolveResult:
     """Run ADMM to a KKT certificate, the residual tolerance, the iteration
     cap, or a breakdown.
 
@@ -362,17 +371,19 @@ def solve(problem: PortfolioProblem, cfg: SolverConfig,
     the moved lambda as lambda_final, and not certified.  The callback sees
     every run, each with k counting from 0.  iterations is the total;
     weights, final_state, rho_final and certified come from the last run.
+    start, if given, is factorize(p, initial_rho(cfg.penalty, p.C)) for a p
+    of this problem's C and mu, at any target.
     """
     schedule = cfg.lambda_schedule
     lam = schedule.lambda_current
-    rho0 = initial_rho(cfg.penalty, problem.C)
-    factorization = factorize(problem, rho0)
+    if start is None:
+        start = factorize(problem, initial_rho(cfg.penalty, problem.C))
     iterations = moves = 0
     counts = FinishCounts()
     while iterations < cfg.max_iter:
         state, termination, used, rho, certified = _run(
-            problem, cfg, lam, rho0, factorization, cfg.max_iter - iterations,
-            callback, counts)
+            problem, cfg, lam, start, cfg.max_iter - iterations, callback,
+            counts)
         iterations += used
         if (schedule.sn is None or termination != TERMINATION_CONVERGED
                 or moves == MAX_ADJUSTMENTS):

@@ -18,12 +18,13 @@ import time
 
 import numpy as np
 
+from . import admm_engine
 from .admm_engine import SolverConfig, solve
 from .lambda_controller import LambdaSchedule, initial_lambda
 from .market_data import (estimate_stats, generate_synthetic_returns,
                           load_returns_csv, returns_to_csv)
 from .model import ZERO_TOL, build_problem, count_short_positions
-from .penalty import PENALTY_KINDS, PenaltyConfig
+from .penalty import PENALTY_KINDS, PenaltyConfig, initial_rho
 from .suites import SUITES, make_suite_instances
 
 EXIT_OK = 0
@@ -257,9 +258,11 @@ def cmd_frontier(args) -> int:
     writer.writerow(["e", "risk", "l1_norm", "nonzeros", "shorts",
                      "iterations", "status"])
     any_converged = False
+    # one check of the moments and one rho0 LU, the engine's, for all targets
+    problem = build_problem(mu, C, float(targets[0]))
+    start = admm_engine.factorize(problem, initial_rho(cfg.penalty, problem.C))
     for target in targets:
-        problem = build_problem(mu, C, float(target))
-        result = solve(problem, cfg)
+        result = solve(problem.at(float(target)), cfg, start=start)
         w = result.weights
         writer.writerow([
             repr(float(target)),

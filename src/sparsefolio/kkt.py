@@ -12,10 +12,12 @@ be marginally cheaper but needlessly splits the accuracy story.  The loop
 reads only x; the multiplier nu is solved for and dropped.
 
 The block is built in Fortran order and factored in place by the float64
-LAPACK ``getrf``.  The LAPACK and BLAS routines are looked up once, at
-import.  PortfolioProblem has checked C and mu and factorize checks rho;
-the right-hand side is finite unless rho*z + y overflows, and then the
-engine's test on the next iterate ends the solve.
+LAPACK ``getrf``, its C part copied from C' (which is C, as PortfolioProblem
+stores C exactly symmetric) in the block's memory order.  LAPACK and BLAS
+routines are looked up once, at import.  PortfolioProblem has checked C
+and mu and factorize checks rho; the right-hand side is finite unless
+rho*z + y overflows, and then the engine's test on the next iterate ends
+the solve.
 
 An x-step is one ``getrs`` on the LU factors: these are the routine and
 arrays ``lu_solve`` uses, so the x is bitwise theirs, without their
@@ -23,12 +25,13 @@ copies, finiteness scans and dispatch.  Dx = b holds exactly but for the
 last bits of the triangular solves.
 
 Each factorization also owns a scratch right-hand side of length n+2 and
-its rho as an n-vector.  factorize writes b into the scratch's tail once; a
-solve writes rho*z + y into its head in place (one multiply and one add,
+its rho as an n-vector.  The block does not depend on b, so one serves
+every target of a C and mu: factorize writes its problem's b into the
+scratch's tail, and each run writes its own there when it starts.  A
+solve writes rho*z + y into the head in place (one multiply and one add,
 the same IEEE operations as the expression) and hands the whole vector to
 LAPACK, which writes the solution to a fresh vector: the tail keeps b,
-and the returned x shares no memory with the scratch or with an earlier
-x.
+and the returned x shares no memory with the scratch or an earlier x.
 Because of the scratch, a factorization belongs to one run at a time and
 must not be shared across threads.
 
@@ -113,15 +116,15 @@ _GATHER_ROWS = 64
 class KktFactorization:
     """The block system in solvable form, with what its solves need.
 
-    lu holds the (n+2) x (n+2) LU factors and piv their pivots.
-    rho_vector is the rho the block was built at, as an n-vector.  rhs is
-    the solves' scratch right-hand side, whose tail is the right-hand side
-    b of the two equality rows, so every solve uses the rho and b it was
-    factored for, and x is the solution without its last two entries.
-    head is the view of the first n entries of rhs; solves overwrite it, so
-    one factorization serves one thread.
+    lu holds the (n+2) x (n+2) LU factors and piv their pivots.  rho is
+    the rho the block was built at, and rho_vector that rho as an n-vector.
+    rhs is the solves' scratch right-hand side, whose tail is the
+    right-hand side b of the two equality rows, and x is the solution
+    without its last two entries.  head is the view of the first n entries
+    of rhs; solves overwrite it, so one factorization serves one thread.
     """
 
+    rho: float
     rho_vector: np.ndarray = field(repr=False)
     lu: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
@@ -139,8 +142,8 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     n = problem.n
     K = np.zeros((n + 2, n + 2), order="F")
-    # C + 0.0, not a copy: a -0.0 entry becomes 0.0, as in C + rho*I
-    np.add(problem.C, 0.0, out=K[:n, :n])
+    # C' + 0.0, not a copy: a -0.0 entry becomes 0.0, as in C + rho*I
+    np.add(problem.C.T, 0.0, out=K[:n, :n])
     K.flat[:n * (n + 3):n + 3] += rho  # the diagonal of the C block
     K[:n, n:] = problem.D.T
     K[n:, :n] = problem.D
@@ -149,8 +152,8 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         raise ValueError(f"getrf rejected argument {-info} of the KKT block")
     rhs = np.empty(n + 2)
     rhs[n:] = problem.b
-    return KktFactorization(rho_vector=np.full(n, float(rho)), lu=lu, piv=piv,
-                            rhs=rhs, head=rhs[:n])
+    return KktFactorization(rho=rho, rho_vector=np.full(n, float(rho)), lu=lu,
+                            piv=piv, rhs=rhs, head=rhs[:n])
 
 
 def solve_x_update(factorization: KktFactorization, z: np.ndarray,
@@ -177,8 +180,8 @@ def solve_support(problem: PortfolioProblem, support: np.ndarray,
     nonsingular when D_S has rank 2, which needs k >= 2; an exactly
     singular one raises numpy.linalg.LinAlgError.
 
-    The block is symmetric, as PortfolioProblem makes C symmetric up to
-    1e-12, so ``gesv`` factors it in place through its transpose, the
+    The block is symmetric, as PortfolioProblem stores C exactly
+    symmetric, so ``gesv`` factors it in place through its transpose, the
     Fortran-ordered view of the same memory.
     """
     index = np.flatnonzero(support)

@@ -8,6 +8,7 @@ constraint matrix so downstream solvers see one system Dx = b.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ class PortfolioProblem:
 
     Every solve, factorization and oracle call takes one, so this is the one
     place the covariance is checked: finite, symmetric, positive definite.
+    C is stored exactly symmetric, as 0.5*(C + C') where it is not.
     """
 
     C: np.ndarray
@@ -55,6 +57,8 @@ class PortfolioProblem:
             raise ValueError("covariance has non-finite entries")
         if np.abs(C - C.T).max() > 1e-12:
             raise ValueError("covariance is not symmetric")
+        if not np.array_equal(C, C.T):
+            C = 0.5 * (C + C.T)
         try:
             np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
@@ -62,6 +66,15 @@ class PortfolioProblem:
         for name, value in (("C", C), ("mu", mu), ("D", D),
                             ("b", np.array([self.e, 1.0])), ("n", n)):
             object.__setattr__(self, name, value)
+
+    def at(self, e: float) -> PortfolioProblem:
+        """The problem at target return e, sharing C, mu and D unchecked."""
+        if not math.isfinite(e):
+            raise ValueError(f"target return e must be finite, got {e}")
+        other = copy.copy(self)
+        object.__setattr__(other, "e", float(e))
+        object.__setattr__(other, "b", np.array([float(e), 1.0]))
+        return other
 
 
 def build_problem(mu: np.ndarray, C: np.ndarray, e: float) -> PortfolioProblem:

@@ -541,6 +541,49 @@ class TestRefactorization:
             assert new >= REFACTOR_RATIO * old or new <= old / REFACTOR_RATIO
 
 
+    def test_rb_takes_the_lu_of_a_rho_it_returns_to(self, monkeypatch):
+        # rb doubles and halves rho: here it climbs from rho0, steps back
+        # once and up again, and so returns twice to a rho it just left
+        problem = factor_problem(n=6, seed=11)
+        cfg = SolverConfig(tol=1e-6, penalty=PenaltyConfig(kind="rb"),
+                           lambda_schedule=LambdaSchedule.fixed(
+                               initial_lambda(60, 6)))
+        made, steps = [], []
+        real_factorize, real_x_update = engine.factorize, engine.solve_x_update
+
+        def spy_factorize(problem, rho):
+            made.append(real_factorize(problem, rho))
+            return made[-1]
+
+        def spy_x_update(factorization, z, y):
+            x = real_x_update(factorization, z, y)
+            steps.append((factorization, z.copy(), y.copy(), x))
+            return x
+
+        monkeypatch.setattr(engine, "factorize", spy_factorize)
+        monkeypatch.setattr(engine, "solve_x_update", spy_x_update)
+        states = []
+        result = solve(problem, cfg, callback=states.append)
+        assert result.certified
+        rhos = [s.rho for s in states]
+        visits = [rhos[0]] + [new for old, new in zip(rhos, rhos[1:])
+                              if new != old]
+        assert len(set(visits)) < len(visits)
+        # one getrf per rho value, in the order of first visits
+        assert [f.rho for f in made] == list(dict.fromkeys(visits))
+        # each x-step, on a kept LU or not, is a fresh LU's, bitwise
+        used, previous, kept = set(), None, 0
+        for factorization, z, y, x in steps:
+            if factorization is not previous:
+                kept += id(factorization) in used
+                used.add(id(factorization))
+                previous = factorization
+            fresh = real_x_update(real_factorize(problem, factorization.rho),
+                                  z, y)
+            assert x.tobytes() == fresh.tobytes()
+        assert kept == len(visits) - len(set(visits))
+
+
 class TestHistories:
     """Per-iteration series, as a caller collects them through the callback."""
 
@@ -762,6 +805,32 @@ class TestSharedRho0Factorization:
         assert rhos[0] == rho0
         assert [run[0].rho for run in runs_of(states)] == [rho0] * (
             result.lambda_adjustments + 1)
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_a_start_factored_at_another_target_serves_every_target(self,
+                                                                   kind):
+        # the block does not depend on the target, and each run writes its
+        # own b into the start's scratch: a solve handed one rho0 LU for
+        # all targets is, bitwise, the solve that factors its own
+        problem, cfg = shorting_adaptive_case(9)
+        cfg = replace(cfg, penalty=PenaltyConfig(kind=kind))
+        start = factorize(problem.at(float(problem.mu.min())),
+                          initial_rho(cfg.penalty, problem.C))
+        middle = 0.5 * float(problem.mu.min() + problem.mu.max())
+        # lambda moves at the top mean, problem.e
+        for target in (problem.e, middle, problem.e):
+            shared, alone = [], []
+            mine = solve(problem.at(target), cfg, callback=shared.append,
+                         start=start)
+            theirs = solve(build_problem(problem.mu, problem.C, target), cfg,
+                           callback=alone.append)
+            assert len(shared) == len(alone) == mine.iterations
+            for a, b in zip(shared, alone):
+                assert_states_bitwise_equal(a, b)
+            assert mine.weights.tobytes() == theirs.weights.tobytes()
+            assert (mine.lambda_adjustments, mine.finish) == (
+                theirs.lambda_adjustments, theirs.finish)
+            assert mine.lambda_adjustments >= (target == problem.e)
 
 
 class TestBenchSuiteFeasibility:

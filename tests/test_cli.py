@@ -429,6 +429,71 @@ class TestFrontier:
         assert [int(row["nonzeros"]) for row in table] == [
             1, 4, 7, 8, 9, 9, 9, 10, 10, 10, 10, 9, 8, 8, 6, 5, 4, 4, 3, 1]
 
+    @pytest.mark.parametrize("assets, periods, seed, kind, adaptive", [
+        (10, 120, 3, "rbb", True),
+        (40, 200, 5, "fixed", False),
+        (40, 200, 5, "rb", False),
+    ], ids=["n10-rbb-guard", "n40-fixed", "n40-rb"])
+    def test_points_are_the_solves_of_their_own_problems(
+            self, tmp_path, monkeypatch, assets, periods, seed, kind, adaptive):
+        # frontier checks the moments once and hands every point one LU at
+        # rho0; each row, and each point's finish counts, must be bitwise
+        # those of an independent solve of that point's own problem
+        from sparsefolio.admm_engine import SolverConfig, solve
+        from sparsefolio.lambda_controller import LambdaSchedule, initial_lambda
+        from sparsefolio.model import ZERO_TOL, count_short_positions
+        from sparsefolio.penalty import PenaltyConfig
+
+        data = tmp_path / "returns.csv"
+        assert main(["gen", "--assets", str(assets), "--periods", str(periods),
+                     "--seed", str(seed), "-o", str(data)]) == EXIT_OK
+        builds, results = [], []
+        real_build, real_solve = cli.build_problem, cli.solve
+
+        def counting_build(*args):
+            builds.append(args)
+            return real_build(*args)
+
+        def recording_solve(*args, **kwargs):
+            results.append(real_solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "build_problem", counting_build)
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        flags = ("--adaptive-lambda", "--sn", "0") if adaptive else ()
+        code, rows = self.run(str(data), tmp_path, "--points", "20",
+                              "--strategy", kind, *flags)
+        assert code == EXIT_OK
+        assert len(builds) == 1
+        monkeypatch.undo()
+
+        mu, C = estimate_stats(load_returns_csv(str(data)))
+        lam = initial_lambda(periods, assets)
+        cfg = SolverConfig(
+            penalty=PenaltyConfig(kind=kind),
+            lambda_schedule=(LambdaSchedule.adaptive(lam, sn=0) if adaptive
+                             else LambdaSchedule.fixed(lam)))
+        expected = ["e,risk,l1_norm,nonzeros,shorts,iterations,status"]
+        targets = np.linspace(float(mu.min()), float(mu.max()), 20)
+        for target, shared in zip(targets, results, strict=True):
+            problem = build_problem(mu, C, float(target))
+            alone = solve(problem, cfg)
+            w = alone.weights
+            expected.append(",".join([
+                repr(float(target)), repr(float(w @ problem.C @ w)),
+                repr(float(np.abs(w).sum())),
+                str(int(np.sum(np.abs(w) > ZERO_TOL))),
+                str(count_short_positions(w)), str(alone.iterations),
+                alone.termination]))
+            assert shared.weights.tobytes() == w.tobytes()
+            assert shared.finish == alone.finish
+            assert shared.lambda_adjustments == alone.lambda_adjustments
+        assert rows == expected
+        if adaptive:
+            # the guard frontier moves lambda at both endpoints
+            assert [bool(r.lambda_adjustments) for r in results] == (
+                [True] + [False] * 18 + [True])
+
     def test_unallocatable_points_exits_2(self, returns_csv, tmp_path, capsys):
         # 800 TB of targets: numpy refuses it without allocating
         code, rows = self.run(returns_csv, tmp_path,

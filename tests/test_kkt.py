@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 import sparsefolio.kkt as kkt
 from conftest import factor_problem, identity_problem, two_asset_problem
@@ -82,6 +82,30 @@ class TestFactorize:
             fact = factorize(problem, rho)
             assert fact.lu.tobytes(order="F") == lu.tobytes(order="F")
             np.testing.assert_array_equal(fact.piv, piv)
+
+    @pytest.mark.parametrize("n", [10, 60])
+    def test_factors_equal_the_transposing_assembly(self, rng, n):
+        # the block's C part is copied from C', in the block's memory order;
+        # on a C stored exactly symmetric the factors are byte for byte
+        # those of the former transposing add of C itself
+        mu = rng.uniform(0.01, 0.05, size=n)
+        A = rng.standard_normal((n, n))
+        C = A @ A.T + n * np.eye(n)
+        C[0, 1] = C[1, 0] = -0.0
+        C[2, 3] += 1e-13  # symmetrized when stored
+        problem = PortfolioProblem(C=C, mu=mu, e=float(mu.mean()))
+        getrf = get_lapack_funcs("getrf", dtype=np.float64)
+        for rho in (1e-8, 0.37, 1e8):
+            K = np.zeros((n + 2, n + 2), order="F")
+            np.add(problem.C, 0.0, out=K[:n, :n])
+            K.flat[:n * (n + 3):n + 3] += rho
+            K[:n, n:] = problem.D.T
+            K[n:, :n] = problem.D
+            lu, piv, info = getrf(K, overwrite_a=True)
+            assert info == 0
+            fact = factorize(problem, rho)
+            assert fact.lu.tobytes(order="F") == lu.tobytes(order="F")
+            assert fact.piv.tobytes() == piv.tobytes()
 
     def test_equal_constraint_rows_singular(self):
         # mu identical to the budget row makes D rank 1; the problem is

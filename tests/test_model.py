@@ -79,6 +79,63 @@ class TestPortfolioProblemValidation:
             PortfolioProblem(**parts)
 
 
+class TestStoredCovariance:
+    """PortfolioProblem stores C exactly symmetric, so C' is C bitwise."""
+
+    @staticmethod
+    def moments(n=6, seed=0):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        return rng.uniform(0.01, 0.05, size=n), A @ A.T + n * np.eye(n)
+
+    def test_symmetric_covariance_kept_as_given(self):
+        mu, C = self.moments()
+        assert np.array_equal(C, C.T)
+        kept = C.tobytes()
+        problem = build_problem(mu, C, float(mu.mean()))
+        assert problem.C.tobytes() == kept
+
+    def test_covariance_within_tolerance_symmetrized(self):
+        mu, C = self.moments()
+        C[0, 1] += 4e-13
+        C[3, 2] -= 1e-13
+        asymmetric = C.copy()
+        problem = build_problem(mu, C, float(mu.mean()))
+        assert problem.C.tobytes() == (0.5 * (C + C.T)).tobytes()
+        assert problem.C.tobytes() == problem.C.T.copy().tobytes()
+        # the caller's array is left as it was
+        assert C.tobytes() == asymmetric.tobytes()
+
+
+class TestAt:
+    """problem.at(e) re-targets a checked problem: it shares C, mu and D
+    and replaces e and b."""
+
+    def test_shares_the_moments_and_replaces_the_target(self):
+        problem = factor_problem(n=5)
+        other = problem.at(0.02)
+        assert other.C is problem.C and other.mu is problem.mu
+        assert other.D is problem.D and other.n == problem.n
+        assert other.e == 0.02
+        np.testing.assert_array_equal(other.b, [0.02, 1.0])
+        # the problem it came from keeps its own target
+        assert problem.b.tolist() == [problem.e, 1.0]
+
+    def test_equals_the_built_problem(self):
+        problem = factor_problem(n=5)
+        e = float(problem.mu.max())
+        built = build_problem(problem.mu, problem.C, e)
+        other = problem.at(e)
+        for name in ("C", "mu", "D", "b"):
+            assert getattr(other, name).tobytes() == getattr(built, name).tobytes()
+        assert (other.e, other.n) == (built.e, built.n)
+
+    @pytest.mark.parametrize("e", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, e):
+        with pytest.raises(ValueError, match="finite"):
+            factor_problem(n=5).at(e)
+
+
 class TestObjective:
     def test_identity_hand_value(self):
         value = objective_value(np.eye(2), np.array([0.5, 0.5]), 0.1)
