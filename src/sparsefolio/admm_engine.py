@@ -40,20 +40,28 @@ max(kkt.attempt_floor(n), k^3/(3n^2)), where the floor min(ceil(n/3), 4)
 is 4, the interpreter cost of an attempt, from n = 10 on; each further
 step costs kkt.STEP_COST = 2, as it updates one kept factorization in
 O(n^2) (kkt).
-Iterations attempt_floor(n) * 2^j are checkpoints, which bounds a run
-that never certifies to about log2(max_iter) of them; a checkpoint tries
-only when z's sign pattern is the previous iteration's, as the support is
-then settling.  An iteration that passes the residual test tries once
-too, so a converged run carries certified weights, exactly sparse,
-wherever a certificate holds.  An attempt at iteration k gets the steps
-that the run's own work pays for: its k + 1 x-steps, and at the residual
-stop also (n + 2)/3 per rho change, a refactorization's price in x-steps,
-kept LU or not; the run ends there either way, so that budget cannot
-delay it.  A checkpoint that cannot pay for one step is skipped.  So a
-finish never spends more than the run has done.  Neither kind of attempt
+The checkpoints are the half-octave iterations round(attempt_floor(n) *
+2^(j/2)), j = 0, 1, 2, ... (certificate_checkpoints): 4, 6, 8, 11, 16,
+23, 32, ... from n = 10 on.  They hold the octave ones attempt_floor(n) *
+2^j, so a run ends no later than it would on those, and nearer the
+iteration where ADMM finds the support.  A run that never certifies meets
+about 2 log2(max_iter) of them; a checkpoint tries only when z's sign
+pattern is the previous iteration's, as the support is then settling.  An
+iteration that passes the residual test tries once too, so a converged
+run carries certified weights, exactly sparse, wherever a certificate
+holds.  An attempt at iteration k gets the steps that the run's own work
+pays for: its k + 1 x-steps, and at the residual stop also (n + 2)/3 per
+rho change, a refactorization's price in x-steps, kept LU or not; the run
+ends there either way, so that budget cannot delay it.  A checkpoint that
+cannot pay for one step is skipped.  So an attempt never spends more than
+the run has done, and as each checkpoint's budget is about 2^(-1/2) of
+the next one's, all the checkpoint attempts of a run spend at most about
+1/(1 - 2^(-1/2)) = 3.4 times its x-steps.  Neither kind of attempt
 retries the pattern of the last failed attempt unless its budget has
 grown since: a pattern a few steps short of a certificate gets it at the
-next checkpoint.  Each checkpoint could already spend its full budget on a new
+next checkpoint, and the retry goes on from where the failed finish
+stopped (kkt.Finish), so it makes only the steps that the larger budget
+adds.  Each checkpoint could already spend its full budget on a new
 pattern, so the retry leaves the worst-case work of a run as it was.
 SolveResult.finish counts the attempts, the failed ones, the fresh
 factorizations of a support block and the steps solved on a kept one.
@@ -96,13 +104,14 @@ handling; the values are bitwise the same.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .kkt import (FinishCounts, KktFactorization, attempt_floor, certify,
+from .kkt import (Finish, FinishCounts, KktFactorization, attempt_floor,
                   factorize, finish_steps, solve_x_update)
 from .lambda_controller import MAX_ADJUSTMENTS, LambdaSchedule, maybe_adjust
 from .model import PortfolioProblem, count_short_positions, objective_value
@@ -234,6 +243,18 @@ def feasible_start(problem: PortfolioProblem) -> np.ndarray:
     return D.T @ np.linalg.solve(D @ D.T, b)
 
 
+def certificate_checkpoints(floor: int) -> Iterator[int]:
+    """The iterations at which a run tries a certificate: round(floor *
+    2^(j/2)) for j = 0, 1, 2, ..., each once, in increasing order.  The even
+    j give floor * 2^(j/2) exactly."""
+    last = 0
+    for j in itertools.count():
+        checkpoint = round(floor * 2 ** (j / 2))
+        if checkpoint > last:
+            yield checkpoint
+            last = checkpoint
+
+
 def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
          start: KktFactorization, budget: int,
          callback: Optional[Callable[[IterateState], None]],
@@ -243,14 +264,14 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     problem's b; it keeps the LU at the rho it left last.  Iteration k is
     due an update when k equals the value last drawn from PenaltyState.due.
 
-    Checkpoints and the residual stop try kkt.certify on z by the rule of
-    the module docstring: the budget is the run's k + 1 x-steps, and at the
+    Checkpoints and the residual stop try kkt.certify's finish from z
+    (kkt.Finish) by the rule of the module docstring: the budget is the run's k + 1 x-steps, and at the
     stop (n + 2)/3 for each of its rho changes too, priced by
-    kkt.finish_steps; the run keeps the pattern and budget of the last
-    failed attempt, and counts attempts, failures and the finish's solves
-    in counts.  A certificate replaces iteration k by the
-    optimum, with that iterate's own residual norms (r_norm 0), which the
-    callback sees, and ends the run converged.
+    kkt.finish_steps; the run keeps the kkt.Finish of the last failed
+    attempt, which a retry of its pattern takes further, and counts
+    attempts, failures and the finish's solves in counts.  A certificate
+    replaces iteration k by the optimum, with that iterate's own residual
+    norms (r_norm 0), which the callback sees, and ends the run converged.
 
     Returns the last committed state, the termination, the iteration count,
     the rho in force at the end and whether a certificate ended the run.
@@ -270,9 +291,9 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     tol = cfg.tol
     # the x-steps' worth of the run's rho changes, (n + 2)/3 each
     factor_work = 0.0
-    checkpoint = attempt_floor(n)
-    # z's sign pattern at the last failed certificate, and its budget
-    failed_signs, failed_budget = None, 0
+    checkpoints = certificate_checkpoints(attempt_floor(n))
+    checkpoint = next(checkpoints)
+    failed = None  # the kkt.Finish of the last failed attempt
     certified = False
     # the last committed iterate's IterateState, or None when not built yet
     state = IterateState(x, z, y, rho, lam, -1)
@@ -297,25 +318,30 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
             stop = stopping_check(r_norm, d_norm, x_new, z_new, y_new, tol)
             if stop or k == checkpoint:
                 if k == checkpoint:
-                    checkpoint *= 2
+                    checkpoint = next(checkpoints)
                 signs = np.sign(z_new)
                 # the run's work so far; its rho changes count at the stop
                 work = k + 1 + (factor_work if stop else 0.0)
                 steps = finish_steps(n, np.count_nonzero(signs), work)
-                if (steps and (stop or np.array_equal(signs, np.sign(z)))
-                        and not (failed_budget >= steps
-                                 and np.array_equal(signs, failed_signs))):
-                    counts.attempts += 1
-                    polish = certify(problem, lam, z_new, steps, counts)
-                    if polish is None:
-                        counts.failed += 1
-                        failed_signs, failed_budget = signs, steps
-                    else:
-                        x_new = z_new = polish[0]
-                        y_new = -lam * polish[2]
-                        r_norm, d_norm = residual_norms(z_new - x_new,
-                                                        z_new - z, rho)
-                        stop = certified = True
+                if steps and (stop or (signs == np.sign(z)).all()):
+                    retry = (failed is not None
+                             and (signs == failed.pattern).all())
+                    finish = failed if retry else Finish(problem, lam, z_new)
+                    if finish.budget < steps:
+                        # this attempt replaces the last failed one, whose
+                        # kept inverse goes before this one builds its own
+                        failed = None
+                        counts.attempts += 1
+                        polish = finish.run(steps, counts)
+                        if polish is None:
+                            counts.failed += 1
+                            failed = finish
+                        else:
+                            x_new = z_new = polish[0]
+                            y_new = -lam * polish[2]
+                            r_norm, d_norm = residual_norms(z_new - x_new,
+                                                            z_new - z, rho)
+                            stop = certified = True
             x, z, y = x_new, z_new, y_new
             state = None
 

@@ -70,16 +70,21 @@ The first step of a finish is one ``solve_support``; the later ones keep
 C_SS^-1 in one buffer for the finish (``_SupportInverse``) and update it
 by a rank-one term as an asset joins or leaves, as active-set methods
 update their factorizations (Gill, Golub, Murray and Saunders 1974;
-Nocedal and Wright 2006, section 16.5).  The buffer is n x n, so a step
-costs O(n^2), like an x-step, against O(k^3) for a fresh factorization;
-a support so small that its fresh factorization costs less than an
-attempt's interpreter overhead (``attempt_floor``) is solved afresh at
-every step instead.  An x the kept inverse would accept is solved once
-more by ``solve_support`` and checked as that, so certified weights are
-``solve_support``'s on their support, bitwise.  The line search takes the
+Nocedal and Wright 2006, section 16.5), and keeps C_SS^-1 [mu_S, 1_S]
+with it by O(n) updates, so that a step solves by one ``symv``.  The
+buffer is n x n, so a step costs O(n^2), like an x-step, against O(k^3)
+for a fresh factorization; a support so small that its fresh
+factorization costs less than an attempt's interpreter overhead
+(``attempt_floor``) is solved afresh at every step instead.  An x the
+kept inverse would accept is solved once more by ``solve_support`` and
+checked as that, so certified weights are ``solve_support``'s on their
+support, bitwise.  The products C x and D' nu that the subgradient test
+forms serve the final ``check_kkt`` too.  The line search takes the
 quadratic along the segment in closed form, so a candidate costs its
-O(n) L1 term.  ``finish_steps`` prices a finish in
-x-steps for the engine's rationing.
+O(n) L1 term.  A finish takes the same steps whatever its budget, so one
+that ran out of steps can go on where it stopped (``Finish``), which the
+engine does when it tries the same pattern again on a larger budget.
+``finish_steps`` prices a finish in x-steps for the engine's rationing.
 """
 
 from __future__ import annotations
@@ -184,18 +189,23 @@ def solve_support(problem: PortfolioProblem, support: np.ndarray,
     symmetric, so ``gesv`` factors it in place through its transpose, the
     Fortran-ordered view of the same memory.
     """
-    index = np.flatnonzero(support)
+    index = support.nonzero()[0]
     k = index.size
-    A = np.zeros((k + 2, k + 2))
+    C = problem.C
+    A = np.empty((k + 2, k + 2))
     for start in range(0, k, _GATHER_ROWS):
         rows = index[start:start + _GATHER_ROWS]
-        A[start:start + rows.size, :k] = problem.C[rows][:, index]
-    D_S = problem.D[:, index]
+        A[start:start + rows.size, :k] = C.take(rows, 0).take(index, 1)
+    D_S = problem.D.take(index, 1)
     A[:k, k:] = D_S.T
     A[k:, :k] = D_S
-    rhs = np.empty((k + 2,) + head.shape[1:], order="F")
-    rhs[:k] = head
-    rhs[k:] = problem.b if head.ndim == 1 else problem.b[:, None]
+    A[k:, k:] = 0.0
+    if head.ndim == 1:
+        rhs = np.concatenate((head, problem.b))
+    else:
+        rhs = np.empty((k + 2, head.shape[1]), order="F")
+        rhs[:k] = head
+        rhs[k:] = problem.b[:, None]
     _, _, solution, info = _gesv(A.T, rhs, overwrite_a=True, overwrite_b=True)
     if info < 0:
         raise ValueError(f"gesv rejected argument {-info} of the support block")
@@ -278,74 +288,126 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
     certified, a check fails with no step left or the final check_kkt
     exceeds KKT_TOL.  So it accepts only a certified optimum, and with
     steps=1 it tests z's own pattern.  counts, when given, gains the
-    factorizations and kept-inverse steps the call made.
+    factorizations and kept-inverse steps the call made.  It is a fresh
+    Finish from z run on steps.
     """
-    counts = FinishCounts() if counts is None else counts
-    n = problem.n
-    support = z != 0
-    signs = np.sign(z)
-    current = None
-    kept = None  # the _SupportInverse of the steps after the first
-    for step in range(steps):
-        k = np.count_nonzero(support)
-        last = step + 1 == steps
-        if k == 0:
-            return None
-        if k == 1:
-            j = int(np.argmax(support))
-            nu = single_asset_multipliers(problem, lam, j)
-            if nu is None:
-                if last or problem.mu[j] == problem.b[0]:
-                    return None
-                # e_j misses the target: go on from the cheapest pair instead
-                current = _cheapest_pair(problem, lam, j)
-                support = current != 0
-                signs = np.sign(current)
-                continue
-            x = np.zeros(n)
-            x[j] = 1.0
-            g, worst = _subgradient(problem, lam, support, signs, x, nu)
-        else:
-            fresh = step == 0 or _factor_cost(n, k) < attempt_floor(n)
-            try:
-                if fresh:
-                    x, nu = _solve_fresh(problem, lam, support, signs, counts)
-                else:
-                    if kept is None:
-                        kept = _SupportInverse(problem, support)
-                        counts.factorizations += 1
+    return Finish(problem, lam, z).run(steps, counts)
+
+
+class Finish:
+    """certify's finish from the support and signs of one z, kept where it
+    stands, so that a larger budget takes it further instead of again.
+
+    run(steps, counts) brings it to at most steps steps in all and returns
+    what certify(problem, lam, z, steps, counts) returns.  The finish takes
+    the same steps whatever its budget, so a finish that ran out of steps
+    goes on from its last solution with the steps a fresh one would take
+    next, and its outcome and bits are the fresh one's; counts gains only
+    the steps it makes.  A finish that failed for a reason more steps do
+    not change (an empty support, a singular block, a lone asset that
+    cannot be certified, a final check_kkt above KKT_TOL) fails again at
+    once.  pattern is sign(z) and budget the largest steps it was run with.
+    It holds its kept inverse, an n x n buffer, until it is dropped.
+    """
+
+    def __init__(self, problem: PortfolioProblem, lam: float, z: np.ndarray):
+        self.problem, self.lam = problem, lam
+        self.pattern = np.sign(z)
+        self.budget = 0
+        self._support, self._signs = z != 0, self.pattern.copy()
+        self._current = None  # the point the next line search starts from
+        self._kept = None  # the _SupportInverse of the steps after the first
+        self._taken = 0
+        # how the last step's solution corrects S at the next step, or None
+        # before the first; _DEAD once no further step can certify
+        self._pending = None
+
+    def run(self, steps: int, counts: Optional[FinishCounts] = None,
+            ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        counts = FinishCounts() if counts is None else counts
+        self.budget = max(self.budget, steps)
+        problem, lam, n = self.problem, self.lam, self.problem.n
+        floor = attempt_floor(n)
+        support, signs = self._support, self._signs
+        current, kept, pending = self._current, self._kept, self._pending
+        taken, polish = self._taken, None
+        while pending is not _DEAD and taken < steps:
+            taken += 1
+            if pending is not None:  # correct S by the last step's solution
+                kind, x, extra = pending
+                if kind == "pair":
+                    # e_j misses the target: go on from the cheapest pair
+                    current = _cheapest_pair(problem, lam, extra)
+                    support = current != 0
+                    signs = np.sign(current)
+                elif kind == "join":
+                    worst, g = extra
+                    support[worst] = True
+                    signs[worst] = np.sign(g[worst])
+                    current = x
+                else:  # a sign flipped
+                    if current is not None:
+                        x = _line_search(problem, lam, current, x)
+                    current = x
+                    support = x != 0
+                    signs = np.sign(x)
+            pending = _DEAD
+            k = np.count_nonzero(support)
+            if k == 0:
+                break
+            if k == 1:
+                j = int(np.argmax(support))
+                nu = single_asset_multipliers(problem, lam, j)
+                if nu is None:
+                    if problem.mu[j] != problem.b[0]:
+                        pending = "pair", None, j
+                    continue
+                x = np.zeros(n)
+                x[j] = 1.0
+                test = _subgradient(problem, lam, support, signs, k, x, nu)
+            else:
+                fresh = taken == 1 or _factor_cost(n, k) < floor
+                try:
+                    if fresh:
+                        x, nu = _solve_fresh(problem, lam, support, signs,
+                                             counts)
                     else:
-                        counts.factorizations += kept.move_to(support)
-                    counts.updates += 1
-                    x, nu = kept.solve(-lam * signs * support)
-                g, worst = _subgradient(problem, lam, support, signs, x, nu)
-                if not fresh and g is not None and worst is None:
-                    # accepted on the kept inverse: check solve_support's x,
-                    # with the inverse's memory given back first
-                    kept = None
-                    x, nu = _solve_fresh(problem, lam, support, signs, counts)
-                    g, worst = _subgradient(problem, lam, support, signs, x, nu)
-            except np.linalg.LinAlgError:
-                return None
-        if g is not None:
-            if worst is None:
-                if not check_kkt(problem, lam, x, nu, g) <= KKT_TOL:
-                    return None
-                return x, nu, g
-            if last:
-                return None
-            support[worst] = True
-            signs[worst] = np.sign(g[worst])
-            current = x
-            continue
-        if last:
-            return None
-        if current is not None:
-            x = _line_search(problem, lam, current, x)
-        current = x
-        support = x != 0
-        signs = np.sign(x)
-    return None
+                        if kept is None:
+                            kept = _SupportInverse(problem, support)
+                            counts.factorizations += 1
+                        else:
+                            counts.factorizations += kept.move_to(support)
+                        counts.updates += 1
+                        # signs is zero off S
+                        x, nu = kept.solve(-lam * signs)
+                    test = _subgradient(problem, lam, support, signs, k, x, nu)
+                    if not fresh and test is not None and test[1] is None:
+                        # accepted on the kept inverse: check solve_support's
+                        # x, with the inverse's memory given back first
+                        kept = None
+                        x, nu = _solve_fresh(problem, lam, support, signs,
+                                             counts)
+                        test = _subgradient(problem, lam, support, signs, k,
+                                            x, nu)
+                except np.linalg.LinAlgError:
+                    break
+            if test is None:
+                pending = "flip", x, None
+            elif test[1] is not None:
+                pending = "join", x, (test[1], test[0])
+            else:
+                g, _, Cx, Dnu = test
+                if _violation(problem, lam, x, g, Cx, Dnu) <= KKT_TOL:
+                    polish = x, nu, g
+                break
+        self._support, self._signs = support, signs
+        self._current, self._kept = current, kept
+        self._taken, self._pending = taken, pending
+        return polish
+
+
+# Finish._pending once no further step can certify
+_DEAD = object()
 
 
 def finish_steps(n: int, k: int, work: float) -> int:
@@ -386,19 +448,22 @@ def _solve_fresh(problem: PortfolioProblem, lam: float, support: np.ndarray,
 
 
 def _subgradient(problem: PortfolioProblem, lam: float, support: np.ndarray,
-                 signs: np.ndarray, x: np.ndarray, nu: np.ndarray,
-                 ) -> tuple[Optional[np.ndarray], Optional[int]]:
-    """certify's test of a solution on S: (None, None) where a sign on S
-    flips, else g (s on S, -(Cx + D'nu)/lam off S, 0 there at lam = 0) and
-    the worst off-support asset with |g_j| > 1, or None if there is none."""
-    if not np.all(signs[support] * x[support] > 0):
-        return None, None
+                 signs: np.ndarray, k: int, x: np.ndarray, nu: np.ndarray,
+                 ) -> Optional[tuple[np.ndarray, Optional[int], np.ndarray,
+                                     np.ndarray]]:
+    """certify's test of a solution x (zero off S) on the k assets of S,
+    whose signs s are signs (zero off S): None where a sign on S flips,
+    else (g, worst, Cx, D'nu), with g s on S and -(Cx + D'nu)/lam off S (0
+    there at lam = 0), worst the off-support asset of largest |g_j| > 1, or
+    None if there is none, and the two products for _violation."""
+    if np.count_nonzero(signs * x > 0) != k:
+        return None
+    Cx, Dnu = problem.C @ x, problem.D.T @ nu
     if not lam > 0:
-        return np.where(support, signs, 0.0), None
-    g = np.where(support, signs,
-                 (problem.C @ x + problem.D.T @ nu) / -lam)
+        return np.where(support, signs, 0.0), None, Cx, Dnu
+    g = np.where(support, signs, (Cx + Dnu) / -lam)
     worst = int(np.argmax(np.where(support, 0.0, np.abs(g))))
-    return g, (None if abs(g[worst]) <= 1.0 else worst)
+    return g, (None if abs(g[worst]) <= 1.0 else worst), Cx, Dnu
 
 
 class _SupportInverse:
@@ -408,28 +473,30 @@ class _SupportInverse:
     triangle is stored and read: BLAS symv and syr.
 
     With H, the block [C_SS D_S'; D_S 0] [x_S; nu] = [h; b] is solved
-    through the 2 x 2 Schur complement D_S H D_S'.  Asset j joins by the
-    bordering formula: with c = C_Sj, u = Hc and sigma = C_jj - c'u, the
-    inverse on S + j is H + w w'/sigma with w = u - e_j.  It leaves by the
-    downdate H - w w'/H_jj with w = H e_j, after which row and column j
-    are set to exact zero.  A pivot sigma or H_jj that is not positive and
-    finite, which rounding can give on a nearly singular C_SS, or more
-    changes than two, makes it factor S afresh (LAPACK potrf and potri).
-    The buffer belongs to one finish.
+    through the 2 x 2 Schur complement D_S H D_S', from Hh and M = H R,
+    R = [mu_S, 1_S] (zero off S), which it keeps with H.  Asset j joins by
+    the bordering formula: with c = C_Sj, u = Hc and sigma = C_jj - c'u,
+    the inverse on S + j is H + w w'/sigma with w = u - e_j, and M gains
+    w (w'R)/sigma for the new R.  It leaves by the downdate H - w w'/H_jj
+    with w = H e_j, and M by w (w'R)/H_jj for the old R, after which row
+    and column j of H and row j of M are set to exact zero.  So a solve is
+    one symv, Hh.  A pivot sigma or H_jj that is not positive and finite,
+    which rounding can give on a nearly singular C_SS, or more changes than
+    two, makes it factor S afresh (LAPACK potrf and potri).  The buffer
+    belongs to one finish.
     """
 
     def __init__(self, problem: PortfolioProblem, support: np.ndarray):
         self.C, self.mu, self.b = problem.C, problem.mu, problem.b
         self.H = np.zeros((problem.n, problem.n), order="F")
-        # the right-hand sides [h, mu_S, 1_S] of a solve, zero off S
-        self.R = np.zeros((problem.n, 3), order="F")
+        self.R = np.zeros((problem.n, 2))
         self.support = support.copy()
         self._factor()
 
     def _factor(self) -> None:
-        index = np.flatnonzero(self.support)
+        index = self.support.nonzero()[0]
         # C_SS is symmetric, so its transpose is the Fortran-ordered copy
-        block = self.C[np.ix_(index, index)].T
+        block = self.C.take(index, 0).take(index, 1).T
         # clean zeroes the strict lower triangle, which potri leaves alone
         upper, info = _potrf(block, lower=False, overwrite_a=True, clean=True)
         if info == 0:
@@ -438,8 +505,9 @@ class _SupportInverse:
             raise np.linalg.LinAlgError("C_SS is not positive definite")
         self.H.fill(0.0)
         self.H[np.ix_(index, index)] = upper
-        self.R[:, 1] = np.where(self.support, self.mu, 0.0)
-        self.R[:, 2] = self.support
+        self.R[:, 0] = np.where(self.support, self.mu, 0.0)
+        self.R[:, 1] = self.support
+        self.M = np.column_stack([_symv(1.0, self.H, r) for r in self.R.T])
 
     def move_to(self, support: np.ndarray) -> int:
         """Make H the inverse for support; returns the fresh factorizations
@@ -465,7 +533,8 @@ class _SupportInverse:
         u[j] = -1.0
         self.H = _syr(1.0 / sigma, u, a=self.H, overwrite_a=True)
         self.support[j] = True
-        self.R[j, 1:] = self.mu[j], 1.0
+        self.R[j] = self.mu[j], 1.0
+        self.M += np.outer(u, (u @ self.R) / sigma)
         return True
 
     def _leave(self, j: int) -> bool:
@@ -477,24 +546,24 @@ class _SupportInverse:
         H[j, :] = 0.0
         H[:, j] = 0.0
         self.support[j] = False
-        self.R[j, 1:] = 0.0
+        self.M -= np.outer(w, (w @ self.R) / w[j])
+        self.M[j] = 0.0
+        self.R[j] = 0.0
         return True
 
     def solve(self, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x (zero off S) and nu of the block of S against [head_S; b];
         head is an n-vector, zero off S."""
-        self.R[:, 0] = head
-        # one symv a column: at n=500 a three-column symm took nine times
-        # as long as one symv (OpenBLAS, one thread)
-        HR = np.column_stack([_symv(1.0, self.H, r) for r in self.R.T])
-        # [h, mu_S, 1_S]' H [h, mu_S, 1_S] holds D_S H h and D_S H D_S'
-        (_, p, q), (_, a, c), (_, _, d) = (self.R.T @ HR).tolist()
+        Hh = _symv(1.0, self.H, head)
+        # [mu_S, 1_S]' H [h, mu_S, 1_S] holds D_S H h and D_S H D_S'
+        (p, a, c), (q, _, d) = (self.R.T @ np.column_stack((Hh, self.M))
+                                ).tolist()
         det = a * d - c * c
         if not det > 0:
             raise np.linalg.LinAlgError("D_S H D_S' is singular")
         r, s = p - self.b[0], q - self.b[1]
         nu = np.array(((d * r - c * s) / det, (a * s - c * r) / det))
-        return HR @ np.array((1.0, -nu[0], -nu[1])), nu
+        return Hh - self.M @ nu, nu
 
 
 def _cheapest_pair(problem: PortfolioProblem, lam: float,
@@ -533,19 +602,27 @@ def _line_search(problem: PortfolioProblem, lam: float, current: np.ndarray,
     one product of C with [current, d], so a candidate costs only its O(n)
     L1 term, taken for a block of candidates at a time."""
     direction = x - current
-    crossing = np.flatnonzero(current * x < 0)
+    crossing = (current * x < 0).nonzero()[0]
     at = current[crossing] / -direction[crossing]
-    candidates = np.append(np.unique(at), 1.0)
+    # a repeated candidate repeats its value, and the first lowest wins
+    candidates = np.empty(at.size + 1)
+    candidates[:-1] = at
+    candidates[:-1].sort()
+    candidates[-1] = 1.0
     ends = np.array((current, direction))
-    (cc, cd), (_, dd) = (ends @ problem.C) @ ends.T
+    (cc, cd), (_, dd) = ((ends @ problem.C) @ ends.T).tolist()
     rows = max(1, _L1_ENTRIES // current.size)
-    penalty = lam * np.concatenate([
-        np.abs(current + candidates[i:i + rows, None] * direction).sum(axis=1)
-        for i in range(0, candidates.size, rows)])
+    penalty = np.empty(candidates.size)
+    for i in range(0, candidates.size, rows):
+        block = candidates[i:i + rows, None] * direction
+        block += current
+        np.abs(block, out=block)
+        block.sum(axis=1, out=penalty[i:i + rows])
+    penalty *= lam
     values = 0.5 * (cc + candidates * (2 * cd + candidates * dd)) + penalty
     # values within rounding of the lowest tie, and the first of them wins
     scale = 0.5 * (abs(cc) + 2 * abs(cd) + abs(dd)) + penalty.max()
-    t = candidates[int(np.argmax(values <= values.min() + 8 * _EPS * scale))]
+    t = candidates[(values <= values.min() + 8 * _EPS * scale).argmax()]
     if t == 1.0:
         return x
     point = current + t * direction
@@ -563,7 +640,13 @@ def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    stationarity = float(np.abs(problem.C @ x + lam * g + problem.D.T @ nu).max())
+    return _violation(problem, lam, x, g, problem.C @ x, problem.D.T @ nu)
+
+
+def _violation(problem: PortfolioProblem, lam: float, x: np.ndarray,
+               g: np.ndarray, Cx: np.ndarray, Dnu: np.ndarray) -> float:
+    """check_kkt's measure, given the products Cx and D'nu."""
+    stationarity = float(np.abs(Cx + lam * g + Dnu).max())
     feasibility = float(np.abs(problem.D @ x - problem.b).max())
     worst = max(stationarity, feasibility)
     if lam > 0:

@@ -1,17 +1,29 @@
 """Shared builders for the test suite."""
-import numpy as np
-import pytest
-import scipy
+import os
+import sys
 
-from sparsefolio.market_data import estimate_stats, generate_synthetic_returns
-from sparsefolio.model import PortfolioProblem, build_problem
+# The *_pinned.py files compare bytes, and some BLAS results (the exhaustive
+# oracle's among them) depend on the number of threads BLAS uses, so every
+# test runs BLAS on one thread, as perfbench/worker.py does.  The variables
+# are read when numpy loads its BLAS, which must not have happened yet.
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy  # noqa: E402
+
+from sparsefolio.market_data import estimate_stats, generate_synthetic_returns  # noqa: E402
+from sparsefolio.model import PortfolioProblem, build_problem  # noqa: E402
 
 
 def pytest_report_header(config):
     """The numpy and scipy versions and the BLAS each was built with.
 
     The four *_pinned.py files compare bytes that depend on these builds;
-    their pins were recorded with numpy 2.4.6 and scipy 1.17.1.
+    their pins were recorded with numpy 2.4.6 and scipy 1.17.1, BLAS on
+    one thread.
     """
     lines = []
     for module in (np, scipy):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from exhaustive_oracle import (
 )
 from sparsefolio.admm_engine import (
     SolverConfig,
+    certificate_checkpoints,
     feasible_start,
     residual_norms,
     shrink_constants,
@@ -28,6 +30,7 @@ from sparsefolio.admm_engine import (
 )
 from sparsefolio.kkt import (
     KKT_TOL,
+    Finish,
     attempt_floor,
     certify,
     factorize,
@@ -65,8 +68,15 @@ def no_certificate(monkeypatch):
     solves from the optimum's than the budget allows: runs end by the
     residual test or max_iter only, and their iterates are those of the
     engine without certificates."""
-    monkeypatch.setattr(engine, "certify",
-                        lambda problem, lam, z, steps, counts: None)
+    monkeypatch.setattr(engine, "Finish", FailingFinish)
+
+
+class FailingFinish(Finish):
+    """A kkt.Finish whose every run fails."""
+
+    def run(self, steps, counts=None):
+        self.budget = max(self.budget, steps)
+        return None
 
 
 def assert_converged_contract(problem, result, lam, tol):
@@ -521,7 +531,7 @@ class TestRefactorization:
     @pytest.mark.parametrize("kind", ["bb", "rbb"])
     def test_spectral_refactors_only_on_moves_by_the_ratio(self, monkeypatch,
                                                            kind):
-        problem = factor_problem(n=6, seed=10)
+        problem = factor_problem(n=6, seed=20)
         cfg = solver_config(problem, kind=kind, lam=0.001)
         rhos = []
         real = engine.factorize
@@ -544,7 +554,7 @@ class TestRefactorization:
     def test_rb_takes_the_lu_of_a_rho_it_returns_to(self, monkeypatch):
         # rb doubles and halves rho: here it climbs from rho0, steps back
         # once and up again, and so returns twice to a rho it just left
-        problem = factor_problem(n=6, seed=11)
+        problem = factor_problem(n=6, seed=18)
         cfg = SolverConfig(tol=1e-6, penalty=PenaltyConfig(kind="rb"),
                            lambda_schedule=LambdaSchedule.fixed(
                                initial_lambda(60, 6)))
@@ -898,7 +908,7 @@ class TestStepsAtTheStatesRhoAndLambda:
 
     @pytest.mark.parametrize("kind", ["rb", "bb", "rbb"])
     def test_rho_changes(self, kind):
-        problem = factor_problem(n=6, seed=10)
+        problem = factor_problem(n=6, seed=20)
         result, seen = self.trajectory(
             problem, solver_config(problem, kind=kind, lam=0.001))
         assert result.termination == "converged"
@@ -937,30 +947,55 @@ class TestTextbookEquivalence:
 
 
 class TestCertifiedStop:
-    """A run tries kkt.certify on z at checkpoints k = attempt_floor(n) * 2^j
-    whose sign pattern repeats the previous iteration's, and at the residual
-    stop.  An attempt at iteration k may make finish_steps(n, |supp z|, work)
-    block solves, where work is the run's k + 1 x-steps, plus (n + 2)/3 per
+    """A run tries kkt.certify on z at the half-octave checkpoints
+    k = round(attempt_floor(n) * 2^(j/2)) whose sign pattern repeats the
+    previous iteration's, and at the residual stop.  An attempt at
+    iteration k may make finish_steps(n, |supp z|, work) block solves,
+    where work is the run's k + 1 x-steps, plus (n + 2)/3 per
     refactorization at the residual stop; it is skipped where that is 0, or
     where z's pattern is that of the last failed attempt and that attempt's
-    budget was at least as large.  A certificate ends the run at the
-    optimum."""
+    budget was at least as large; a retry of that pattern goes on from the
+    failed kkt.Finish, with the outcome, bitwise, of a fresh finish on its
+    budget.  A certificate ends the run at the optimum."""
 
     @staticmethod
     def attempts(problem, cfg, monkeypatch):
-        """The solve, its states, and the k, z, budget and outcome of every
-        attempt."""
+        """The solve, its states, and the k, z's sign pattern, budget and
+        outcome of every attempt."""
         seen, tried = [], []
 
-        def spy(problem, lam, z, steps, counts):
-            k = len(seen)  # certify runs before iteration k reaches the callback
-            polish = certify(problem, lam, z, steps, counts)
-            tried.append((k, z.copy(), steps, polish is not None))
-            return polish
+        class Spy(Finish):
+            def run(self, steps, counts=None):
+                k = len(seen)  # the finish runs before iteration k is seen
+                polish = super().run(steps, counts)
+                tried.append((k, self.pattern, steps, polish is not None))
+                # a run from scratch on the budget: the outcome, bitwise
+                fresh = certify(self.problem, self.lam, self.pattern, steps)
+                assert (polish is None) == (fresh is None)
+                if polish is not None:
+                    assert polish[0].tobytes() == fresh[0].tobytes()
+                return polish
 
-        monkeypatch.setattr(engine, "certify", spy)
+        monkeypatch.setattr(engine, "Finish", Spy)
         result = solve(problem, cfg, callback=seen.append)
         return result, seen, tried
+
+    @pytest.mark.parametrize("floor", [1, 2, 3, 4])
+    def test_checkpoints_are_half_octaves_holding_the_octaves(self, floor):
+        # strictly increasing, and every octave checkpoint floor * 2^j up to
+        # max_iter among them, at about two a doubling
+        max_iter = SolverConfig().max_iter
+        checkpoints = list(itertools.takewhile(
+            lambda k: k <= max_iter, certificate_checkpoints(floor)))
+        assert all(a < b for a, b in zip(checkpoints, checkpoints[1:]))
+        octaves = list(itertools.takewhile(
+            lambda k: k <= max_iter, (floor * 2**j for j in itertools.count())))
+        assert set(octaves) <= set(checkpoints)
+        assert len(checkpoints) <= 2 * len(octaves)
+        expected = {1: [1, 2, 3, 4, 6, 8, 11, 16], 2: [2, 3, 4, 6, 8, 11, 16, 23],
+                    3: [3, 4, 6, 8, 12, 17, 24, 34],
+                    4: [4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256]}
+        assert checkpoints[:len(expected[floor])] == expected[floor]
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     @pytest.mark.parametrize("seed", [1, 4, 10])
@@ -972,7 +1007,8 @@ class TestCertifiedStop:
         result, seen, tried = self.attempts(
             problem, solver_config(problem, kind=kind, lam=0.001, tol=tol,
                                    max_iter=5000), monkeypatch)
-        checkpoints = {attempt_floor(n) * 2**j for j in range(12)}
+        checkpoints = set(itertools.takewhile(
+            lambda k: k <= 5000, certificate_checkpoints(attempt_floor(n))))
         last = result.iterations - 1
         # the work of the run's refactorizations, which the residual stop adds
         refactored = sum(a.rho != b.rho for a, b in zip(seen, seen[1:]))
@@ -1019,10 +1055,10 @@ class TestCertifiedStop:
     def test_a_failed_pattern_is_retried_on_a_larger_budget(self, monkeypatch):
         # acceptance test 11's instance 80 (n=7, lam 0, fixed): z's pattern
         # at the checkpoint k=3 fails on one block solve, as one weight's
-        # sign is wrong, and the next checkpoint certifies the same pattern
-        # on its budget of three; before retries the run went on to its
-        # residual stop at k=15, uncertified and 2.4e-6 (relative) above the
-        # optimum
+        # sign is wrong, and the next checkpoint, k=4, certifies the same
+        # pattern on its budget of two (on octave checkpoints it was k=6,
+        # on three); before retries the run went on to its residual stop at
+        # k=15, uncertified and 2.4e-6 (relative) above the optimum
         mu, C = estimate_stats(generate_synthetic_returns(7, 60, 3016,
                                                           noise_scale=0.03))
         problem = build_problem(mu, C, 0.5 * (float(mu.min()) + float(mu.max())))
@@ -1030,8 +1066,11 @@ class TestCertifiedStop:
                            lambda_schedule=LambdaSchedule.fixed(0.0))
         result, seen, tried = self.attempts(problem, cfg, monkeypatch)
         assert [(k, steps, passed) for k, _, steps, passed in tried] == [
-            (3, 1, False), (6, 3, True)]
+            (3, 1, False), (4, 2, True)]
         assert np.array_equal(np.sign(tried[0][1]), np.sign(tried[1][1]))
+        # the retry goes on from the failed finish: its second step is the
+        # only block solve it makes
+        assert (result.finish.factorizations, result.finish.updates) == (2, 0)
         assert result.termination == "converged" and result.certified
         oracle = enumerate_solve(problem, 0.0)
         np.testing.assert_allclose(result.weights, oracle.weights, rtol=0,

@@ -382,10 +382,10 @@ class TestFrontier:
                               "--max-iter", "2", "--tol", "1e-14")
         assert code == EXIT_NO_CONVERGENCE
         assert [r.split(",")[-1] for r in rows[1:]] == ["max_iter"] * 3
-        # one converged point of five is enough for exit 0: within 9
-        # iterations a certificate ends point 0 (after 9) and no other
+        # one converged point of five is enough for exit 0: within 10
+        # iterations a certificate ends point 3 (after 9) and no other
         code, rows = self.run(returns_csv, tmp_path, "--points", "5",
-                              "--strategy", "fixed", "--max-iter", "9")
+                              "--strategy", "bb", "--max-iter", "10")
         assert code == EXIT_OK
         statuses = [r.split(",")[-1] for r in rows[1:]]
         assert sorted(statuses) == ["converged"] + ["max_iter"] * 4
@@ -563,8 +563,10 @@ class TestBench:
         # bb and rbb again when certificates began to end runs, fixed and rb
         # again when they began to start at sqrt(lambda_min * lambda_max) of
         # C, fixed, rb and rbb again when each certificate attempt began to
-        # correct z's support, and rb again when attempts began to be priced
-        # by the support they solve; the spectral rules stay ahead of fixed
+        # correct z's support, rb again when attempts began to be priced by
+        # the support they solve, and fixed, bb and rbb again when the
+        # checkpoints became half-octaves; the spectral rules stay ahead of
+        # fixed
         code, rows = self.run(tmp_path, "--suite", "illcond", "--trials", "3",
                               "--seed", "0")
         assert code == EXIT_OK
@@ -573,10 +575,10 @@ class TestBench:
             fields = row.split(",")
             if fields[2] == "median":
                 medians[fields[1]] = float(fields[3])
-        assert medians["fixed"] == 65.0
+        assert medians["fixed"] == 46.0
         assert medians["rb"] == 17.0
-        assert medians["bb"] == 17.0
-        assert medians["rbb"] == 17.0
+        assert medians["bb"] == 12.0
+        assert medians["rbb"] == 12.0
         assert max(medians["bb"], medians["rbb"]) < medians["fixed"]
 
     def test_unknown_suite_exits_2(self):

@@ -22,7 +22,7 @@ from sparsefolio.cli import main
 # case: (command line after the input, sha256 of exit code and output)
 CASES = {
     "solve-fixed": (("solve", "--strategy", "fixed"),
-        "b8cd88b3d2d63904cf8e022e240caa16eb94c76c622a3a173caf063e773d185a"),
+        "bccea64ff457fb9c6dac725a5e37f4f8e9131ac7c6632a47ab859ee7f7ce47b3"),
     "solve-rb": (("solve", "--strategy", "rb"),
         "d64a673e34d98ec4a1c779389a31fa6ccd1e185fc83eb4bc2e70e2b3e2823d2b"),
     "solve-bb": (("solve", "--strategy", "bb"),
@@ -34,7 +34,7 @@ CASES = {
         "0f9a37d5f0c10204e50566d84a6c97966f01085fc06dff35d63286525b818137"),
     # a certified optimum with two shorts, so short_count is 2
     "solve-rbb-shorts": (("solve", "--target-return", "0.0034"),
-        "7b070f8d9352a0f2e1a297595364307d25d1c4b414762f7296f7d5c213595cb2"),
+        "fff6d0ac9b9e1cf87f94beeb9f55cb77d24e6c0fe930f0646ebfed56b9a6031c"),
     # x held seven entries below -ZERO_TOL, noise of about 1e-7; the
     # certified weights hold none
     "solve-rbb-noise-shorts": (("solve", "--target-return", "0.014"),
@@ -44,11 +44,11 @@ CASES = {
     # from its cheapest feasible pair (exit 0)
     "solve-rbb-adaptive-moves": (
         ("solve", "--target-return", "0.0148", "--adaptive-lambda"),
-        "f3e7073138ed539ee7dd51a016eac6e78bf7aeb74b8ccb0c20e6d4b725ba9112"),
+        "f2f7c9aa4873fabed9c0adc94fd072ea874f25aa6bdd88d62e8e1e23122a735f"),
     "frontier-3": (("frontier", "--points", "3"),
-        "2419a8c81022cda307aa89442ad2f3b395c0136fceb118af1e76f58d571cc1a7"),
+        "3951a9ba23d0f77c2b559595c2e4852154b6f4017564c38b3e2d7e89f4c320e7"),
     "bench-2": (("bench", "--trials", "2"),
-        "6d007a3a69714d23af64d9ee6169358f602bdc8a886e1803e5cbd5e4353a2653"),
+        "21efd97fe333f48f3e515dbf3a509b0bb1dc8678dced21b39022b7e8d941a644"),
 }
 
 

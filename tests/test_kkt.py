@@ -13,6 +13,8 @@ from exhaustive_oracle import enumerate_solve
 from sparsefolio.admm_engine import SolverConfig, solve
 from sparsefolio.kkt import (
     KKT_TOL,
+    Finish,
+    FinishCounts,
     attempt_floor,
     certify,
     check_kkt,
@@ -505,6 +507,34 @@ class TestCertifyProperty:
             for a, b in zip(polish, again):
                 assert a.tobytes() == b.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 3),
+           point=st.integers(0, 4), lam=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+           steps=st.integers(1, 6), more=st.integers(1, 6), data=st.data())
+    def test_a_resumed_finish_is_a_fresh_one_on_its_budget(
+            self, n, seed, point, lam, steps, more, data):
+        # a finish that fails on steps goes on, run on steps + more, to
+        # certify's outcome on steps + more, bitwise, with the same solves
+        # in all: only those after its first steps are made again
+        problem, _ = self.instance(n, seed, point, lam)
+        z = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                        min_size=n, max_size=n)))
+        finish, counts = Finish(problem, lam, z), FinishCounts()
+        if finish.run(steps, counts) is not None:
+            return
+        fresh_counts = FinishCounts()
+        expected = certify(problem, lam, z, steps + more, fresh_counts)
+        polish = finish.run(steps + more, counts)
+        assert finish.budget == steps + more
+        assert (polish is None) == (expected is None)
+        if polish is not None:
+            for a, b in zip(polish, expected):
+                assert a.tobytes() == b.tobytes()
+        assert counts == fresh_counts
+        # a budget it has already spent makes no step
+        assert finish.run(steps, counts) is None
+        assert counts == fresh_counts
+
 
 class TestKeptInverse:
     """The steps after a finish's first on a support block large enough to
@@ -557,6 +587,7 @@ class TestKeptInverse:
             lambda_schedule=LambdaSchedule.fixed(lam))).weights))
         signs = np.sign(optimum[0])
         assert np.count_nonzero(signs) == 104
+        stopped = 0
         for i in range(0, n, 7):
             z = signs.copy()
             z[i] = 0.0 if signs[i] else 1.0
@@ -575,6 +606,17 @@ class TestKeptInverse:
             assert counts.factorizations == len(fresh)
             for a, b in zip(polish, optimum):
                 assert a.tobytes() == b.tobytes()
+            # a finish stopped after 2 steps goes on, on the kept inverse,
+            # to the same certificate with the same solves in all
+            finish, resumed = Finish(problem, lam, z), FinishCounts()
+            polish = finish.run(2, resumed)
+            if polish is None:
+                stopped += 1
+                polish = finish.run(12, resumed)
+            for a, b in zip(polish, optimum):
+                assert a.tobytes() == b.tobytes()
+            assert resumed == counts
+        assert stopped >= 5
 
 
 def counting(calls, function):

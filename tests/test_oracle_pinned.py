@@ -5,7 +5,10 @@ repr(objective) and unique, instance by instance, so any change to how the
 enumeration builds or solves its systems that moves a single bit fails here.
 The instances are those the acceptance and benchmark gates compare against:
 test 1's 100 instances and the 15 bench-suite instances (3 suites x 5 trials,
-seed 0).
+seed 0).  The digests are those of BLAS on one thread, which
+tests/conftest.py sets for every test: on two threads the weight and
+multiplier bytes of bench-suite random trials 0, 2 and 3 differ, and the
+bench-suite digest was recorded again when that setting came in.
 """
 
 import hashlib
@@ -49,7 +52,7 @@ def digest(instances):
     (acceptance_instances,
      "877c90f14f223f9475bad2a487721a5dd4ee9b3fe965ef317a2dfd29848e8134"),
     (bench_instances,
-     "45cdc5eaa94582023e00813f352a129a0083bd3e86d90c3745d5cd256fed7458"),
+     "57a08d26c3f57e41ace4a5eb833e447a6b98763fca34db0e2efc5dc3ad8597e9"),
 ], ids=["test_1", "bench_suites"])
 def test_oracle_results_are_pinned(instances, expected):
     assert digest(instances()) == expected

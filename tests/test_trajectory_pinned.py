@@ -15,8 +15,10 @@ correct z's support, and illcond fixed, shorts rbb and frontier point 0
 when a failed pattern began to be tried again on a larger budget and a
 lone asset that misses the target to be left by its cheapest pair, and
 illcond rb, shorts rbb and frontier point 0 when attempts began to be
-priced by the support they solve, and the fixed cases again when their
-x-steps went back to the LU, as every strategy's do.
+priced by the support they solve, the fixed cases again when their
+x-steps went back to the LU, as every strategy's do, and the eight suite
+cases and frontier points 0 and 12 that half-octave checkpoints end
+sooner.
 
 Cases use the configurations of test_iterates_pinned.py: trial 0 of each
 suite with each strategy, and frontier points 0, 3, 4 and 12.  An adaptive
@@ -38,26 +40,26 @@ from sparsefolio.suites import SUITES, make_suite_instances
 
 # (suite, strategy): (iterations, sha256 of the trajectory)
 SUITE_TRAJECTORIES = {
-    ("random", "fixed"): (33, "9bb5f61c46a0f53b5f545799bc76cc392ce59d998e12834c92a19d8bf01af116"),
+    ("random", "fixed"): (24, "3b1d4893020838e4c534090b5043d21ec25e2a11abaaf352c9e908274e601388"),
     ("random", "rb"): (9, "44eae12fa5ead941d218e98dd51b59a2c1a92b0f46b6ab71a2b41a234079bf25"),
     ("random", "bb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
     ("random", "rbb"): (5, "c565f999004311a51d95326052f7d9c7346070ef0d204701683106c3938c6d55"),
-    ("illcond", "fixed"): (65, "75e07ba1065b297a33b3a91450130e030e4b6f7acc1489b182cd0206364ada3e"),
-    ("illcond", "rb"): (17, "ef0686d2096862bd92df9f4eabe87ec35690188786757e37060fe6758ed946ea"),
-    ("illcond", "bb"): (17, "546ae7680c4756da49c3f3a193bd2d5c041256f429cd7bd22748ec8c706b8876"),
-    ("illcond", "rbb"): (17, "742e6b310553fd732e82eb1367daaa3b2587033de9709768f949604cab99256e"),
+    ("illcond", "fixed"): (46, "4799e74cce34fab55b7bcc6769f4acb3da4ccba7c30753330bb2534a41a42427"),
+    ("illcond", "rb"): (12, "b4a49ad1c676ef35472cefc169933ebec5f158878d4946df834eb57145b1ab8e"),
+    ("illcond", "bb"): (12, "b2a13b18f3e3b4683809681480000032e4b14be0243fe80dca05df18f30adc0b"),
+    ("illcond", "rbb"): (12, "eb3db12f558a867ea844200ad28fcc6392e918f30a8dfcc769539166c87291f5"),
     ("shorts", "fixed"): (65, "14a04e7c2359774525936c8e9105153ca7f951518aedcbe1345af61f1562c469"),
-    ("shorts", "rb"): (33, "c3e2b8ccc03feb4d41aacf3402e5feb18b849feace9c488e8f554bcc0515fb45"),
-    ("shorts", "bb"): (33, "34ba45be16ec858b8be8ffe28390532969e182b86d779ece31b006fd0dd65b15"),
-    ("shorts", "rbb"): (33, "e177788c587bcccff5d395ee88aabdaccddbdc11afd8b8767c2105101fda10e3"),
+    ("shorts", "rb"): (24, "bee3419e63215d6a33aef0f293c3aee988abd3053426625bc16a342a88098812"),
+    ("shorts", "bb"): (24, "e31f70702d5fac976c4657833f1144d0d7314669ac437645bb4f83c3ea8d22ce"),
+    ("shorts", "rbb"): (24, "626f4339cb8efe23a320aecec1c0b286e024716126e296bb8ef7ac42b5b2c241"),
 }
 
 # frontier point: (iterations, sha256 of the trajectory)
 FRONTIER_TRAJECTORIES = {
-    0: (83, "23b0096194822449165824423d210e683689829834e3e7b9cbed4e0db4d044b6"),
+    0: (65, "7ac7c8f39f29ee2b44bdba4f216c065829a780bdedaa334a2edf427038b4dd07"),
     3: (33, "b5d954b416177d1336f5c9d8ca82bef192e0ef59c104345fe32076699ca4714e"),
     4: (9, "740562db24da297fac01ba6213c974b4e22c9ee2d0ba2f666e4650ea3c2f7fb4"),
-    12: (17, "f4deb71af33029c2fc413e615bd7b95039d1e656d63447641d3904b8829474f8"),
+    12: (12, "606a4e3f092feed60b2678430b0265ca1c152a29004766f6a21e3c9a69ab811c"),
 }
 FRONTIER_POINTS = 20
 
