@@ -4,24 +4,32 @@ The on-disk format is a plain UTF-8 CSV: a header row of asset names
 followed by one row of fractional returns per observation period.  The
 same layout is used for both input and generated output, so a file
 written by :func:`returns_to_csv` parses back bit-for-bit.  Such a file
-is read in one pass by orjson's correctly rounded number reader; any
-other file is read by ``csv.reader`` and ``float()``, which give the same
-values and also name the line of any error.
+is streamed as bytes, line by line, through orjson's correctly rounded
+number reader into one float64 buffer; any other file is read by
+``csv.reader`` and ``float()``, which give the same values and also name
+the line of any error.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from array import array
+import struct
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import orjson
+from scipy.linalg import get_lapack_funcs
 
 # estimate_stats lifts the smallest covariance eigenvalue to 2*JITTER_FLOOR
 # when it does not clear JITTER_FLOOR.
 JITTER_FLOOR = 1e-10
+
+_potrf = get_lapack_funcs("potrf", dtype=np.float64)
+
+# The bytes _lines reads at a time.
+_BLOCK = 1 << 16
 
 
 class ReturnsFormatError(ValueError):
@@ -75,11 +83,12 @@ def load_returns_csv(path) -> ReturnsMatrix:
 
     A file whose data rows are JSON numbers with a fraction or an exponent,
     separated by commas, as returns_to_csv writes them, with any of the
-    three line ends, takes one correctly rounded orjson pass.  Any other
-    file and any input that cannot be re-read, such as a pipe, take the
-    ``csv.reader`` row parser: quoted fields, blank lines, rows of the wrong
-    width, bad numbers, and valid numbers outside JSON's grammar or its
-    floats (``+3``, ``4.``, ``.5``, ``01``, integers, ``inf``, ``nan``).
+    three line ends, is streamed as bytes, one line at a time, through
+    orjson into one float64 buffer; the file is never held whole.  Any
+    other file and any input that cannot be re-read, such as a pipe, take
+    the ``csv.reader`` row parser: quoted fields, blank lines, rows of the
+    wrong width, bad numbers, and valid numbers outside JSON's grammar or
+    its floats (``+3``, ``4.``, ``.5``, ``01``, integers, ``inf``, ``nan``).
     Both give bitwise-equal values, so the input alone decides the outcome.
 
     Raises ReturnsFormatError with the offending line (and column, for bad
@@ -87,55 +96,80 @@ def load_returns_csv(path) -> ReturnsMatrix:
     csv.field_size_limit() included; missing files surface as the usual
     FileNotFoundError.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         if handle.seekable():
             returns = _load_fast(handle)
             if returns is not None:
                 return returns
             handle.seek(0)
-        return _load_rows(path, handle)
+        with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+            return _load_rows(path, text)
+
+
+def _lines(handle):
+    """The lines of a binary file as text mode with newline="" splits them.
+
+    A line ends at LF, CRLF or a lone CR and keeps its line end.  The file
+    is read in blocks and each block split by bytes.splitlines, which
+    breaks at exactly those three; the last piece may be cut short, or be
+    a CR whose LF comes next, so it is carried into the next block.  A
+    block is at least as long as the piece carried, so a line longer than
+    a block is copied a bounded number of times.  Whatever the line ends,
+    only one block's lines and the piece carried are held at a time.
+    """
+    head = b""
+    while block := handle.read(max(_BLOCK, len(head))):
+        lines = (head + block).splitlines(keepends=True)
+        head = lines.pop()
+        yield from lines
+    if head:
+        yield head
 
 
 def _load_fast(handle):
     """The returns from one orjson pass over the data lines, or None if it may differ.
 
-    Each data line is parsed as the JSON array "[line]".  JSON's number
-    grammar is a subset of float()'s and leaves out quotes, blank lines and
-    the whitespace float() strips beyond space and tab, so every line the
-    row parser would read differently fails to parse or gives something
-    other than one float per header name.  Strings, null, arrays and
-    objects make fromlist raise TypeError.  It takes JSON integers (whose
-    -0 loses its sign) and booleans, but they give integral values, so
-    only the rows holding one are checked for non-floats, on a second read.
-    csv.reader refuses a field longer than csv.field_size_limit(), which
-    this pass would read.
+    The binary file is streamed line by line: the header goes through
+    csv.reader, so a quoted name may span lines, and each data line is
+    parsed as the JSON array "[line]" and packed straight into one float64
+    buffer.  JSON's number grammar is a subset of float()'s and leaves out
+    quotes, blank lines and the whitespace float() strips beyond space and
+    tab, so every line the row parser would read differently fails to
+    parse or gives something other than one float per header name.
+    Strings, null, arrays, objects and rows of the wrong width make the
+    pack raise struct.error.  It takes JSON integers (whose -0 loses its
+    sign) and booleans, but they give integral values, so only the rows
+    holding one are checked for non-floats, on a second read.  Bytes that
+    are not UTF-8 fail to decode or to parse.  csv.reader refuses a field
+    longer than csv.field_size_limit(), which this pass would read; it is
+    measured in bytes, as many as its characters in a line JSON can read.
     """
     try:
-        header = next(csv.reader(iter(handle.readline, "")), None)
+        lines = _lines(handle)
+        reader = csv.reader(line.decode() for line in lines)
+        header = next(reader, None)
         if header is None or len(header) < 2:
             return None
         n = len(header)
-        body = handle.tell()
+        header_lines = reader.line_num
         field_limit = csv.field_size_limit()
-        values = array("d")
-        for line in handle:
-            if len(line) > field_limit and max(map(len, line.split(","))) > field_limit:
+        pack = struct.Struct(f"{n}d").pack
+        values = bytearray()
+        for line in lines:
+            if len(line) > field_limit and max(map(len, line.split(b","))) > field_limit:
                 return None
-            row = orjson.loads("[" + line + "]")
-            if len(row) != n:
-                return None
-            values.fromlist(row)
-        if len(values) < 2 * n:
-            return None
+            values += pack(*orjson.loads(b"[" + line + b"]"))
         matrix = np.frombuffer(values).reshape(-1, n)
+        if len(matrix) < 2:
+            return None
         integral = (matrix == np.trunc(matrix)).any(axis=1)
         if integral.any():
-            handle.seek(body)
-            for line, check in zip(handle, integral):
+            handle.seek(0)
+            for line, check in zip(islice(_lines(handle), header_lines, None), integral):
                 if check and not all(type(v) is float
-                                     for v in orjson.loads("[" + line + "]")):
+                                     for v in orjson.loads(b"[" + line + b"]")):
                     return None
-    except (ValueError, TypeError, csv.Error):
+    except (ValueError, struct.error, csv.Error):
         return None
     return ReturnsMatrix(matrix, tuple(name.strip() for name in header))
 
@@ -202,19 +236,19 @@ def estimate_stats(returns: ReturnsMatrix) -> tuple[np.ndarray, np.ndarray]:
     A Cholesky factorization of C - JITTER_FLOOR*I that succeeds shows the
     eigenvalue clears the floor (to rounding of order eps*||C||), at a
     quarter of the cost of eigvalsh at n=500; only when it fails are the
-    eigenvalues computed for the shift.
+    eigenvalues computed for the shift.  It is one LAPACK potrf on a copy
+    of C with the floor taken off its diagonal.
     """
     values = returns.values
     mu = values.mean(axis=0)
     C = np.cov(values, rowvar=False, ddof=1)
     C = 0.5 * (C + C.T)
-    n = returns.assets
-    try:
-        np.linalg.cholesky(C - JITTER_FLOOR * np.eye(n))
-    except np.linalg.LinAlgError:
+    shifted = C.copy(order="F")
+    shifted.flat[::returns.assets + 1] -= JITTER_FLOOR
+    if _potrf(shifted, lower=True, clean=False, overwrite_a=True)[1]:
         smallest = float(np.linalg.eigvalsh(C)[0])
         if smallest <= JITTER_FLOOR:
-            C = C + (JITTER_FLOOR - smallest + JITTER_FLOOR) * np.eye(n)
+            C = C + (JITTER_FLOOR - smallest + JITTER_FLOOR) * np.eye(returns.assets)
     return mu, C
 
 

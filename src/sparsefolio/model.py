@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 # A weight at or above -ZERO_TOL is not a short position.
 ZERO_TOL = 1e-9
+
+_potrf = get_lapack_funcs("potrf", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -23,8 +26,11 @@ class PortfolioProblem:
     """The model's inputs; the constraint system D x = b is derived from them.
 
     Every solve, factorization and oracle call takes one, so this is the one
-    place the covariance is checked: finite, symmetric, positive definite.
-    C is stored exactly symmetric, as 0.5*(C + C') where it is not.
+    place the covariance is checked: finite, symmetric to 1e-12, positive
+    definite.  C is stored exactly symmetric, as 0.5*(C + C') where it is
+    not; the size of the asymmetry is computed only then.  Positive
+    definiteness is one LAPACK potrf on a copy of the stored C, whose
+    factor is discarded.
     """
 
     C: np.ndarray
@@ -51,18 +57,16 @@ class PortfolioProblem:
                 "the return constraint duplicates the budget constraint "
                 "(all asset means are equal); the problem is degenerate"
             )
-        # Cholesky reads one triangle only and lets NaN through, so
-        # finiteness and symmetry are checked first.
+        # potrf reads one triangle only and lets NaN through, so finiteness
+        # and symmetry are checked first.
         if not np.isfinite(C).all():
             raise ValueError("covariance has non-finite entries")
-        if np.abs(C - C.T).max() > 1e-12:
-            raise ValueError("covariance is not symmetric")
         if not np.array_equal(C, C.T):
+            if np.abs(C - C.T).max() > 1e-12:
+                raise ValueError("covariance is not symmetric")
             C = 0.5 * (C + C.T)
-        try:
-            np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance is not positive definite") from None
+        if _potrf(C, lower=True, clean=False)[1]:
+            raise ValueError("covariance is not positive definite")
         for name, value in (("C", C), ("mu", mu), ("D", D),
                             ("b", np.array([self.e, 1.0])), ("n", n)):
             object.__setattr__(self, name, value)

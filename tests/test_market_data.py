@@ -1,7 +1,9 @@
 import csv
+import io
 import math
 import os
 import sys
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 from unittest import mock
 
@@ -20,7 +22,7 @@ from sparsefolio.market_data import (
     load_returns_csv,
     returns_to_csv,
 )
-from sparsefolio.model import build_problem
+from sparsefolio.model import PortfolioProblem, build_problem
 
 
 def two_pass_covariance(values):
@@ -230,8 +232,10 @@ class TestParsePath:
         "A,B\n0.1,0.2\n0.3,0.4",
         '"A, Inc.",B\n 0.1 ,-0.2e-3\n3E0,\t4.5\n',
         "A,B\n1.0,-0.0\n0.3,1e+5\n",
+        '"G\r\nH",B\n0.1,0.2\n0.3,0.4\n',
+        "A,B\n0.1,0.2\r0.3,0.4\r\n",
     ], ids=["plain", "crlf", "lone-cr", "no-final-newline", "quoted-header",
-            "integral-floats"])
+            "integral-floats", "multiline-header", "mixed-line-ends"])
     def test_vectorised(self, tmp_path, text):
         assert not self.takes_row_parser(tmp_path, text)
 
@@ -390,6 +394,42 @@ def test_fast_path_rounds_like_float(tmp_path_factory, rng):
     assert [tokens[i] for i in wrong] == []
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+def test_fast_path_streams_the_file(tmp_path, end):
+    """The orjson pass holds the matrix, a block and a line, never the whole file.
+
+    The file's text is about 2.6 times the matrix's bytes, so a pass that
+    read it whole would peak above the bound; the buffer's growth and the
+    integral-row check's temporaries stay below it.
+    """
+    returns = generate_synthetic_returns(200, 400, seed=0)
+    path = tmp_path / "big.csv"
+    path.write_bytes(returns_to_csv(returns).replace("\n", end).encode("utf-8"))
+    assert path.stat().st_size > 2.5 * returns.values.nbytes
+    tracemalloc.start()
+    try:
+        with mock.patch.object(market_data, "_load_rows",
+                               side_effect=AssertionError("took the row parser")):
+            back = load_returns_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == returns.values.tobytes()
+    assert peak < 2.5 * returns.values.nbytes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.binary().map(lambda b: bytes(b"a\r\n,"[c % 4] for c in b)),
+       block=st.integers(1, 6))
+def test_lines_split_as_text_mode(data, block):
+    """_lines splits at LF, CRLF and lone CR as text mode with newline="" does,
+    whichever block boundaries fall inside a line or between a CR and its LF."""
+    expected = [line.encode("ascii")
+                for line in io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="")]
+    with mock.patch.object(market_data, "_BLOCK", block):
+        assert list(market_data._lines(io.BytesIO(data))) == expected
+
+
 class TestRoundTrip:
     def test_write_then_load_is_exact(self, tmp_path):
         rm = generate_synthetic_returns(5, 24, seed=3)
@@ -460,6 +500,81 @@ class TestEstimateStats:
         for seed in range(6):
             rm = generate_synthetic_returns(8, 12, seed=seed, noise_scale=0.0)
             np.linalg.cholesky(estimate_stats(rm)[1])
+
+
+def _rotated(spectrum, seed=0):
+    """Q diag(spectrum) Q' for a random orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(spectrum),) * 2))
+    return (Q * spectrum) @ Q.T
+
+
+def _rank_deficient():
+    """The sample covariance of 4 periods of 8 assets: rank 3."""
+    values = np.random.default_rng(1).normal(0.01, 0.02, size=(4, 8))
+    return np.cov(values, rowvar=False, ddof=1)
+
+
+def _asymmetric(by):
+    C = _rotated(np.logspace(-5, -3, 6))
+    C[0, 1] += by
+    C[4, 2] -= by / 3
+    return C
+
+
+_BORDERLINE = {
+    "rank-deficient": _rank_deficient,
+    "exactly-singular": lambda: 1e-4 * np.array([[1.0, 1.0, 0.0],
+                                                 [1.0, 1.0, 0.0],
+                                                 [0.0, 0.0, 2.0]]),
+    "slightly-indefinite": lambda: _rotated([-1e-14, *np.logspace(-6, -3, 5)]),
+    "floor-just-above": lambda: _rotated([1.001 * JITTER_FLOOR, *np.logspace(-6, -3, 5)]),
+    "floor-just-below": lambda: _rotated([0.999 * JITTER_FLOOR, *np.logspace(-6, -3, 5)]),
+    "symmetric-to-1e-12": lambda: _asymmetric(6e-13),
+    "asymmetric": lambda: _asymmetric(2e-12),
+}
+
+
+def cholesky_stats(cov):
+    """estimate_stats's C for the sample covariance cov, screened by np.linalg.cholesky."""
+    C = 0.5 * (cov + cov.T)
+    try:
+        np.linalg.cholesky(C - JITTER_FLOOR * np.eye(len(C)))
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(C)[0])
+        if smallest <= JITTER_FLOOR:
+            C = C + (JITTER_FLOOR - smallest + JITTER_FLOOR) * np.eye(len(C))
+    return C
+
+
+def cholesky_problem_C(C):
+    """The C PortfolioProblem stores, checked by np.linalg.cholesky, or its error."""
+    if np.abs(C - C.T).max() > 1e-12:
+        return "covariance is not symmetric"
+    if not np.array_equal(C, C.T):
+        C = 0.5 * (C + C.T)
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return "covariance is not positive definite"
+    return C.tobytes()
+
+
+@pytest.mark.parametrize("make", _BORDERLINE.values(), ids=_BORDERLINE.keys())
+def test_potrf_checks_match_numpy_cholesky(make):
+    """The potrf checks of estimate_stats and PortfolioProblem give the verdicts,
+    the shift and the stored C that np.linalg.cholesky gave, and its errors."""
+    cov = make()
+    n = len(cov)
+    rm = ReturnsMatrix(np.zeros((2, n)), tuple(f"A{i}" for i in range(n)))
+    with mock.patch.object(np, "cov", return_value=cov):
+        _, C = estimate_stats(rm)
+    assert C.tobytes() == cholesky_stats(cov).tobytes()
+    mu = np.linspace(0.01, 0.02, n)
+    try:
+        stored = PortfolioProblem(cov, mu, 0.015).C.tobytes()
+    except ValueError as error:
+        stored = str(error)
+    assert stored == cholesky_problem_C(cov)
 
 
 class TestAssetStats:
