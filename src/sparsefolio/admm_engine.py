@@ -26,7 +26,7 @@ doubling and halving) or to rho0 takes the LU kept there.
 A run also ends, converged, when a KKT certificate holds (the polish of
 Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
 in finitely many iterations (Liang, Fadili and Peyre 2017), and long
-before that z's support is one or two assets from it.  kkt.certify starts
+before that z's support is one or two assets from it.  kkt.Finish starts
 from z's support and signs and corrects them by an active-set finish of
 a bounded number of block solves: a solution that keeps its signs, with
 a subgradient in [-1, 1] off the support and check_kkt within KKT_TOL,
@@ -60,9 +60,10 @@ the next one's, all the checkpoint attempts of a run spend at most about
 retries the pattern of the last failed attempt unless its budget has
 grown since: a pattern a few steps short of a certificate gets it at the
 next checkpoint, and the retry goes on from where the failed finish
-stopped (kkt.Finish), so it makes only the steps that the larger budget
-adds.  Each checkpoint could already spend its full budget on a new
-pattern, so the retry leaves the worst-case work of a run as it was.
+stopped (kkt.Finish.run(steps) on the larger budget), so it makes only
+the steps that the larger budget adds.  Each checkpoint could already
+spend its full budget on a new pattern, so the retry leaves the
+worst-case work of a run as it was.
 SolveResult.finish counts the attempts, the failed ones, the fresh
 factorizations of a support block and the steps solved on a kept one.
 A run that no certificate ends keeps its iterates, iteration count and
@@ -264,14 +265,15 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     problem's b; it keeps the LU at the rho it left last.  Iteration k is
     due an update when k equals the value last drawn from PenaltyState.due.
 
-    Checkpoints and the residual stop try kkt.certify's finish from z
-    (kkt.Finish) by the rule of the module docstring: the budget is the run's k + 1 x-steps, and at the
-    stop (n + 2)/3 for each of its rho changes too, priced by
-    kkt.finish_steps; the run keeps the kkt.Finish of the last failed
-    attempt, which a retry of its pattern takes further, and counts
-    attempts, failures and the finish's solves in counts.  A certificate
-    replaces iteration k by the optimum, with that iterate's own residual
-    norms (r_norm 0), which the callback sees, and ends the run converged.
+    Checkpoints and the residual stop try a kkt.Finish from z, by its
+    run(steps), under the rule of the module docstring: the budget is the
+    run's k + 1 x-steps, and at the stop (n + 2)/3 for each of its rho
+    changes too, priced by kkt.finish_steps; the run keeps the kkt.Finish
+    of the last failed attempt, which a retry of its pattern takes
+    further, and counts attempts and failures in counts, which each
+    Finish is given for its solves.  A certificate replaces iteration k by
+    the optimum, with that iterate's own residual norms (r_norm 0), which
+    the callback sees, and ends the run converged.
 
     Returns the last committed state, the termination, the iteration count,
     the rho in force at the end and whether a certificate ended the run.
@@ -326,13 +328,14 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                 if steps and (stop or (signs == np.sign(z)).all()):
                     retry = (failed is not None
                              and (signs == failed.pattern).all())
-                    finish = failed if retry else Finish(problem, lam, z_new)
+                    finish = (failed if retry
+                              else Finish(problem, lam, z_new, counts))
                     if finish.budget < steps:
                         # this attempt replaces the last failed one, whose
                         # kept inverse goes before this one builds its own
                         failed = None
                         counts.attempts += 1
-                        polish = finish.run(steps, counts)
+                        polish = finish.run(steps)
                         if polish is None:
                             counts.failed += 1
                             failed = finish

@@ -47,7 +47,7 @@ factors its block afresh, sharing no factorization with the x-step's: it
 gathers C_SS a few rows at a time and factors it in place by LAPACK
 ``gesv``, so that a solve at n=500 holds no second block.
 
-``certify`` is that polish (Stellato et al. 2020, OSQP, section 5) as a
+``Finish`` is that polish (Stellato et al. 2020, OSQP, section 5) as a
 bounded active-set finish from the support and signs of an ADMM iterate
 z: each step solves the block of S against [-lam*s; b].  It accepts a
 solution only where the signs on S hold, the subgradient off S lies in
@@ -78,20 +78,23 @@ factorization costs less than an attempt's interpreter overhead
 (``attempt_floor``) is solved afresh at every step instead.  An x the
 kept inverse would accept is solved once more by ``solve_support`` and
 checked as that, so certified weights are ``solve_support``'s on their
-support, bitwise.  The products C x and D' nu that the subgradient test
-forms serve the final ``check_kkt`` too.  The line search takes the
-quadratic along the segment in closed form, so a candidate costs its
-O(n) L1 term.  A finish takes the same steps whatever its budget, so one
-that ran out of steps can go on where it stopped (``Finish``), which the
-engine does when it tries the same pattern again on a larger budget.
-``finish_steps`` prices a finish in x-steps for the engine's rationing.
+support, bitwise.  The line search takes the quadratic along the segment
+in closed form, so a candidate costs its O(n) L1 term.
+
+A finish takes the same steps whatever its budget, so ``Finish.run`` on
+a larger budget goes on where the last run stopped, which the engine
+does when it tries the same pattern again.  The steps are a generator
+that the Finish advances one step per ``next``: a step that decides
+returns its verdict, and one that does not yields before it corrects S,
+so no correction is made that no step uses.  ``finish_steps`` prices a
+finish in x-steps for the engine's rationing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
@@ -254,24 +257,24 @@ class FinishCounts:
     updates: int = 0
 
 
-def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
-            steps: int = 1, counts: Optional[FinishCounts] = None,
-            ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+class Finish:
     """The optimum found from z's support S and signs s in at most steps
-    block solves, with its certificate, or None.
+    block solves, with its certificate, kept where it stands, so that a
+    larger budget takes it further instead of again.
 
-    Each step solves the block of S against [-lam*s; b]: the first by
-    solve_support, the later ones on a _SupportInverse that the second
-    step builds and every further step updates for the assets that joined
-    or left S (a lone asset through single_asset_multipliers, with no block
-    solve).  A solution from the kept inverse that would be accepted is
-    solved again by solve_support, and that solution is the one checked, so
-    an accepted x is solve_support's on its support.
+    run(steps) brings it to at most steps steps in all.  Each step solves
+    the block of S against [-lam*s; b]: the first by solve_support, the
+    later ones on a _SupportInverse that the second step builds and every
+    further step updates for the assets that joined or left S (a lone asset
+    through single_asset_multipliers, with no block solve).  A solution
+    from the kept inverse that would be accepted is solved again by
+    solve_support, and that solution is the one checked, so an accepted x
+    is solve_support's on its support.
     A lone asset j with mu_j != e is infeasible: a step that is not the
     last takes the cheapest feasible pair {j, i} (_cheapest_pair) as the
     current point, with its support and signs, and makes no block solve.
     Where the solution keeps the signs s and, off S, the subgradient
-    g = -(Cx + D'nu)/lam lies in [-1, 1], it returns (x, nu, g): the
+    g = -(Cx + D'nu)/lam lies in [-1, 1], run returns (x, nu, g): the
     optimum x (exactly zero off S), the multipliers nu of Dx = b and g (s
     on S, 0 off S at lam = 0), provided check_kkt(problem, lam, x, nu, g)
     <= KKT_TOL.  Otherwise, while steps remain, it corrects S
@@ -283,131 +286,113 @@ def certify(problem: PortfolioProblem, lam: float, z: np.ndarray,
       the solution itself (_line_search), and let S and s be its support
       and signs, so the coordinates that reach zero drop; the first step
       has no current point and takes the solution.
-    Every point on the segments keeps Dx = b.  It returns None where S is
+    Every point on the segments keeps Dx = b.  run returns None where S is
     empty, a block is singular, a lone asset whose mean is e is not
     certified, a check fails with no step left or the final check_kkt
-    exceeds KKT_TOL.  So it accepts only a certified optimum, and with
-    steps=1 it tests z's own pattern.  counts, when given, gains the
-    factorizations and kept-inverse steps the call made.  It is a fresh
-    Finish from z run on steps.
-    """
-    return Finish(problem, lam, z).run(steps, counts)
+    exceeds KKT_TOL.  So it accepts only a certified optimum, and
+    Finish(problem, lam, z).run(1) tests z's own pattern.
 
-
-class Finish:
-    """certify's finish from the support and signs of one z, kept where it
-    stands, so that a larger budget takes it further instead of again.
-
-    run(steps, counts) brings it to at most steps steps in all and returns
-    what certify(problem, lam, z, steps, counts) returns.  The finish takes
-    the same steps whatever its budget, so a finish that ran out of steps
-    goes on from its last solution with the steps a fresh one would take
-    next, and its outcome and bits are the fresh one's; counts gains only
-    the steps it makes.  A finish that failed for a reason more steps do
-    not change (an empty support, a singular block, a lone asset that
-    cannot be certified, a final check_kkt above KKT_TOL) fails again at
-    once.  pattern is sign(z) and budget the largest steps it was run with.
-    It holds its kept inverse, an n x n buffer, until it is dropped.
+    The finish takes the same steps whatever its budget, so a finish that
+    ran out of steps goes on from its last solution with the steps a fresh
+    one would take next, and its outcome and bits are the fresh one's on
+    the larger budget; counts, when given, gains the fresh factorizations
+    and kept-inverse steps as they are made.  A finish that has decided,
+    by a certificate or for a reason more steps do not change, returns None
+    from then on, as does a run on a budget it has already spent.  pattern
+    is sign(z) and budget the largest steps it was run with.  It holds its
+    kept inverse, an n x n buffer, until it decides or is dropped.
     """
 
-    def __init__(self, problem: PortfolioProblem, lam: float, z: np.ndarray):
+    def __init__(self, problem: PortfolioProblem, lam: float, z: np.ndarray,
+                 counts: Optional[FinishCounts] = None):
         self.problem, self.lam = problem, lam
         self.pattern = np.sign(z)
         self.budget = 0
-        self._support, self._signs = z != 0, self.pattern.copy()
-        self._current = None  # the point the next line search starts from
-        self._kept = None  # the _SupportInverse of the steps after the first
-        self._taken = 0
-        # how the last step's solution corrects S at the next step, or None
-        # before the first; _DEAD once no further step can certify
-        self._pending = None
+        # the steps hold no reference to self, so a dropped finish frees its
+        # kept inverse at once, without waiting for the cyclic collector
+        self._steps = _steps(problem, lam, self.pattern,
+                             FinishCounts() if counts is None else counts)
 
-    def run(self, steps: int, counts: Optional[FinishCounts] = None,
+    def run(self, steps: int,
             ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        counts = FinishCounts() if counts is None else counts
-        self.budget = max(self.budget, steps)
-        problem, lam, n = self.problem, self.lam, self.problem.n
-        floor = attempt_floor(n)
-        support, signs = self._support, self._signs
-        current, kept, pending = self._current, self._kept, self._pending
-        taken, polish = self._taken, None
-        while pending is not _DEAD and taken < steps:
-            taken += 1
-            if pending is not None:  # correct S by the last step's solution
-                kind, x, extra = pending
-                if kind == "pair":
-                    # e_j misses the target: go on from the cheapest pair
-                    current = _cheapest_pair(problem, lam, extra)
-                    support = current != 0
-                    signs = np.sign(current)
-                elif kind == "join":
-                    worst, g = extra
-                    support[worst] = True
-                    signs[worst] = np.sign(g[worst])
-                    current = x
-                else:  # a sign flipped
-                    if current is not None:
-                        x = _line_search(problem, lam, current, x)
-                    current = x
-                    support = x != 0
-                    signs = np.sign(x)
-            pending = _DEAD
-            k = np.count_nonzero(support)
-            if k == 0:
-                break
-            if k == 1:
-                j = int(np.argmax(support))
-                nu = single_asset_multipliers(problem, lam, j)
-                if nu is None:
-                    if problem.mu[j] != problem.b[0]:
-                        pending = "pair", None, j
-                    continue
-                x = np.zeros(n)
-                x[j] = 1.0
-                test = _subgradient(problem, lam, support, signs, k, x, nu)
-            else:
-                fresh = taken == 1 or _factor_cost(n, k) < floor
-                try:
-                    if fresh:
-                        x, nu = _solve_fresh(problem, lam, support, signs,
-                                             counts)
+        taken, self.budget = self.budget, max(self.budget, steps)
+        try:
+            for _ in range(taken, steps):
+                next(self._steps)
+        except StopIteration as verdict:
+            return verdict.value
+        return None
+
+
+def _steps(problem: PortfolioProblem, lam: float, pattern: np.ndarray,
+           counts: FinishCounts,
+           ) -> Generator[None, None, Optional[tuple[np.ndarray, np.ndarray,
+                                                      np.ndarray]]]:
+    """Finish's steps from the support and signs of pattern, one per next:
+    each solves and tests a step and returns the verdict, the polish or
+    None, once it has one; otherwise it yields, and corrects S by the
+    step's solution only when it is resumed."""
+    n = problem.n
+    floor = attempt_floor(n)
+    support, signs = pattern != 0, pattern.copy()
+    current = None  # the point the next line search starts from
+    kept = None  # the _SupportInverse of the steps after the first
+    while True:
+        k = np.count_nonzero(support)
+        if k == 0:
+            return None
+        if k == 1:
+            j = int(np.argmax(support))
+            nu = single_asset_multipliers(problem, lam, j)
+            if nu is None:
+                if problem.mu[j] == problem.b[0]:
+                    return None
+                yield
+                # e_j misses the target: go on from the cheapest pair
+                current = _cheapest_pair(problem, lam, j)
+                support, signs = current != 0, np.sign(current)
+                continue
+            x = np.zeros(n)
+            x[j] = 1.0
+            test = _subgradient(problem, lam, support, signs, k, x, nu)
+        else:
+            # only the first step has no current point
+            fresh = current is None or _factor_cost(n, k) < floor
+            try:
+                if fresh:
+                    x, nu = _solve_fresh(problem, lam, support, signs, counts)
+                else:
+                    if kept is None:
+                        kept = _SupportInverse(problem, support)
+                        counts.factorizations += 1
                     else:
-                        if kept is None:
-                            kept = _SupportInverse(problem, support)
-                            counts.factorizations += 1
-                        else:
-                            counts.factorizations += kept.move_to(support)
-                        counts.updates += 1
-                        # signs is zero off S
-                        x, nu = kept.solve(-lam * signs)
+                        counts.factorizations += kept.move_to(support)
+                    counts.updates += 1
+                    # signs is zero off S
+                    x, nu = kept.solve(-lam * signs)
+                test = _subgradient(problem, lam, support, signs, k, x, nu)
+                if not fresh and test is not None and test[1] is None:
+                    # accepted on the kept inverse: check solve_support's x,
+                    # with the inverse's memory given back first
+                    kept = None
+                    x, nu = _solve_fresh(problem, lam, support, signs, counts)
                     test = _subgradient(problem, lam, support, signs, k, x, nu)
-                    if not fresh and test is not None and test[1] is None:
-                        # accepted on the kept inverse: check solve_support's
-                        # x, with the inverse's memory given back first
-                        kept = None
-                        x, nu = _solve_fresh(problem, lam, support, signs,
-                                             counts)
-                        test = _subgradient(problem, lam, support, signs, k,
-                                            x, nu)
-                except np.linalg.LinAlgError:
-                    break
-            if test is None:
-                pending = "flip", x, None
-            elif test[1] is not None:
-                pending = "join", x, (test[1], test[0])
-            else:
-                g, _, Cx, Dnu = test
-                if _violation(problem, lam, x, g, Cx, Dnu) <= KKT_TOL:
-                    polish = x, nu, g
-                break
-        self._support, self._signs = support, signs
-        self._current, self._kept = current, kept
-        self._taken, self._pending = taken, pending
-        return polish
-
-
-# Finish._pending once no further step can certify
-_DEAD = object()
+            except np.linalg.LinAlgError:
+                return None
+        if test is None:  # a sign flipped
+            yield
+            if current is not None:
+                x = _line_search(problem, lam, current, x)
+            current, support, signs = x, x != 0, np.sign(x)
+        elif test[1] is not None:  # the worst violator joins S
+            yield
+            g, worst = test
+            support[worst] = True
+            signs[worst] = np.sign(g[worst])
+            current = x
+        else:
+            polish = x, nu, test[0]
+            return polish if check_kkt(problem, lam, *polish) <= KKT_TOL else None
 
 
 def finish_steps(n: int, k: int, work: float) -> int:
@@ -449,21 +434,19 @@ def _solve_fresh(problem: PortfolioProblem, lam: float, support: np.ndarray,
 
 def _subgradient(problem: PortfolioProblem, lam: float, support: np.ndarray,
                  signs: np.ndarray, k: int, x: np.ndarray, nu: np.ndarray,
-                 ) -> Optional[tuple[np.ndarray, Optional[int], np.ndarray,
-                                     np.ndarray]]:
-    """certify's test of a solution x (zero off S) on the k assets of S,
+                 ) -> Optional[tuple[np.ndarray, Optional[int]]]:
+    """Finish's test of a solution x (zero off S) on the k assets of S,
     whose signs s are signs (zero off S): None where a sign on S flips,
-    else (g, worst, Cx, D'nu), with g s on S and -(Cx + D'nu)/lam off S (0
-    there at lam = 0), worst the off-support asset of largest |g_j| > 1, or
-    None if there is none, and the two products for _violation."""
+    else (g, worst), with g s on S and -(Cx + D'nu)/lam off S (0 there at
+    lam = 0) and worst the off-support asset of largest |g_j| > 1, or None
+    if there is none."""
     if np.count_nonzero(signs * x > 0) != k:
         return None
-    Cx, Dnu = problem.C @ x, problem.D.T @ nu
     if not lam > 0:
-        return np.where(support, signs, 0.0), None, Cx, Dnu
-    g = np.where(support, signs, (Cx + Dnu) / -lam)
+        return np.where(support, signs, 0.0), None
+    g = np.where(support, signs, (problem.C @ x + problem.D.T @ nu) / -lam)
     worst = int(np.argmax(np.where(support, 0.0, np.abs(g))))
-    return g, (None if abs(g[worst]) <= 1.0 else worst), Cx, Dnu
+    return g, (None if abs(g[worst]) <= 1.0 else worst)
 
 
 class _SupportInverse:
@@ -640,15 +623,9 @@ def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    return _violation(problem, lam, x, g, problem.C @ x, problem.D.T @ nu)
-
-
-def _violation(problem: PortfolioProblem, lam: float, x: np.ndarray,
-               g: np.ndarray, Cx: np.ndarray, Dnu: np.ndarray) -> float:
-    """check_kkt's measure, given the products Cx and D'nu."""
-    stationarity = float(np.abs(Cx + lam * g + Dnu).max())
-    feasibility = float(np.abs(problem.D @ x - problem.b).max())
-    worst = max(stationarity, feasibility)
+    residual = problem.C @ x + lam * g + problem.D.T @ nu
+    worst = max(float(np.abs(residual).max()),
+                float(np.abs(problem.D @ x - problem.b).max()))
     if lam > 0:
         on_support = x != 0
         if on_support.any():

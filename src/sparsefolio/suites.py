@@ -41,7 +41,6 @@ def _illcond_instance(seed: int) -> SuiteInstance:
     eigenvalues = np.logspace(np.log10(top) - np.log10(ILLCOND_CONDITION),
                               np.log10(top), n)
     C = (basis * eigenvalues) @ basis.T
-    C = 0.5 * (C + C.T)
     mu = rng.uniform(0.005, 0.02, size=n)
     problem = build_problem(mu, C, _midpoint(mu))
     return SuiteInstance(problem, initial_lambda(SUITE_PERIODS, n))

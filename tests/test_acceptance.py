@@ -254,7 +254,7 @@ def test_6_stopping_inequalities_hold_at_convergence():
 def test_7_fixed_rho_matches_reference_loop(monkeypatch):
     # without certificates, as one would end this run before its 20th iterate
     class FailingFinish(admm_engine.Finish):
-        def run(self, steps, counts=None):
+        def run(self, steps):
             self.budget = max(self.budget, steps)
             return None
 

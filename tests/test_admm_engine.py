@@ -32,7 +32,6 @@ from sparsefolio.kkt import (
     KKT_TOL,
     Finish,
     attempt_floor,
-    certify,
     factorize,
     finish_steps,
     solve_x_update,
@@ -74,7 +73,7 @@ def no_certificate(monkeypatch):
 class FailingFinish(Finish):
     """A kkt.Finish whose every run fails."""
 
-    def run(self, steps, counts=None):
+    def run(self, steps):
         self.budget = max(self.budget, steps)
         return None
 
@@ -866,11 +865,11 @@ class TestStepsAtTheStatesRhoAndLambda:
     result at the float rho and lam its state carries, bitwise: the vector
     constants of the x-, z- and y-steps are rebuilt after every rho change
     and for every run after a lambda move.  The one exception is the last
-    iterate of a run that a certificate ends: it is kkt.certify's optimum
-    on the stepped z, with x = z and y = -lam*g.  A certificate found within
-    a budget is found, bitwise, within any larger one (TestCertifyProperty
-    in test_kkt.py), so 64 block solves, more than any attempt here gets,
-    stand for the attempt's own budget."""
+    iterate of a run that a certificate ends: it is the optimum a
+    kkt.Finish from the stepped z returns, with x = z and y = -lam*g.  A
+    certificate found within a budget is found, bitwise, within any larger
+    one (TestFinishProperty in test_kkt.py), so 64 block solves, more than
+    any attempt here gets, stand for the attempt's own budget."""
 
     @staticmethod
     def trajectory(problem, cfg):
@@ -892,7 +891,7 @@ class TestStepsAtTheStatesRhoAndLambda:
             z = soft_threshold(x - y_prev / rho, lam / rho)
             if state.z.tobytes() != z.tobytes():
                 ends.append(i)
-                optimum, _, g = certify(problem, lam, z, 64)
+                optimum, _, g = Finish(problem, lam, z).run(64)
                 assert state.x is state.z
                 assert state.x.tobytes() == optimum.tobytes()
                 assert state.y.tobytes() == (-lam * g).tobytes()
@@ -947,7 +946,7 @@ class TestTextbookEquivalence:
 
 
 class TestCertifiedStop:
-    """A run tries kkt.certify on z at the half-octave checkpoints
+    """A run tries a kkt.Finish from z at the half-octave checkpoints
     k = round(attempt_floor(n) * 2^(j/2)) whose sign pattern repeats the
     previous iteration's, and at the residual stop.  An attempt at
     iteration k may make finish_steps(n, |supp z|, work) block solves,
@@ -955,8 +954,9 @@ class TestCertifiedStop:
     refactorization at the residual stop; it is skipped where that is 0, or
     where z's pattern is that of the last failed attempt and that attempt's
     budget was at least as large; a retry of that pattern goes on from the
-    failed kkt.Finish, with the outcome, bitwise, of a fresh finish on its
-    budget.  A certificate ends the run at the optimum."""
+    failed kkt.Finish, whose run(steps) has the outcome, bitwise, of a
+    fresh finish's on that budget.  A certificate ends the run at the
+    optimum."""
 
     @staticmethod
     def attempts(problem, cfg, monkeypatch):
@@ -965,12 +965,12 @@ class TestCertifiedStop:
         seen, tried = [], []
 
         class Spy(Finish):
-            def run(self, steps, counts=None):
+            def run(self, steps):
                 k = len(seen)  # the finish runs before iteration k is seen
-                polish = super().run(steps, counts)
+                polish = super().run(steps)
                 tried.append((k, self.pattern, steps, polish is not None))
                 # a run from scratch on the budget: the outcome, bitwise
-                fresh = certify(self.problem, self.lam, self.pattern, steps)
+                fresh = Finish(self.problem, self.lam, self.pattern).run(steps)
                 assert (polish is None) == (fresh is None)
                 if polish is not None:
                     assert polish[0].tobytes() == fresh[0].tobytes()

@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from sparsefolio.kkt import (
     Finish,
     FinishCounts,
     attempt_floor,
-    certify,
     check_kkt,
     factorize,
     finish_steps,
@@ -268,7 +269,8 @@ class TestSolveSupport:
 
 
 class TestCertify:
-    """kkt.certify: the optimum on z's support and signs, or None."""
+    """kkt.Finish(problem, lam, z).run(steps): the optimum on z's support
+    and signs, or None."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("lam", [1e-3, 1e-2])
@@ -276,7 +278,7 @@ class TestCertify:
         problem = factor_problem(n=7, seed=seed)
         oracle = enumerate_solve(problem, lam)
         # any z with the optimum's support and signs will do
-        x, nu, g = certify(problem, lam, 3.0 * np.sign(oracle.weights))
+        x, nu, g = Finish(problem, lam, 3.0 * np.sign(oracle.weights)).run(1)
         np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
         assert np.array_equal(x != 0, oracle.weights != 0)
         assert check_kkt(problem, lam, x, nu, g) <= KKT_TOL
@@ -291,7 +293,7 @@ class TestCertify:
         problem = factor_problem(n=8, seed=seed)
         signs = np.sign(enumerate_solve(problem, lam).weights)
         support = signs != 0
-        polish = certify(problem, lam, signs)
+        polish = Finish(problem, lam, signs).run(1)
         assert polish is not None
         solution = solve_support(problem, support, -lam * signs[support])
         k = int(support.sum())
@@ -309,8 +311,8 @@ class TestCertify:
         z[top] = 1.0
         assert np.count_nonzero(enumerate_solve(problem, 0.01).weights) == 3
         assert single_asset_multipliers(problem, 0.01, top) is None
-        assert certify(problem, 0.01, z) is None
-        assert certify(problem, 0.01, np.zeros(6)) is None
+        assert Finish(problem, 0.01, z).run(1) is None
+        assert Finish(problem, 0.01, np.zeros(6)).run(1) is None
 
     @pytest.mark.parametrize("end", ["min", "max"])
     def test_single_asset_optimum_is_certified(self, end):
@@ -323,15 +325,15 @@ class TestCertify:
         lone = np.eye(6)[j]
         oracle = enumerate_solve(problem, 0.1)
         np.testing.assert_array_equal(oracle.weights, lone)
-        x, nu, g = certify(problem, 0.1, 2.0 * lone)
+        x, nu, g = Finish(problem, 0.1, 2.0 * lone).run(1)
         np.testing.assert_array_equal(x, lone)
         assert check_kkt(problem, 0.1, x, nu, g) <= KKT_TOL
         # no lone asset at lam = 0, and none whose mean is not the target
-        assert certify(problem, 0.0, lone) is None
-        assert certify(problem, 0.1, np.eye(6)[(j + 1) % 6]) is None
+        assert Finish(problem, 0.0, lone).run(1) is None
+        assert Finish(problem, 0.1, np.eye(6)[(j + 1) % 6]).run(1) is None
         # a negative sign flips: one step fails, a second takes x's own sign
-        assert certify(problem, 0.1, -lone) is None
-        np.testing.assert_array_equal(certify(problem, 0.1, -lone, 2)[0], lone)
+        assert Finish(problem, 0.1, -lone).run(1) is None
+        np.testing.assert_array_equal(Finish(problem, 0.1, -lone).run(2)[0], lone)
         # another lone asset misses the target; with a step left the finish
         # goes on from the cheapest feasible pair, here the optimum's asset
         # at weight 1 beside it at 0, which the next step certifies
@@ -339,7 +341,7 @@ class TestCertify:
         np.testing.assert_array_equal(kkt._cheapest_pair(problem, 0.1, other),
                                       lone)
         np.testing.assert_array_equal(
-            certify(problem, 0.1, np.eye(6)[other], 2)[0], lone)
+            Finish(problem, 0.1, np.eye(6)[other]).run(2)[0], lone)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.1])
@@ -371,8 +373,8 @@ class TestCertify:
         for j in range(6):
             lone = np.eye(6)[j]
             assert problem.mu[j] != problem.b[0]
-            assert certify(problem, lam, lone) is None
-            polish = certify(problem, lam, lone, 12)
+            assert Finish(problem, lam, lone).run(1) is None
+            polish = Finish(problem, lam, lone).run(12)
             assert polish is not None
             np.testing.assert_allclose(polish[0], oracle.weights, rtol=0,
                                        atol=1e-12)
@@ -381,13 +383,13 @@ class TestCertify:
         # D_S has rank 1 on a support whose means are equal: gesv finds the
         # block singular
         problem = identity_problem(mu=(0.1, 0.1, 0.3), e=0.2)
-        assert certify(problem, 0.0, np.array([1.0, 1.0, 0.0])) is None
+        assert Finish(problem, 0.0, np.array([1.0, 1.0, 0.0])).run(1) is None
 
     def test_lambda_zero_gives_the_equality_constrained_qp(self):
         problem = factor_problem(n=6, seed=3)
         n = problem.n
         qp = solve_support(problem, np.ones(n, dtype=bool), np.zeros(n))
-        x, nu, g = certify(problem, 0.0, np.sign(qp[:n]))
+        x, nu, g = Finish(problem, 0.0, np.sign(qp[:n])).run(1)
         np.testing.assert_allclose(x, qp[:n], rtol=0, atol=1e-14)
         np.testing.assert_allclose(nu, qp[n:], rtol=1e-10)
         assert np.all(x != 0)
@@ -399,17 +401,17 @@ class TestCertify:
         qp = solve_support(problem, np.ones(6, dtype=bool), np.zeros(6))
         z = np.sign(qp[:6])
         z[0] = 0.0
-        assert certify(problem, 0.0, z) is None
+        assert Finish(problem, 0.0, z).run(1) is None
 
     def test_wrong_signs_are_rejected(self):
         problem = factor_problem(n=7, seed=2)
         lam = 1e-3
         signs = np.sign(enumerate_solve(problem, lam).weights)
-        assert certify(problem, lam, signs) is not None
+        assert Finish(problem, lam, signs).run(1) is not None
         for i in np.flatnonzero(signs):
             flipped = signs.copy()
             flipped[i] = -flipped[i]
-            assert certify(problem, lam, flipped) is None
+            assert Finish(problem, lam, flipped).run(1) is None
 
     def test_support_missing_an_asset_is_rejected(self):
         # dropping an asset of the optimum leaves a subgradient beyond 1
@@ -421,7 +423,7 @@ class TestCertify:
         for i in np.flatnonzero(signs):
             dropped = signs.copy()
             dropped[i] = 0.0
-            assert certify(problem, lam, dropped) is None
+            assert Finish(problem, lam, dropped).run(1) is None
 
     @pytest.mark.parametrize("seed", range(6))
     def test_finish_corrects_one_wrong_asset(self, seed):
@@ -436,16 +438,16 @@ class TestCertify:
             for value in {0.0, -signs[i] or 1.0} - {signs[i]}:
                 z = signs.copy()
                 z[i] = value
-                assert certify(problem, lam, z) is None
-                x = certify(problem, lam, z, 14)[0]
+                assert Finish(problem, lam, z).run(1) is None
+                x = Finish(problem, lam, z).run(14)[0]
                 np.testing.assert_allclose(x, oracle.weights, rtol=0, atol=1e-12)
                 assert np.array_equal(x != 0, signs != 0)
 
 
-class TestCertifyProperty:
-    """For any sign vector z, certify(problem, lam, z, steps) is the optimum
-    or None, and makes at most steps block solves; the optimum's weights are
-    solve_support's on its support, bitwise."""
+class TestFinishProperty:
+    """For any sign vector z, Finish(problem, lam, z).run(steps) is the
+    optimum or None, and makes at most steps block solves; the optimum's
+    weights are solve_support's on its support, bitwise."""
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -473,7 +475,7 @@ class TestCertifyProperty:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kkt, "solve_support", counted)
-            polish = certify(problem, lam, z, steps)
+            polish = Finish(problem, lam, z).run(steps)
         assert len(calls) <= steps
         if polish is not None:
             x, nu, g = polish
@@ -498,11 +500,11 @@ class TestCertifyProperty:
         problem, _ = self.instance(n, seed, point, lam)
         z = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
                                         min_size=n, max_size=n)))
-        polish = certify(problem, lam, z, steps)
+        polish = Finish(problem, lam, z).run(steps)
         if polish is None:
             return
         for more in range(steps + 1, 13):
-            again = certify(problem, lam, z, more)
+            again = Finish(problem, lam, z).run(more)
             assert again is not None
             for a, b in zip(polish, again):
                 assert a.tobytes() == b.tobytes()
@@ -513,18 +515,19 @@ class TestCertifyProperty:
            steps=st.integers(1, 6), more=st.integers(1, 6), data=st.data())
     def test_a_resumed_finish_is_a_fresh_one_on_its_budget(
             self, n, seed, point, lam, steps, more, data):
-        # a finish that fails on steps goes on, run on steps + more, to
-        # certify's outcome on steps + more, bitwise, with the same solves
-        # in all: only those after its first steps are made again
+        # a finish that fails on steps goes on, run on steps + more, to a
+        # fresh finish's outcome on steps + more, bitwise, with the same
+        # solves in all: only those after its first steps are made again
         problem, _ = self.instance(n, seed, point, lam)
         z = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
                                         min_size=n, max_size=n)))
-        finish, counts = Finish(problem, lam, z), FinishCounts()
-        if finish.run(steps, counts) is not None:
+        counts = FinishCounts()
+        finish = Finish(problem, lam, z, counts)
+        if finish.run(steps) is not None:
             return
         fresh_counts = FinishCounts()
-        expected = certify(problem, lam, z, steps + more, fresh_counts)
-        polish = finish.run(steps + more, counts)
+        expected = Finish(problem, lam, z, fresh_counts).run(steps + more)
+        polish = finish.run(steps + more)
         assert finish.budget == steps + more
         assert (polish is None) == (expected is None)
         if polish is not None:
@@ -532,7 +535,7 @@ class TestCertifyProperty:
                 assert a.tobytes() == b.tobytes()
         assert counts == fresh_counts
         # a budget it has already spent makes no step
-        assert finish.run(steps, counts) is None
+        assert finish.run(steps) is None
         assert counts == fresh_counts
 
 
@@ -574,17 +577,26 @@ class TestKeptInverse:
         expected = solve_support(problem, moved, head[moved])
         np.testing.assert_allclose(x[moved], expected[:-2], rtol=0, atol=1e-12)
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def instance():
+        """n=120 and its lam, with the certified optimum, which holds 104
+        assets."""
+        n, m = 120, 240
+        problem = factor_problem(n=n, m=m, seed=0)
+        lam = initial_lambda(m, n)
+        optimum = Finish(problem, lam, np.sign(solve(problem, SolverConfig(
+            penalty=PenaltyConfig(kind="bb"),
+            lambda_schedule=LambdaSchedule.fixed(lam))).weights)).run(1)
+        return problem, lam, optimum
+
     def test_finish_on_the_kept_inverse_is_the_optimum(self):
         # n=120, a 104-asset optimum: one asset dropped or added takes a
         # finish of 2 to 8 steps, all but the first on the kept inverse, and
         # the certificate is bitwise the one of the optimum's own pattern;
         # the counts are those of the solves the finish made
-        n, m = 120, 240
-        problem = factor_problem(n=n, m=m, seed=0)
-        lam = initial_lambda(m, n)
-        optimum = certify(problem, lam, np.sign(solve(problem, SolverConfig(
-            penalty=PenaltyConfig(kind="bb"),
-            lambda_schedule=LambdaSchedule.fixed(lam))).weights))
+        problem, lam, optimum = self.instance()
+        n = problem.n
         signs = np.sign(optimum[0])
         assert np.count_nonzero(signs) == 104
         stopped = 0
@@ -600,7 +612,7 @@ class TestKeptInverse:
                               counting(fresh, kkt._SupportInverse._factor))
                 patch.setattr(kkt._SupportInverse, "solve",
                               counting(kept_solves, kkt._SupportInverse.solve))
-                polish = certify(problem, lam, z, 12, counts)
+                polish = Finish(problem, lam, z, counts).run(12)
             assert polish is not None
             assert counts.updates == len(kept_solves) >= 1
             assert counts.factorizations == len(fresh)
@@ -608,15 +620,44 @@ class TestKeptInverse:
                 assert a.tobytes() == b.tobytes()
             # a finish stopped after 2 steps goes on, on the kept inverse,
             # to the same certificate with the same solves in all
-            finish, resumed = Finish(problem, lam, z), FinishCounts()
-            polish = finish.run(2, resumed)
+            resumed = FinishCounts()
+            finish = Finish(problem, lam, z, resumed)
+            polish = finish.run(2)
             if polish is None:
                 stopped += 1
-                polish = finish.run(12, resumed)
+                polish = finish.run(12)
             for a, b in zip(polish, optimum):
                 assert a.tobytes() == b.tobytes()
             assert resumed == counts
         assert stopped >= 5
+
+    def test_a_dropped_finish_frees_its_kept_inverse(self, monkeypatch):
+        # with the cyclic collector off, only reference counts free memory:
+        # a finish stopped after 2 steps, with its n x n kept inverse, frees
+        # it when it is dropped, as its steps hold no reference to it
+        problem, lam, optimum = self.instance()
+        signs = np.sign(optimum[0])
+        built = []
+        init = kkt._SupportInverse.__init__
+
+        def recorded(self, *args):
+            built.append(weakref.ref(self))
+            init(self, *args)
+
+        monkeypatch.setattr(kkt._SupportInverse, "__init__", recorded)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for i in range(0, problem.n, 7):
+                z = signs.copy()
+                z[i] = 0.0 if signs[i] else 1.0
+                Finish(problem, lam, z).run(2)
+            alive = [ref for ref in built if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(built) == 18
+        assert not alive
 
 
 def counting(calls, function):
