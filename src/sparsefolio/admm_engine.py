@@ -23,56 +23,17 @@ unless its caller hands it that factorization, made once for all targets
 of a C and mu.  A rho change back to the rho the run just left (rb's
 doubling and halving) or to rho0 takes the LU kept there.
 
-A run also ends, converged, when a KKT certificate holds (the polish of
-Stellato et al. 2020, OSQP, section 5).  ADMM finds the optimal support
-in finitely many iterations (Liang, Fadili and Peyre 2017), and long
-before that z's support is one or two assets from it.  kkt.Finish starts
-from z's support and signs and corrects them by an active-set finish of
-a bounded number of block solves: a solution that keeps its signs, with
-a subgradient in [-1, 1] off the support and check_kkt within KKT_TOL,
-is the optimum, as those conditions are sufficient for this convex
-problem.  The run's last iterate becomes that optimum: x = z = the
-certified x, and y = -lam*g, its dual, which makes the iterate a fixed
-point of the three steps.  Attempts are rationed by the work they model,
-counted in O(n^2) x-steps and decided without a timer (kkt.finish_steps):
-a finish's first block solve on z's k-asset support costs
-max(kkt.attempt_floor(n), k^3/(3n^2)), where the floor min(ceil(n/3), 4)
-is 4, the interpreter cost of an attempt, from n = 10 on; each further
-step costs kkt.STEP_COST = 2, as it updates one kept factorization in
-O(n^2) (kkt).
-The checkpoints are the half-octave iterations round(attempt_floor(n) *
-2^(j/2)), j = 0, 1, 2, ... (certificate_checkpoints): 4, 6, 8, 11, 16,
-23, 32, ... from n = 10 on.  They hold the octave ones attempt_floor(n) *
-2^j, so a run ends no later than it would on those, and nearer the
-iteration where ADMM finds the support.  A run that never certifies meets
-about 2 log2(max_iter) of them; a checkpoint tries only when z's sign
-pattern is the previous iteration's, as the support is then settling.  An
-iteration that passes the residual test tries once too, so a converged
-run carries certified weights, exactly sparse, wherever a certificate
-holds.  An attempt at iteration k gets the steps that the run's own work
-pays for: its k + 1 x-steps, and at the residual stop also (n + 2)/3 per
-rho change, a refactorization's price in x-steps, kept LU or not; the run
-ends there either way, so that budget cannot delay it.  A checkpoint that
-cannot pay for one step is skipped.  So an attempt never spends more than
-the run has done, and as each checkpoint's budget is about 2^(-1/2) of
-the next one's, all the checkpoint attempts of a run spend at most about
-1/(1 - 2^(-1/2)) = 3.4 times its x-steps.  Neither kind of attempt
-retries the pattern of the last failed attempt unless its budget has
-grown since: a pattern a few steps short of a certificate gets it at the
-next checkpoint, and the retry goes on from where the failed finish
-stopped (kkt.Finish.run(steps) on the larger budget), so it makes only
-the steps that the larger budget adds.  Each checkpoint could already
-spend its full budget on a new pattern, so the retry leaves the
-worst-case work of a run as it was.
-SolveResult.finish counts the attempts, the failed ones, the fresh
-factorizations of a support block and the steps solved on a kept one.
-A run that no certificate ends keeps its iterates, iteration count and
-termination bitwise.
-
-An iteration builds its IterateState only when something reads it: the
-callback, a due penalty update, or the return of the run.  With a
-callback, the run returns the very state the callback last received;
-without one, the state built at the end carries the same values.
+A run also ends, converged, when a KKT certificate holds: a kkt.Finish
+from z's support and signs (the polish of Stellato et al. 2020, OSQP,
+section 5) returns the optimum, and the run's last iterate becomes it,
+x = z = the certified x and y = -lam*g, a fixed point of the three steps.
+A run tries at the half-octave checkpoints (certificate_checkpoints) when
+z's sign pattern is the previous iteration's, and once at the residual
+stop; an attempt gets the steps the run's own work pays for, priced in
+x-steps by kkt.finish_steps, and a retry of the last failed pattern goes
+on from where that finish stopped.  README's "Certified stop" gives the
+rule and its bounds in full.  A run that no certificate ends keeps its
+iterates, iteration count and termination bitwise.
 
 One finiteness test per iteration, on ||z_new - x_new||, stands for tests
 on all three new vectors; z_new - x_new is formed once and also feeds the
@@ -85,18 +46,6 @@ of the difference by 1.4e154 and rho is at most 1e8, so y_new, starting
 from y = 0, stays finite for 1e146 iterations.  A squared norm that
 overflows although every entry is finite ends the solve as a numerical
 failure too.
-
-Everything the steps need that depends only on (rho, lam) is built once
-per pair, not once per iteration.  The x- and y-steps take rho as the
-n-vector the KKT factorization keeps (KktFactorization.rho_vector); the
-z-step takes kappa = lam/rho and -kappa as n-vectors plus one scratch
-vector (shrink_constants).  A run builds them at its start and again right
-after each rho change; a lambda move starts a new run, which builds its
-own.  So every ufunc of the three steps has array operands only, and each
-step makes the same IEEE operations in the same order as its scalar
-formula: the iterates are bitwise those of the scalar steps.  Everything
-outside the steps keeps the float rho: the IterateState's rho and lam,
-the residual norms, ybar, the penalty update and SolveResult.rho_final.
 
 Vector norms are written as sqrt(v.dot(v)), which is the formula
 numpy.linalg.norm uses for a 1-D float vector, without its argument
@@ -177,41 +126,21 @@ class SolveResult:
     finish: FinishCounts
 
 
-def shrink_constants(lam: float, rho: float,
-                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z_update's kappa, -kappa and scratch for (rho, lam), as n-vectors.
-
-    kappa is the float lam/rho, so the vectors hold the very thresholds
-    of the scalar shrinkage u - min(max(u, -lam/rho), lam/rho).
-    """
-    kappa = lam / rho
-    return np.full(n, kappa), np.full(n, -kappa), np.empty(n)
-
-
-def z_update(x_new: np.ndarray, y: np.ndarray, rho_vector: np.ndarray,
-             kappa: np.ndarray, neg_kappa: np.ndarray,
-             scratch: np.ndarray) -> np.ndarray:
+def z_update(x_new: np.ndarray, y: np.ndarray, rho: float,
+             lam: float) -> np.ndarray:
     """Exact minimizer of lam*||z||_1 + (rho/2)||z - (x_new - y/rho)||^2.
 
-    rho_vector is rho as an n-vector and kappa, neg_kappa, scratch come
-    from shrink_constants(lam, rho, n).  With u = x_new - y/rho, the result
-    is bitwise that of the scalar shrinkage u - min(max(u, -lam/rho),
-    lam/rho) at the float lam/rho, zero signs and NaNs included, as it
-    makes the same IEEE operations in the same order.  Under ==, and NaN
-    for NaN, that equals sign(u) * max(|u| - lam/rho, 0); only the signs
-    of zeros differ.
-    scratch is overwritten; the returned z is a new array.
+    With u = x_new - y/rho and kappa = lam/rho, it is the shrinkage
+    u - min(max(u, -kappa), kappa).  Under ==, and NaN for NaN, that equals
+    sign(u) * max(|u| - kappa, 0); only the signs of zeros differ.
     """
-    u = x_new - y / rho_vector
-    np.maximum(u, neg_kappa, out=scratch)
-    np.minimum(scratch, kappa, out=scratch)
-    return u - scratch
+    u = x_new - y / rho
+    kappa = lam / rho
+    return u - np.minimum(np.maximum(u, -kappa), kappa)
 
 
-def y_update(y: np.ndarray, rho: np.ndarray | float,
-             primal: np.ndarray) -> np.ndarray:
-    """y + rho*primal; rho may be the float or the n-vector of it, for the
-    same products."""
+def y_update(y: np.ndarray, rho: float, primal: np.ndarray) -> np.ndarray:
+    """y + rho*primal."""
     return y + rho * primal
 
 
@@ -261,9 +190,11 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
          callback: Optional[Callable[[IterateState], None]],
          counts: FinishCounts) -> tuple[IterateState, str, int, float, bool]:
     """One ADMM run at a fixed lam from the cold start, for at most budget
-    iterations, from rho0 on start, the LU there, whose scratch takes
-    problem's b; it keeps the LU at the rho it left last.  Iteration k is
-    due an update when k equals the value last drawn from PenaltyState.due.
+    iterations, from rho0 on start, the LU there, whose right-hand side
+    takes problem's b; it keeps the LU at the rho it left last.  Each
+    committed iterate is one IterateState, which the callback and a due
+    penalty update read.  Iteration k is due an update when k equals the
+    value last drawn from PenaltyState.due.
 
     Checkpoints and the residual stop try a kkt.Finish from z, by its
     run(steps), under the rule of the module docstring: the budget is the
@@ -281,8 +212,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     n = problem.n
     start.rhs[n:] = problem.b
     factorization = left = start  # left: the LU at the rho left last
-    rho, rho_vector = start.rho, start.rho_vector
-    kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
+    rho = start.rho
     x = feasible_start(problem)
     z = x.copy()
     y = np.zeros(n)
@@ -297,24 +227,21 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
     checkpoint = next(checkpoints)
     failed = None  # the kkt.Finish of the last failed attempt
     certified = False
-    # the last committed iterate's IterateState, or None when not built yet
-    state = IterateState(x, z, y, rho, lam, -1)
-    r_norm = d_norm = math.inf
-    ybar = None
+    state = IterateState(x, z, y, rho, lam, -1)  # the last committed iterate
     termination, used = TERMINATION_MAX_ITER, budget
 
     # inf - inf in z - x is reported by the finiteness test, not as a warning
     with np.errstate(invalid="ignore"):
         for k in range(budget):
             x_new = solve_x_update(factorization, z, y)
-            z_new = z_update(x_new, y, rho_vector, kappa, neg_kappa, scratch)
+            z_new = z_update(x_new, y, rho, lam)
             primal = z_new - x_new
             norms = residual_norms(primal, z_new - z, rho)
             if not math.isfinite(norms[0]):
                 termination, used = TERMINATION_NUMERICAL, k
                 break
             r_norm, d_norm = norms
-            y_new = y_update(y, rho_vector, primal)
+            y_new = y_update(y, rho, primal)
             ybar = (compute_ybar(y, rho, x_new, z)
                     if reads_ybar and k == next_due else None)
             stop = stopping_check(r_norm, d_norm, x_new, z_new, y_new, tol)
@@ -346,10 +273,8 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                                                             z_new - z, rho)
                             stop = certified = True
             x, z, y = x_new, z_new, y_new
-            state = None
-
+            state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
             if callback is not None:
-                state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm, ybar)
                 callback(state)
 
             if stop:
@@ -358,9 +283,6 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
 
             if k == next_due:
                 next_due = next(due, -1)
-                if state is None:
-                    state = IterateState(x, z, y, rho, lam, k, r_norm, d_norm,
-                                         ybar)
                 rho_new = pen_state.update(state)
                 if rho_new != rho:
                     rho = rho_new
@@ -370,13 +292,7 @@ def _run(problem: PortfolioProblem, cfg: SolverConfig, lam: float,
                         left = factorize(problem, rho)
                     factorization, left = left, factorization
                     factor_work += (n + 2) / 3
-                    rho_vector = factorization.rho_vector
-                    kappa, neg_kappa, scratch = shrink_constants(lam, rho, n)
 
-    if state is None:
-        # Not built means no update ran after the last committed iterate, so
-        # rho is still the value it ran with.
-        state = IterateState(x, z, y, rho, lam, used - 1, r_norm, d_norm, ybar)
     return state, termination, used, rho, certified
 
 

@@ -24,16 +24,16 @@ arrays ``lu_solve`` uses, so the x is bitwise theirs, without their
 copies, finiteness scans and dispatch.  Dx = b holds exactly but for the
 last bits of the triangular solves.
 
-Each factorization also owns a scratch right-hand side of length n+2 and
-its rho as an n-vector.  The block does not depend on b, so one serves
-every target of a C and mu: factorize writes its problem's b into the
-scratch's tail, and each run writes its own there when it starts.  A
-solve writes rho*z + y into the head in place (one multiply and one add,
-the same IEEE operations as the expression) and hands the whole vector to
-LAPACK, which writes the solution to a fresh vector: the tail keeps b,
-and the returned x shares no memory with the scratch or an earlier x.
-Because of the scratch, a factorization belongs to one run at a time and
-must not be shared across threads.
+Each factorization also owns a reusable right-hand side of length n+2.
+The block does not depend on b, so one serves every target of a C and
+mu: factorize writes its problem's b into that vector's tail, and each
+run writes its own there when it starts.  A solve writes rho*z + y into
+the head in place (one multiply and one add, the same IEEE operations as
+the expression) and hands the whole vector to LAPACK, which writes the
+solution to a fresh vector: the tail keeps b, and the returned x shares
+no memory with the right-hand side or an earlier x.  As solves overwrite
+that head, a factorization belongs to one run at a time and must not be
+shared across threads.
 
 ``solve_support`` solves another block: C without the rho shift,
 restricted to a support S of the weights, [C_SS D_S'; D_S 0], against
@@ -125,15 +125,14 @@ class KktFactorization:
     """The block system in solvable form, with what its solves need.
 
     lu holds the (n+2) x (n+2) LU factors and piv their pivots.  rho is
-    the rho the block was built at, and rho_vector that rho as an n-vector.
-    rhs is the solves' scratch right-hand side, whose tail is the
-    right-hand side b of the two equality rows, and x is the solution
-    without its last two entries.  head is the view of the first n entries
-    of rhs; solves overwrite it, so one factorization serves one thread.
+    the rho the block was built at.  rhs is the solves' reusable
+    right-hand side, whose tail is the right-hand side b of the two
+    equality rows, and x is the solution without its last two entries.
+    head is the view of the first n entries of rhs; solves overwrite it,
+    so one factorization serves one thread.
     """
 
     rho: float
-    rho_vector: np.ndarray = field(repr=False)
     lu: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -160,15 +159,14 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
         raise ValueError(f"getrf rejected argument {-info} of the KKT block")
     rhs = np.empty(n + 2)
     rhs[n:] = problem.b
-    return KktFactorization(rho=rho, rho_vector=np.full(n, float(rho)), lu=lu,
-                            piv=piv, rhs=rhs, head=rhs[:n])
+    return KktFactorization(rho=rho, lu=lu, piv=piv, rhs=rhs, head=rhs[:n])
 
 
 def solve_x_update(factorization: KktFactorization, z: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     """The x-step: the minimizer for the current (z, y) subject to Dx = b."""
     head = factorization.head
-    np.multiply(z, factorization.rho_vector, out=head)
+    np.multiply(z, factorization.rho, out=head)
     np.add(head, y, out=head)
     solution, info = _getrs(factorization.lu, factorization.piv,
                             factorization.rhs)

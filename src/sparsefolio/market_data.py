@@ -242,7 +242,6 @@ def estimate_stats(returns: ReturnsMatrix) -> tuple[np.ndarray, np.ndarray]:
     values = returns.values
     mu = values.mean(axis=0)
     C = np.cov(values, rowvar=False, ddof=1)
-    C = 0.5 * (C + C.T)
     shifted = C.copy(order="F")
     shifted.flat[::returns.assets + 1] -= JITTER_FLOOR
     if _potrf(shifted, lower=True, clean=False, overwrite_a=True)[1]:

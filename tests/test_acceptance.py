@@ -53,7 +53,15 @@ def fixed_lambda_config(problem, kind, lam, tol, max_iter):
         lambda_schedule=LambdaSchedule.fixed(lam))
 
 
-def test_1_oracle_equivalence():
+class FailingFinish(admm_engine.Finish):
+    """A kkt.Finish whose every run fails, so runs end by ADMM's own stop."""
+
+    def run(self, steps):
+        self.budget = max(self.budget, steps)
+        return None
+
+
+def oracle_equivalence(certificates):
     started = time.perf_counter()
     worst_gap, worst_winf, worst_certified = 0.0, 0.0, 0.0
     for i in range(100):
@@ -67,6 +75,7 @@ def test_1_oracle_equivalence():
                                                         tol=1e-8,
                                                         max_iter=200000))
             assert result.termination == "converged", (i, kind)
+            assert certificates or not result.certified, (i, kind)
             gap = abs(result.objective - oracle.objective) \
                 / abs(oracle.objective)
             worst_gap = max(worst_gap, gap)
@@ -78,13 +87,24 @@ def test_1_oracle_equivalence():
     elapsed = time.perf_counter() - started
     ok = (worst_gap <= 1e-6 and worst_winf <= 1e-4 and worst_certified <= 1e-12
           and elapsed < 120.0)
-    report(1, "oracle equivalence", ok,
+    mode = "" if certificates else ", no certificates"
+    report(1, f"oracle equivalence{mode}", ok,
            f"worst gap {worst_gap:.2e}, worst winf {worst_winf:.2e}, "
            f"certified {worst_certified:.1e}, {elapsed:.1f}s")
     assert worst_gap <= 1e-6
     assert worst_winf <= 1e-4
     assert worst_certified <= 1e-12
     assert elapsed < 120.0
+
+
+def test_1_oracle_equivalence():
+    oracle_equivalence(certificates=True)
+
+
+def test_1_oracle_equivalence_without_certificates(monkeypatch):
+    # every run ends by the residual test, which the bounds then gate
+    monkeypatch.setattr(admm_engine, "Finish", FailingFinish)
+    oracle_equivalence(certificates=False)
 
 
 def test_2_l1_norm_monotone_in_lambda():
@@ -215,7 +235,7 @@ def test_5_adaptive_lambda_removes_shorts():
     assert min(shorts_moves) >= 1
 
 
-def test_6_stopping_inequalities_hold_at_convergence():
+def stopping_inequalities(certificates):
     # converged means the residual inequalities hold or a KKT certificate
     # does; a certified run is re-verified from its weights alone, and
     # against the oracle
@@ -232,6 +252,7 @@ def test_6_stopping_inequalities_hold_at_convergence():
             assert result.termination == "converged", (trial, kind)
             state = result.final_state
             checked += 1
+            assert certificates or not result.certified, (trial, kind)
             if result.certified:
                 certified += 1
                 assert state.x is state.z is result.weights
@@ -246,18 +267,24 @@ def test_6_stopping_inequalities_hold_at_convergence():
             assert stopping_check(r_check, state.d_norm, state.x, state.z,
                                   state.y, tol)
     ok = checked == 32
-    report(6, "stopping inequalities at convergence", ok,
+    mode = "" if certificates else ", no certificates"
+    report(6, f"stopping inequalities at convergence{mode}", ok,
            f"{checked} converged runs re-verified, {certified} by certificate")
     assert checked == 32
 
 
+def test_6_stopping_inequalities_hold_at_convergence():
+    stopping_inequalities(certificates=True)
+
+
+def test_6_stopping_inequalities_without_certificates(monkeypatch):
+    # every run is re-verified by the residual inequalities
+    monkeypatch.setattr(admm_engine, "Finish", FailingFinish)
+    stopping_inequalities(certificates=False)
+
+
 def test_7_fixed_rho_matches_reference_loop(monkeypatch):
     # without certificates, as one would end this run before its 20th iterate
-    class FailingFinish(admm_engine.Finish):
-        def run(self, steps):
-            self.budget = max(self.budget, steps)
-            return None
-
     monkeypatch.setattr(admm_engine, "Finish", FailingFinish)
     problem = factor_problem(n=6, m=60, seed=77)
     lam, rho, iters = 0.002, 0.5, 20

@@ -58,9 +58,12 @@ class TestFactorize:
         np.testing.assert_array_equal(fact.rhs[2:], problem.b)
 
     @pytest.mark.parametrize("rho", [RHO_MIN, 0.37, 1, RHO_MAX])
-    def test_keeps_rho_as_float_and_vector(self, rho):
+    def test_x_step_head_is_z_times_float_rho_plus_y(self, rho, rng):
         fact = factorize(factor_problem(n=5), rho)
-        assert fact.rho_vector.tobytes() == np.full(5, float(rho)).tobytes()
+        z, y = rng.standard_normal((2, 5))
+        solve_x_update(fact, z, y)
+        assert fact.rho == rho
+        assert fact.head.tobytes() == (z * float(rho) + y).tobytes()
 
     def test_nonpositive_rho_rejected(self):
         problem = two_asset_problem()
