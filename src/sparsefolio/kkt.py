@@ -1,93 +1,26 @@
-"""Direct factorization of the equality-constrained quadratic x-step.
+"""The x-step's KKT factorization and the certificate finish.
 
 Each ADMM x-step minimizes (1/2) x'Cx + (rho/2)||x - v||^2 subject to
-Dx = b, whose optimality system is the symmetric indefinite block matrix
+Dx = b, whose optimality system is the symmetric indefinite block
 
     [ C + rho*I   D' ] [x ]   [ rho*z + y ]
     [ D           0  ] [nu] = [ b         ]
 
-We factor the full (n+2) x (n+2) block once per rho with partial-pivot LU
-and reuse it for every solve at that rho; a Schur-complement route would
-be marginally cheaper but needlessly splits the accuracy story.  The loop
-reads only x; the multiplier nu is solved for and dropped.
+factorize builds it in Fortran order, its C part copied from C' (= C, as
+PortfolioProblem stores C exactly symmetric), and LU-factors it once per
+rho; an x-step is one getrs on those factors.  The block does not depend
+on b, so one factorization serves every target of a C and mu: its
+reusable right-hand side has a b tail, which each run sets to its own
+target when it starts, and a head that each solve overwrites, so a
+factorization serves one run and one thread at a time.
 
-The block is built in Fortran order and factored in place by the float64
-LAPACK ``getrf``, its C part copied from C' (which is C, as PortfolioProblem
-stores C exactly symmetric) in the block's memory order.  LAPACK and BLAS
-routines are looked up once, at import.  PortfolioProblem has checked C
-and mu and factorize checks rho; the right-hand side is finite unless
-rho*z + y overflows, and then the engine's test on the next iterate ends
-the solve.
-
-An x-step is one ``getrs`` on the LU factors: these are the routine and
-arrays ``lu_solve`` uses, so the x is bitwise theirs, without their
-copies, finiteness scans and dispatch.  Dx = b holds exactly but for the
-last bits of the triangular solves.
-
-Each factorization also owns a reusable right-hand side of length n+2.
-The block does not depend on b, so one serves every target of a C and
-mu: factorize writes its problem's b into that vector's tail, and each
-run writes its own there when it starts.  A solve writes rho*z + y into
-the head in place (one multiply and one add, the same IEEE operations as
-the expression) and hands the whole vector to LAPACK, which writes the
-solution to a fresh vector: the tail keeps b, and the returned x shares
-no memory with the right-hand side or an earlier x.  As solves overwrite
-that head, a factorization belongs to one run at a time and must not be
-shared across threads.
-
-``solve_support`` solves another block: C without the rho shift,
-restricted to a support S of the weights, [C_SS D_S'; D_S 0], against
-[head; b].  With the weights off S held at zero and head = -lam*s for
-signs s on S, its solution meets the penalized problem's stationarity
-and feasibility conditions on S; head = 0 on the full support gives the
-unpenalized, equality-constrained QP.  ``check_kkt`` measures how far a
-candidate (x, nu, g) is from meeting all the optimality conditions, which
-certifies such a solution.  Each ``solve_support`` call builds and
-factors its block afresh, sharing no factorization with the x-step's: it
-gathers C_SS a few rows at a time and factors it in place by LAPACK
-``gesv``, so that a solve at n=500 holds no second block.
-
-``Finish`` is that polish (Stellato et al. 2020, OSQP, section 5) as a
-bounded active-set finish from the support and signs of an ADMM iterate
-z: each step solves the block of S against [-lam*s; b].  It accepts a
-solution only where the signs on S hold, the subgradient off S lies in
-[-1, 1] and ``check_kkt`` is within KKT_TOL; the conditions are
-sufficient for this convex problem, so an accepted x is its optimum.
-Where a check fails and steps remain, it corrects S by feature-sign
-search (Lee, Battle, Raina and Ng, NIPS 2007): a sign that flips drops
-its asset after a line search along a segment that keeps Dx = b, and
-otherwise the worst subgradient violator joins S.  With one step it tests
-z's own pattern.  A support of one asset j has a singular block; where
-mu_j = e, ``single_asset_multipliers`` certifies it by an interval on the
-multipliers, and where mu_j != e no x on it meets Dx = b, so a step that
-is not the last moves to the feasible pair {j, i} of lowest objective
-and goes on from there.  The test suite's exhaustive oracle solves its
-candidate blocks through ``solve_support`` and
-``single_asset_multipliers`` too, so an oracle support and a certified
-one give the same bits.
-
-The first step of a finish is one ``solve_support``; the later ones keep
-C_SS^-1 in one buffer for the finish (``_SupportInverse``) and update it
-by a rank-one term as an asset joins or leaves, as active-set methods
-update their factorizations (Gill, Golub, Murray and Saunders 1974;
-Nocedal and Wright 2006, section 16.5), and keeps C_SS^-1 [mu_S, 1_S]
-with it by O(n) updates, so that a step solves by one ``symv``.  The
-buffer is n x n, so a step costs O(n^2), like an x-step, against O(k^3)
-for a fresh factorization; a support so small that its fresh
-factorization costs less than an attempt's interpreter overhead
-(``attempt_floor``) is solved afresh at every step instead.  An x the
-kept inverse would accept is solved once more by ``solve_support`` and
-checked as that, so certified weights are ``solve_support``'s on their
-support, bitwise.  The line search takes the quadratic along the segment
-in closed form, so a candidate costs its O(n) L1 term.
-
-A finish takes the same steps whatever its budget, so ``Finish.run`` on
-a larger budget goes on where the last run stopped, which the engine
-does when it tries the same pattern again.  The steps are a generator
-that the Finish advances one step per ``next``: a step that decides
-returns its verdict, and one that does not yields before it corrects S,
-so no correction is made that no step uses.  ``finish_steps`` prices a
-finish in x-steps for the engine's rationing.
+Finish is the certificate finish: the polish of Stellato et al. 2020
+(OSQP, section 5) run as feature-sign search (Lee, Battle, Raina and Ng,
+NIPS 2007).  It returns only weights that check_kkt certifies; on two or
+more assets they are, bitwise, a one-column solve_support's on their
+support, and a solve of the block with more columns may differ in the
+last bit.  README's "Certified stop" gives the rule, the prices of the
+steps and their costs.
 """
 
 from __future__ import annotations
@@ -113,24 +46,16 @@ KKT_TOL = 1e-9
 ATTEMPT_FLOOR = 4
 STEP_COST = 2
 _EPS = np.finfo(float).eps
-# entries of the candidates-by-assets block a line search's L1 term takes
-# at a time
-_L1_ENTRIES = 1 << 16
-# rows of C_SS a support block gathers at a time
+# rows of C_SS a support block gathers at a time: no second k x k copy is
+# held, and a chunk stays in cache (an unchunked gather is slower at n=500)
 _GATHER_ROWS = 64
 
 
 @dataclass(frozen=True)
 class KktFactorization:
-    """The block system in solvable form, with what its solves need.
-
-    lu holds the (n+2) x (n+2) LU factors and piv their pivots.  rho is
-    the rho the block was built at.  rhs is the solves' reusable
-    right-hand side, whose tail is the right-hand side b of the two
-    equality rows, and x is the solution without its last two entries.
-    head is the view of the first n entries of rhs; solves overwrite it,
-    so one factorization serves one thread.
-    """
+    """The block at rho in solvable form: lu and piv are its (n+2) x (n+2)
+    LU factors and pivots, rhs the reusable right-hand side and head the
+    view of its first n entries."""
 
     rho: float
     lu: np.ndarray = field(repr=False)
@@ -164,7 +89,11 @@ def factorize(problem: PortfolioProblem, rho: float) -> KktFactorization:
 
 def solve_x_update(factorization: KktFactorization, z: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """The x-step: the minimizer for the current (z, y) subject to Dx = b."""
+    """The x-step: the minimizer for the current (z, y) subject to Dx = b,
+    met but for the last bits of the triangular solves.  x is fresh from
+    getrs, sharing no memory with rhs or an earlier x, and finite unless
+    rho*z + y overflows, which the engine's test on the next iterate
+    catches."""
     head = factorization.head
     np.multiply(z, factorization.rho, out=head)
     np.add(head, y, out=head)
@@ -184,11 +113,9 @@ def solve_support(problem: PortfolioProblem, support: np.ndarray,
     [x_S; nu] of [C_SS D_S'; D_S 0] [x_S; nu] = [head; b], shaped like the
     right-hand side.  C_SS is positive definite, so the block is
     nonsingular when D_S has rank 2, which needs k >= 2; an exactly
-    singular one raises numpy.linalg.LinAlgError.
-
-    The block is symmetric, as PortfolioProblem stores C exactly
-    symmetric, so ``gesv`` factors it in place through its transpose, the
-    Fortran-ordered view of the same memory.
+    singular one raises numpy.linalg.LinAlgError.  The block is symmetric,
+    as C is stored exactly symmetric, so gesv factors it in place through
+    its transpose, the Fortran-ordered view of the same memory.
     """
     index = support.nonzero()[0]
     k = index.size
@@ -256,54 +183,31 @@ class FinishCounts:
 
 
 class Finish:
-    """The optimum found from z's support S and signs s in at most steps
-    block solves, with its certificate, kept where it stands, so that a
-    larger budget takes it further instead of again.
+    """The certificate finish from the support S and signs s of z, kept
+    where it stands, so that a larger budget takes it further instead of
+    again; pattern is sign(z).
 
-    run(steps) brings it to at most steps steps in all.  Each step solves
-    the block of S against [-lam*s; b]: the first by solve_support, the
-    later ones on a _SupportInverse that the second step builds and every
-    further step updates for the assets that joined or left S (a lone asset
-    through single_asset_multipliers, with no block solve).  A solution
-    from the kept inverse that would be accepted is solved again by
-    solve_support, and that solution is the one checked, so an accepted x
-    is solve_support's on its support.
-    A lone asset j with mu_j != e is infeasible: a step that is not the
-    last takes the cheapest feasible pair {j, i} (_cheapest_pair) as the
-    current point, with its support and signs, and makes no block solve.
-    Where the solution keeps the signs s and, off S, the subgradient
-    g = -(Cx + D'nu)/lam lies in [-1, 1], run returns (x, nu, g): the
-    optimum x (exactly zero off S), the multipliers nu of Dx = b and g (s
-    on S, 0 off S at lam = 0), provided check_kkt(problem, lam, x, nu, g)
-    <= KKT_TOL.  Otherwise, while steps remain, it corrects S
-    (feature-sign search, Lee, Battle, Raina and Ng 2007):
-    - the signs hold but some |g_j| > 1: add the worst such j, with
-      s_j = sign(g_j), and take the solution as the current point;
-    - a sign flips: take the point of lowest objective among the zero
-      crossings of the segment from the current point to the solution and
-      the solution itself (_line_search), and let S and s be its support
-      and signs, so the coordinates that reach zero drop; the first step
-      has no current point and takes the solution.
-    Every point on the segments keeps Dx = b.  run returns None where S is
-    empty, a block is singular, a lone asset whose mean is e is not
-    certified, a check fails with no step left or the final check_kkt
-    exceeds KKT_TOL.  So it accepts only a certified optimum, and
-    Finish(problem, lam, z).run(1) tests z's own pattern.
+    run(steps) takes it to at most steps block solves in all.  It returns
+    (x, nu, g) once a solution keeps the signs s, its subgradient
+    g = -(Cx + D'nu)/lam off S lies in [-1, 1] and check_kkt(problem, lam,
+    x, nu, g) <= KKT_TOL: the optimum x, exactly zero off S, the
+    multipliers nu of Dx = b, and g (s on S, 0 off S at lam = 0).  It
+    returns None where S is empty, a block is singular, a lone asset whose
+    mean is e is not certified, the steps run out or the final check_kkt
+    exceeds KKT_TOL; and from then on once it has decided, or on a budget
+    it has already run.  So it accepts only a certified optimum, and
+    run(1) tests z's own pattern.
 
-    The finish takes the same steps whatever its budget, so a finish that
-    ran out of steps goes on from its last solution with the steps a fresh
-    one would take next, and its outcome and bits are the fresh one's on
-    the larger budget; counts, when given, gains the fresh factorizations
-    and kept-inverse steps as they are made.  A finish that has decided,
-    by a certificate or for a reason more steps do not change, returns None
-    from then on, as does a run on a budget it has already spent.  pattern
-    is sign(z) and budget the largest steps it was run with.  It holds its
-    kept inverse, an n x n buffer, until it decides or is dropped.
+    The steps do not depend on the budget, so a run on a larger budget
+    goes on where the last one stopped, and its outcome and bits are a
+    fresh finish's on that budget; counts, when given, gains the fresh
+    factorizations and kept-inverse steps as they are made.  budget is
+    the largest steps run.  The finish holds its kept inverse, an n x n
+    buffer, until it decides or is dropped.
     """
 
     def __init__(self, problem: PortfolioProblem, lam: float, z: np.ndarray,
                  counts: Optional[FinishCounts] = None):
-        self.problem, self.lam = problem, lam
         self.pattern = np.sign(z)
         self.budget = 0
         # the steps hold no reference to self, so a dropped finish frees its
@@ -494,16 +398,13 @@ class _SupportInverse:
         """Make H the inverse for support; returns the fresh factorizations
         that took (0 or 1)."""
         changed = np.flatnonzero(support != self.support)
-        if changed.size > 2:
-            self.support = support.copy()
-            self._factor()
-            return 1
-        for j in changed:
-            if not (self._join(j) if support[j] else self._leave(j)):
-                self.support = support.copy()
-                self._factor()
-                return 1
-        return 0
+        # all() stops at the first pivot that fails
+        if changed.size <= 2 and all(self._join(j) if support[j]
+                                     else self._leave(j) for j in changed):
+            return 0
+        self.support = support.copy()
+        self._factor()
+        return 1
 
     def _join(self, j: int) -> bool:
         c = np.where(self.support, self.C[:, j], 0.0)
@@ -581,25 +482,17 @@ def _line_search(problem: PortfolioProblem, lam: float, current: np.ndarray,
 
     Along current + t*d the quadratic is c'Cc/2 + t c'Cd + t^2 d'Cd/2, from
     one product of C with [current, d], so a candidate costs only its O(n)
-    L1 term, taken for a block of candidates at a time."""
+    L1 term, taken for all candidates in one pass."""
     direction = x - current
     crossing = (current * x < 0).nonzero()[0]
     at = current[crossing] / -direction[crossing]
     # a repeated candidate repeats its value, and the first lowest wins
-    candidates = np.empty(at.size + 1)
-    candidates[:-1] = at
-    candidates[:-1].sort()
-    candidates[-1] = 1.0
+    candidates = np.append(np.sort(at), 1.0)
     ends = np.array((current, direction))
     (cc, cd), (_, dd) = ((ends @ problem.C) @ ends.T).tolist()
-    rows = max(1, _L1_ENTRIES // current.size)
-    penalty = np.empty(candidates.size)
-    for i in range(0, candidates.size, rows):
-        block = candidates[i:i + rows, None] * direction
-        block += current
-        np.abs(block, out=block)
-        block.sum(axis=1, out=penalty[i:i + rows])
-    penalty *= lam
+    points = candidates[:, None] * direction
+    points += current
+    penalty = lam * np.abs(points, out=points).sum(axis=1)
     values = 0.5 * (cc + candidates * (2 * cd + candidates * dd)) + penalty
     # values within rounding of the lowest tie, and the first of them wins
     scale = 0.5 * (abs(cc) + 2 * abs(cd) + abs(dd)) + penalty.max()
@@ -625,10 +518,8 @@ def check_kkt(problem: PortfolioProblem, lam: float, x: np.ndarray,
     worst = max(float(np.abs(residual).max()),
                 float(np.abs(problem.D @ x - problem.b).max()))
     if lam > 0:
-        on_support = x != 0
-        if on_support.any():
-            worst = max(worst, float(np.abs(g[on_support] - np.sign(x[on_support])).max()))
-        off_support = ~on_support
-        if off_support.any():
-            worst = max(worst, max(float(np.abs(g[off_support]).max()) - 1.0, 0.0))
+        on = x != 0
+        worst = max(worst,
+                    float(np.abs(g[on] - np.sign(x[on])).max(initial=0.0)),
+                    float(np.abs(g[~on]).max(initial=1.0)) - 1.0)
     return worst

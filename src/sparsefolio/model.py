@@ -26,11 +26,11 @@ class PortfolioProblem:
     """The model's inputs; the constraint system D x = b is derived from them.
 
     Every solve, factorization and oracle call takes one, so this is the one
-    place the covariance is checked: finite, symmetric to 1e-12, positive
-    definite.  C is stored exactly symmetric, as 0.5*(C + C') where it is
-    not; the size of the asymmetry is computed only then.  Positive
-    definiteness is one LAPACK potrf on a copy of the stored C, whose
-    factor is discarded.
+    place the moments are checked: mu finite, and C finite, symmetric to
+    1e-12 and positive definite.  C is stored exactly symmetric, as
+    0.5*(C + C') where it is not; the size of the asymmetry is computed
+    only then.  Positive definiteness is one LAPACK potrf on a copy of the
+    stored C, whose factor is discarded.
     """
 
     C: np.ndarray
@@ -48,6 +48,8 @@ class PortfolioProblem:
             raise ValueError("mean/covariance shapes do not match asset count")
         if not math.isfinite(self.e):
             raise ValueError(f"target return e must be finite, got {self.e}")
+        if not np.isfinite(mu).all():
+            raise ValueError("asset means have non-finite entries")
         D = np.vstack([mu, np.ones(n)])
         # With C positive definite the x-step system is singular exactly when
         # D has rank below 2: fewer than two assets, or all means equal.

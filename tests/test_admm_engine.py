@@ -953,6 +953,10 @@ class TestCertifiedStop:
         seen, tried = [], []
 
         class Spy(Finish):
+            def __init__(self, problem, lam, z, counts=None):
+                super().__init__(problem, lam, z, counts)
+                self.problem, self.lam = problem, lam
+
             def run(self, steps):
                 k = len(seen)  # the finish runs before iteration k is seen
                 polish = super().run(steps)

@@ -291,8 +291,9 @@ class TestCertify:
     @pytest.mark.parametrize("lam", [1e-3, 1e-2])
     def test_certify_solves_the_block_through_solve_support(self, seed, lam):
         # one route for the support block: the certified weights are
-        # bitwise the solve_support solution the oracle's enumeration reads
-        # (two solvers of the block differ in the last bits at seed 0)
+        # bitwise a one-column solve_support's (two solvers of the block
+        # differ in the last bits at seed 0); the oracle's many-column
+        # solve of the same block can differ from it in the last bit
         problem = factor_problem(n=8, seed=seed)
         signs = np.sign(enumerate_solve(problem, lam).weights)
         support = signs != 0
@@ -580,6 +581,38 @@ class TestKeptInverse:
         expected = solve_support(problem, moved, head[moved])
         np.testing.assert_allclose(x[moved], expected[:-2], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_failed_pivot_refactors(self, rng, monkeypatch, failing):
+        # a join and a leave whose first or second pivot fails: the updates
+        # stop there, and one fresh factorization takes the target support
+        n = 40
+        problem = factor_problem(n=n, m=120, seed=2)
+        support = rng.random(n) < 0.5
+        kept = kkt._SupportInverse(problem, support)
+        calls = []
+
+        def fails_at_call(update):
+            def patched(self, j):
+                calls.append(j)
+                return len(calls) != failing and update(self, j)
+            return patched
+
+        for name in ("_join", "_leave"):
+            monkeypatch.setattr(kkt._SupportInverse, name,
+                                fails_at_call(getattr(kkt._SupportInverse, name)))
+        moved = support.copy()
+        changed = [np.flatnonzero(~support)[0], np.flatnonzero(support)[0]]
+        moved[changed] = ~moved[changed]
+        assert kept.move_to(moved) == 1
+        assert len(calls) == failing
+        assert np.array_equal(kept.support, moved)
+        head = np.where(moved, rng.choice([-1e-3, 1e-3], n), 0.0)
+        x, nu = kept.solve(head)
+        expected = solve_support(problem, moved, head[moved])
+        np.testing.assert_allclose(x[moved], expected[:-2], rtol=0, atol=1e-12)
+        assert not x[~moved].any()
+        np.testing.assert_allclose(nu, expected[-2:], rtol=1e-12)
+
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def instance():
@@ -673,17 +706,24 @@ def counting(calls, function):
 class TestLineSearch:
     """kkt._line_search's closed form against an objective_value scan."""
 
-    def test_picks_the_scan_minimum(self, rng):
+    # n=500 at density 0.9 gives segments of a few hundred crossings, as
+    # the n=500 workload's line searches have (up to 334 candidates)
+    @pytest.mark.parametrize("n, m, draws, density, checks, crossings", [
+        (12, 60, 300, 0.7, 50, 0), (500, 1000, 6, 0.9, 3, 200)],
+        ids=["n12", "n500"])
+    def test_picks_the_scan_minimum(self, rng, n, m, draws, density, checks,
+                                    crossings):
         # on segments whose lowest candidate is not tied (to 1e-9), the
         # point is the one the scan of the candidates picks, bitwise
-        problem = factor_problem(n=12, m=60, seed=3)
-        checked = 0
-        for _ in range(300):
-            current = rng.standard_normal(12) * (rng.random(12) < 0.7)
-            x = rng.standard_normal(12) * (rng.random(12) < 0.7)
+        problem = factor_problem(n=n, m=m, seed=3)
+        checked = most = 0
+        for _ in range(draws):
+            current = rng.standard_normal(n) * (rng.random(n) < density)
+            x = rng.standard_normal(n) * (rng.random(n) < density)
             lam = float(rng.choice([0.0, 1e-3, 0.1, 1.0]))
             direction = x - current
             crossing = np.flatnonzero(current * x < 0)
+            most = max(most, crossing.size)
             at = current[crossing] / -direction[crossing]
             candidates = np.append(np.unique(at), 1.0)
             values = np.array([objective_value(problem.C,
@@ -700,7 +740,8 @@ class TestLineSearch:
             point = kkt._line_search(problem, lam, current, x)
             assert point.tobytes() == expected.tobytes()
             checked += t < 1.0
-        assert checked >= 50
+        assert checked >= checks
+        assert most >= crossings
 
 
 class TestFinishSteps:

@@ -59,6 +59,14 @@ class TestPortfolioProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             PortfolioProblem(np.eye(2), np.array([0.1, 0.2]), np.nan)
 
+    # refused before the rank test, whose SVD fails on a NaN mean and
+    # passes an infinite one, which then gives NaN weights
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="means have non-finite"):
+            PortfolioProblem(np.eye(3), np.array([mean, 0.1, 0.2]), 0.1)
+
     def test_covariance_must_be_pd(self):
         parts = self._parts()
         parts["C"] = np.array([[1.0, 2.0], [2.0, 1.0]])

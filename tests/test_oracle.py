@@ -2,11 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import factor_problem, identity_problem, two_asset_problem
+from conftest import factor_problem, identity_problem, mean_diag_rho, two_asset_problem
 from exhaustive_oracle import InfeasibleTargetError, enumerate_solve
+from sparsefolio.admm_engine import SolverConfig, solve
 from sparsefolio.kkt import check_kkt
+from sparsefolio.lambda_controller import LambdaSchedule, initial_lambda
 from sparsefolio.model import PortfolioProblem, build_problem, objective_value
+from sparsefolio.penalty import PENALTY_KINDS, PenaltyConfig
 
 
 def degenerate_problem(n=3):
@@ -233,3 +238,39 @@ class TestPerturbationSeparation:
             violation = check_kkt(problem, lam, bumped, res.multiplier,
                                   res.subgradient)
             assert violation >= 0.01
+
+
+class TestSolveMatchesOracle:
+    """solve against enumerate_solve on small factor problems, with targets
+    strictly inside the range of the means."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 6), seed=st.integers(0, 10_000),
+           point=st.floats(0.01, 0.99), scale=st.sampled_from([0.0, 1.0, 10.0]),
+           kind=st.sampled_from(PENALTY_KINDS))
+    def test_solve_agrees_with_the_oracle(self, n, seed, point, scale, kind):
+        # every solve converges, a repeat is bitwise equal, the objective is
+        # the oracle's to 1e-6 and a certified solve is the oracle's optimum:
+        # its support, and weights to 1e-12 (a one-column solve of the
+        # support block against the oracle's many-column one)
+        m = 60
+        problem = factor_problem(n=n, m=m, seed=seed)
+        low, high = problem.mu.min(), problem.mu.max()
+        problem = problem.at(low + point * (high - low))
+        lam = scale * initial_lambda(m, n)
+        config = SolverConfig(
+            tol=1e-8, max_iter=200_000,
+            penalty=PenaltyConfig(kind=kind, rho0=mean_diag_rho(problem)),
+            lambda_schedule=LambdaSchedule.fixed(lam))
+        result = solve(problem, config)
+        assert result.termination == "converged"
+        again = solve(problem, config)
+        assert again.weights.tobytes() == result.weights.tobytes()
+        assert again.iterations == result.iterations
+        oracle = enumerate_solve(problem, lam)
+        assert abs(result.objective - oracle.objective) \
+            <= 1e-6 * abs(oracle.objective)
+        if result.certified:
+            assert np.array_equal(result.weights != 0, oracle.weights != 0)
+            np.testing.assert_allclose(result.weights, oracle.weights,
+                                       rtol=0, atol=1e-12)
