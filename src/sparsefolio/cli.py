@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -91,6 +92,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands, built on every call."""
     parser = argparse.ArgumentParser(
         prog="sparsefolio",
         description="L1-regularized mean-variance portfolios via ADMM")
@@ -146,6 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--max-iter", type=int, default=5000,
                              help="iteration cap (default: %(default)s)")
     return parser
+
+
+# The parser keeps no state between parse_args calls: each fills a fresh
+# Namespace.  So one tree serves every main call of the process.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -310,9 +319,14 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code; never raises SystemExit.
+
+    It may be called any number of times in one process.  Every call parses
+    with the same parser, built on the first call; ``build_parser()`` builds
+    a new one each time it is called.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_INPUT
     handlers = {"gen": cmd_gen, "solve": cmd_solve, "frontier": cmd_frontier,

@@ -583,3 +583,88 @@ class TestBench:
 
     def test_unknown_suite_exits_2(self):
         assert main(["bench", "--suite", "weird"]) == EXIT_INPUT
+
+
+CSV = "<returns.csv>"  # stands for the module's returns CSV in a command line
+# Command lines run in order in one process; each leaves no trace on the next.
+SEQUENCES = {
+    "history": [["solve", "--input", CSV, "--history"],
+                ["solve", "--input", CSV]],
+    "rho0": [["solve", "--input", CSV, "--rho0", "0.5"],
+             ["solve", "--input", CSV]],
+    "adaptive": [["solve", "--input", CSV, "--adaptive-lambda", "--sn", "1"],
+                 ["solve", "--input", CSV]],
+    "usage": [["solve", "--input", CSV, "--frobnicate"], ["solve"],
+              ["solve", "--input", CSV]],
+    "help": [["--help"], ["--help"]],
+}
+
+
+class TestOneParserPerProcess:
+    """`main` parses every call with one parser, built on its first call."""
+
+    @pytest.fixture(autouse=True)
+    def first_call_builds(self):
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def run(calls, returns_csv, capsys):
+        outcomes = []
+        for argv in calls:
+            code = main([returns_csv if arg == CSV else arg for arg in argv])
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    def test_built_once_across_calls(self, returns_csv, capsys, monkeypatch):
+        build, built = cli.build_parser, []
+
+        def counting_build():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for calls in SEQUENCES.values():
+            self.run(calls, returns_csv, capsys)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_history_does_not_carry_over(self, returns_csv, capsys):
+        (_, with_flag, _), (_, without, _) = self.run(
+            SEQUENCES["history"], returns_csv, capsys)
+        assert "history" in json.loads(with_flag)
+        assert "history" not in json.loads(without)
+
+    def test_rho0_returns_to_its_default(self, returns_csv, capsys):
+        echoes = [json.loads(out)["config_echo"] for _, out, _ in
+                  self.run(SEQUENCES["rho0"], returns_csv, capsys)]
+        assert [echo["rho0"] for echo in echoes] == [0.5, None]
+
+    def test_adaptive_mode_returns_to_fixed(self, returns_csv, capsys):
+        echoes = [json.loads(out)["config_echo"] for _, out, _ in
+                  self.run(SEQUENCES["adaptive"], returns_csv, capsys)]
+        assert [(echo["adaptive_lambda"], echo["sn"]) for echo in echoes] \
+            == [(True, 1), (False, 0)]
+
+    def test_usage_errors_leave_the_next_call_whole(self, returns_csv, capsys):
+        alone = self.run(SEQUENCES["usage"][-1:], returns_csv, capsys)
+        cli._parser.cache_clear()
+        outcomes = self.run(SEQUENCES["usage"], returns_csv, capsys)
+        assert [code for code, _, _ in outcomes] == [EXIT_INPUT, EXIT_INPUT, EXIT_OK]
+        assert "unrecognized arguments: --frobnicate" in outcomes[0][2]
+        assert "the following arguments are required: --input" in outcomes[1][2]
+        assert outcomes[2:] == alone
+
+    def test_help_twice(self, returns_csv, capsys):
+        outcomes = self.run(SEQUENCES["help"], returns_csv, capsys)
+        assert [code for code, _, _ in outcomes] == [EXIT_OK, EXIT_OK]
+        assert outcomes[0][1].startswith("usage: sparsefolio")
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_same_bytes_as_a_new_parser_per_call(self, name, returns_csv,
+                                                 capsys, monkeypatch):
+        reused = self.run(SEQUENCES[name], returns_csv, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert self.run(SEQUENCES[name], returns_csv, capsys) == reused
